@@ -2,9 +2,9 @@
 
 Every check pits a closed formula against an independent enumeration (or two
 independent computation routes against each other) and passes only on exact
-agreement.  `run_acceptance` executes them in dependency order and reports
-one line per tier; `quick=True` stops after the first seven (the ones that
-avoid multi-minute scans).
+agreement.  `run_acceptance` executes them in dependency order, reports one
+line per tier, and fails a tier that overruns its limit; `quick=True` runs
+only the tiers whose limit is at most 30 s (AC1, AC2, AC5 and AC9).
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from typing import Callable
 
 from . import centralizer as cz
 from .cyclotomic import CycNum, gauss_sum, gauss_sum_via_prime
-from .fields import FieldSpec, field, is_prime
+from .fields import FieldSpec, field, field_for_order, is_prime
 from .matrices import UniTriMat
 from .parallel import DEFAULT_BUDGET
 from .residues import (
@@ -94,7 +94,7 @@ def ac2_qr_differences() -> tuple[bool, str]:
     """Difference counts: closed = enumerated for all c != 0."""
     pairs = 0
     for q in (5, 7, 9, 11, 13, 25, 27, 49, 81, 125):
-        spec = _spec_for(q)
+        spec = field_for_order(q)
         for c in spec.elements():
             if c.is_zero():
                 continue
@@ -102,13 +102,6 @@ def ac2_qr_differences() -> tuple[bool, str]:
                 return False, f"mismatch at q={q}, c={c}"
             pairs += 1
     return True, f"{pairs} (q, c) pairs"
-
-
-def _spec_for(q: int) -> FieldSpec:
-    from .fields import split_prime_power
-
-    p, n = split_prime_power(q)
-    return field(p, n)
 
 
 def ac3_gauss_sums() -> tuple[bool, str]:
@@ -176,7 +169,7 @@ def ac6_power_formula() -> tuple[bool, str]:
     rng = random.Random(0xAC06)
     checked = 0
     for n, q in ((2, 3), (3, 5), (5, 3)):
-        spec = _spec_for(q)
+        spec = field_for_order(q)
         p = spec.p
         for _ in range(200):
             x = sylow_from_index(spec, n, rng.randrange(sylow_count(n, q)))
@@ -226,7 +219,7 @@ def ac9_pair_counts() -> tuple[bool, str]:
     """Pair counts: closed = enumerated for q in {5, 13, 25, 29} and all d."""
     checked = 0
     for q in (5, 13, 25, 29):
-        spec = _spec_for(q)
+        spec = field_for_order(q)
         for d in spec.elements():
             if d.is_zero():
                 continue
@@ -296,38 +289,15 @@ def ac11_count_expansion() -> tuple[bool, str]:
 
 def ac12_centralizer_structure() -> tuple[bool, str]:
     """Predicate equivalence, projection laws, and kernel orders over Sp_6(5)."""
-    rng = random.Random(0xAC12)
-    target = make_target(5, 5, 1, 1)
-    spec = target.spec
-    dim = 2 * target.n
-    for i in range(1000):
-        if i % 2 == 0:
-            M = cz.random_centralizer_elem(target, rng).mat
-        else:
-            M = cz.random_symplectic(spec, dim, rng)
-        by_commute = cz.is_in_centralizer(M, target, "commute")
-        by_pattern = cz.is_in_centralizer(M, target, "pattern")
-        if by_commute != by_pattern:
-            return False, "centralizer predicates disagree"
-    for _ in range(1000):
-        a = cz.random_centralizer_elem(target, rng)
-        b = cz.random_centralizer_elem(target, rng)
-        sa, la = cz.pi(a, target)
-        sb, lb = cz.pi(b, target)
-        sab, lab = cz.pi(a * b, target)
-        if sab != sa @ sb or lab != la * lb:
-            return False, "projection is not multiplicative"
-    for _ in range(500):
-        S = cz.random_symplectic(spec, dim - 2, rng)
-        lam = 1 if rng.randrange(2) == 0 else -1
-        s_img, lam_img = cz.pi(cz.pi_section(S, lam, target), target)
-        if s_img != S or lam_img != lam:
-            return False, "section is not a right inverse of the projection"
-    for _ in range(1000):
-        K = cz.random_kernel_element(target, rng)
-        if not cz.kernel_order_check(K):
-            return False, "kernel element failed the order-p check"
-    return True, "1000+1000+500+1000 samples"
+    samples = 1000
+    suites = cz.property_suites(make_target(5, 5, 1, 1), random.Random(0xAC12), samples)
+    failed = [name for name, r in suites.items() if r["fail"]]
+    if failed:
+        return False, f"failing suites: {', '.join(failed)}"
+    return True, f"{samples} samples in each of {len(suites)} suites"
+
+
+QUICK_LIMIT = 30  # seconds; `quick` runs the tiers declared at most this slow
 
 
 def acceptance_tiers(
@@ -357,14 +327,20 @@ def run_acceptance(
     only: list[str] | None = None,
     out: Callable[[str], None] = print,
 ) -> list[AcResult]:
-    """Run the tiers in dependency order; returns per-tier results."""
+    """Run the tiers in dependency order; returns per-tier results.
+
+    A tier passes only when its check passes within its time limit.  A
+    selection that leaves no tier to run raises ValueError.
+    """
     budget = DEFAULT_BUDGET if budget is None else budget
     tiers = acceptance_tiers(budget, threads)
     if quick:
-        tiers = tiers[:7]
+        tiers = [t for t in tiers if t[2] <= QUICK_LIMIT]
     if only:
         wanted = {key.upper() for key in only}
         tiers = [t for t in tiers if t[0] in wanted]
+    if not tiers:
+        raise ValueError(f"no {'quick' if quick else 'acceptance'} tier matches {' '.join(only)}")
     results = []
     for key, name, limit, fn in tiers:
         start = time.perf_counter()
@@ -373,6 +349,8 @@ def run_acceptance(
         except Exception as exc:  # a tier crash is a failure, not an abort
             passed, detail = False, f"error: {exc}"
         elapsed = time.perf_counter() - start
+        if elapsed > limit:
+            passed, detail = False, f"overran its {limit:.0f}s limit; {detail}"
         result = AcResult(key, name, passed, detail, elapsed, limit)
         results.append(result)
         out(result.line())

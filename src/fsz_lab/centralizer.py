@@ -247,3 +247,44 @@ def random_centralizer_elem(target: PthPowerTarget, rng) -> CentElem:
     S = random_symplectic(target.spec, 2 * target.n - 2, rng)
     lam = 1 if rng.randrange(2) == 0 else -1
     return pi_section(S, lam, target) * random_kernel_element(target, rng)
+
+
+def property_suites(target: PthPowerTarget, rng, samples: int) -> dict[str, dict[str, int]]:
+    """Run the four sampled property suites; {suite: {"pass": k, "fail": k}}.
+
+    The suites draw from rng in a fixed order, so a seed fixes every sample:
+    predicate equivalence on centralizer and general symplectic matrices,
+    multiplicativity of the projection, the section as a right inverse, and
+    the order-p closed power form of kernel elements.
+    """
+    spec, dim = target.spec, 2 * target.n
+
+    def predicates_agree() -> bool:
+        M = (random_centralizer_elem(target, rng).mat
+             if rng.randrange(2) == 0 else random_symplectic(spec, dim, rng))
+        return is_in_centralizer(M, target, "commute") == is_in_centralizer(M, target, "pattern")
+
+    def projection_multiplies() -> bool:
+        a = random_centralizer_elem(target, rng)
+        b = random_centralizer_elem(target, rng)
+        sa, la = pi(a, target)
+        sb, lb = pi(b, target)
+        sab, lab = pi(a * b, target)
+        return sab == sa @ sb and lab == la * lb
+
+    def section_inverts() -> bool:
+        S = random_symplectic(spec, dim - 2, rng)
+        lam = 1 if rng.randrange(2) == 0 else -1
+        return pi(pi_section(S, lam, target), target) == (S, lam)
+
+    def kernel_has_order_p() -> bool:
+        return kernel_order_check(random_kernel_element(target, rng))
+
+    results = {}
+    for name, check in (("predicate_equivalence", predicates_agree),
+                        ("projection_homomorphism", projection_multiplies),
+                        ("section_identity", section_inverts),
+                        ("kernel_order", kernel_has_order_p)):
+        passed = sum(check() for _ in range(samples))
+        results[name] = {"pass": passed, "fail": samples - passed}
+    return results

@@ -26,7 +26,7 @@ from .fsz import (
     witness_pair_count,
     solve_pth_power,
 )
-from .parallel import DEFAULT_BUDGET, BudgetExceeded, check_budget, default_threads
+from .parallel import DEFAULT_BUDGET, BudgetExceeded, check_budget
 from .residues import FiberCountQuery, qr_diff_count, trace_fiber_qr_count
 from .sylow import SylowElem, enumerate_sylow, sylow_count, u_witness
 
@@ -184,12 +184,8 @@ def _resolve_u(name: str, spec, n: int) -> tuple[str, SylowElem]:
     if name == "U":
         return "U", u_witness(spec, n)
     with open(name, encoding="utf-8") as fh:
-        data = json.load(fh)
-    from .matrices import MatFq, UniTriMat
-
-    L = UniTriMat(spec, n, [spec.elem(v) for v in data["L_upper"]])
-    A = MatFq(spec, [[spec.elem(v) for v in row] for row in data["A"]])
-    return name, SylowElem(L, A)
+        doc = json.load(fh)
+    return name, SylowElem.from_json(spec, n, doc)
 
 
 def cmd_sylow_solve(args) -> int:
@@ -325,48 +321,9 @@ def cmd_centralizer_check(args) -> int:
 
     target = make_target(args.p, args.q, args.j, 1)
     seed = args.check_seed if args.check_seed is not None else args.seed
-    args.seed = seed
-    rng = random.Random(seed)
-    spec = target.spec
-    dim = 2 * target.n
-    results = {}
-    passed = failed = 0
-    for _ in range(args.samples):
-        M = (cz.random_centralizer_elem(target, rng).mat
-             if rng.randrange(2) == 0 else cz.random_symplectic(spec, dim, rng))
-        agree = (cz.is_in_centralizer(M, target, "commute")
-                 == cz.is_in_centralizer(M, target, "pattern"))
-        passed += agree
-        failed += not agree
-    results["predicate_equivalence"] = {"pass": passed, "fail": failed}
-    passed = failed = 0
-    for _ in range(args.samples):
-        a = cz.random_centralizer_elem(target, rng)
-        b = cz.random_centralizer_elem(target, rng)
-        sa, la = cz.pi(a, target)
-        sb, lb = cz.pi(b, target)
-        sab, lab = cz.pi(a * b, target)
-        good = sab == sa @ sb and lab == la * lb
-        passed += good
-        failed += not good
-    results["projection_homomorphism"] = {"pass": passed, "fail": failed}
-    passed = failed = 0
-    for _ in range(args.samples):
-        S = cz.random_symplectic(spec, dim - 2, rng)
-        lam = 1 if rng.randrange(2) == 0 else -1
-        s_img, lam_img = cz.pi(cz.pi_section(S, lam, target), target)
-        good = s_img == S and lam_img == lam
-        passed += good
-        failed += not good
-    results["section_identity"] = {"pass": passed, "fail": failed}
-    passed = failed = 0
-    for _ in range(args.samples):
-        good = cz.kernel_order_check(cz.random_kernel_element(target, rng))
-        passed += good
-        failed += not good
-    results["kernel_order"] = {"pass": passed, "fail": failed}
+    results = cz.property_suites(target, random.Random(seed), args.samples)
     ok = all(v["fail"] == 0 for v in results.values())
-    doc = {"claim": "centralizer-structure", "seed": args.seed,
+    doc = {"claim": "centralizer-structure", "seed": seed,
            "samples": args.samples, "suites": results, "all_pass": ok}
     _emit(doc, args.format)
     return 0 if ok else MISMATCH_ERROR
@@ -510,8 +467,6 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0, None) else 0
-    if args.threads is None:
-        args.threads = default_threads()
     try:
         return args.fn(args)
     except BudgetExceeded as exc:

@@ -22,18 +22,19 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from itertools import product
 from math import gcd
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .cyclotomic import CycNum
-from .fields import FieldElem, FieldSpec, field, split_prime_power
+from .fields import FieldElem, FieldSpec, field_for_order
 from .matrices import MatFq, UniTriMat
 from .parallel import check_budget, run_partitioned
 from .residues import FiberCountQuery, trace_fiber_qr_count
 from .sylow import (
     SylowElem,
     enumerate_sylow,
+    square_product,
     sylow_count,
     u_witness,
     upsilon,
@@ -98,17 +99,22 @@ class PthPowerTarget:
         return f"{base} in P(Sp_{2 * self.n}({self.spec.q}))"
 
 
+def field_for_order_checked(p: int, q: int) -> FieldSpec:
+    """The field of order q; rejects q that is not a power of p."""
+    spec = field_for_order(q)
+    if spec.p != p:
+        raise ValueError(f"q = {q} is not a power of p = {p}")
+    return spec
+
+
 def make_target(p: int, q: int, j: int, d: int) -> PthPowerTarget:
     """Build the target for (p, q, j, d); rejects d = 0 mod p."""
-    pp, m = split_prime_power(q)
-    if pp != p:
-        raise ValueError(f"q = {q} is not a power of p = {p}")
+    spec = field_for_order_checked(p, q)
     if j < 1:
         raise ValueError("j must be >= 1")
     if d % p == 0:
         raise ValueError("d must be a unit mod p")
     d %= p
-    spec = field(p, m)
     n = (p ** j + 1) // 2
     sigma = (-1) ** (j * (p - 1) // 2)
     L = UniTriMat.identity(spec, n)
@@ -165,7 +171,31 @@ def count_solutions(target: PthPowerTarget) -> int:
     free: (q-1)^(n-1) * q^((n-1)(n-2)/2) * q^(n(n+1)/2 - 1).
     """
     q, n = target.spec.q, target.n
-    return (q - 1) ** (n - 1) * q ** ((n - 1) * (n - 2) // 2) * q ** (n * (n + 1) // 2 - 1)
+    return (q - 1) ** (n - 1) * q ** _free_exponent(n)
+
+
+def _free_exponent(n: int) -> int:
+    """log_q of the ways a (corner, superdiagonal) choice extends to a solution.
+
+    The free entries are the strictly-upper entries of L off the
+    superdiagonal and the free symmetric data S = A L apart from the corner.
+    """
+    return (n - 1) * (n - 2) // 2 + n * (n + 1) // 2 - 1
+
+
+def _solution_corners(
+    target: PthPowerTarget,
+) -> Iterator[tuple[tuple[FieldElem, ...], FieldElem]]:
+    """(superdiagonal, corner) for every superdiagonal of L with upsilon != 0.
+
+    The corner d / upsilon is the one value of A[0,0] that makes the element a
+    solution; superdiagonals with a zero entry admit no solution.
+    """
+    spec, d_elem = target.spec, target.d_elem()
+    for sd in product(spec.elements(), repeat=target.n - 1):
+        ups = square_product(spec, sd)
+        if not ups.is_zero():
+            yield sd, d_elem / ups
 
 
 @dataclass(frozen=True)
@@ -395,13 +425,6 @@ def brute_characterization_scan(
     return {"counts": counts, "agree": agree, "gm": gm}
 
 
-def field_for_order_checked(p: int, q: int) -> FieldSpec:
-    pp, m = split_prime_power(q)
-    if pp != p:
-        raise ValueError(f"q = {q} is not a power of p = {p}")
-    return field(p, m)
-
-
 def _to_int_matrix(M: MatFq) -> np.ndarray:
     if M.spec.n != 1:
         raise ValueError("integer matrices exist only over prime fields")
@@ -449,29 +472,19 @@ def gm_count(
 
 
 def _gm_count_fast(u: SylowElem, target: PthPowerTarget) -> int:
-    spec, n = target.spec, target.n
-    q = spec.q
+    spec = target.spec
     d_elem = target.d_elem()
     a_u = u.A.rows[0][0]
     sd_u = u.L.superdiagonal()
     # both power conditions see only (A[0,0], superdiagonal of L); every
-    # satisfying choice extends in q^freedom ways through the free entries
-    freedom = (n - 1) * (n - 2) // 2 + n * (n + 1) // 2 - 1
-    matches = 0
-    for sd in product(spec.elements(), repeat=n - 1):
-        ups = spec.one
-        for x in sd:
-            ups = ups * x * x
-        if ups.is_zero():
-            continue
-        corner = d_elem / ups
-        ups_u = spec.one
-        for x, y in zip(sd, sd_u):
-            s = x + y
-            ups_u = ups_u * s * s
-        if (corner + a_u) * ups_u == d_elem:
-            matches += 1
-    return matches * q ** freedom
+    # satisfying choice extends the same number of ways through the free entries
+    matches = sum(
+        1
+        for sd, corner in _solution_corners(target)
+        if (corner + a_u) * square_product(spec, (x + y for x, y in zip(sd, sd_u)))
+        == d_elem
+    )
+    return matches * spec.q ** _free_exponent(target.n)
 
 
 # -- reports ------------------------------------------------------------------------
@@ -493,7 +506,9 @@ class FszReport:
 
     A non-uniform row is an explicit witness that the group fails the
     count-equality property at g; uniform rows certify nothing unless the
-    u-set was the whole group.
+    u-set was the whole group.  The verdict is "non-FSZ_m-at-z" with a
+    witness, "FSZ_m-at-z" when uniform over the whole group, and
+    "inconclusive-nonexhaustive" when uniform over a proper u-set.
     """
 
     group: str
@@ -561,7 +576,7 @@ def fsz_test_at(
     elif exhaustive:
         verdict = f"FSZ_{m}-at-z"
     else:
-        verdict = "inconclusive-budget"
+        verdict = "inconclusive-nonexhaustive"
     betas: tuple[BetaValue, ...] = ()
     if with_betas:
         betas = tuple(
@@ -608,13 +623,17 @@ class BetaValue:
         return out
 
 
-def _beta_from_inner(inner: CycNum, m: int, z: str, chi: str) -> BetaValue:
+def _beta_from_inner(
+    inner: CycNum, m: int, z: str, chi: str, zparam: int | list | None = None
+) -> BetaValue:
     value = inner.norm_sq()
     rational, rv = value.is_rational()
-    return BetaValue(value=value, rational=rational, rational_value=rv, m=m, z=z, chi=chi)
+    return BetaValue(
+        value=value, rational=rational, rational_value=rv, m=m, z=z, chi=chi, zparam=zparam
+    )
 
 
-def _verify_central(target: PthPowerTarget, samples: int = 24) -> None:
+def _check_central(target: PthPowerTarget, samples: int = 24) -> None:
     # centrality of g in P is checked per instance, never assumed
     import random
 
@@ -626,49 +645,31 @@ def _verify_central(target: PthPowerTarget, samples: int = 24) -> None:
             raise AssertionError("target element is not central in the sampled group")
 
 
-def beta_linear(zparam: FieldElem, target: PthPowerTarget, verify_central: bool = True) -> BetaValue:
+def beta_linear(zparam: FieldElem, target: PthPowerTarget) -> BetaValue:
     """Exact beta for the corner character lambda(x) = zeta^tr(zparam x).
 
     Groups the sum over solutions by the achieved corner value: each nonzero
     square w = upsilon(L, j) pins the corner to d/w, and the number of
     elements sharing a corner is counted, not assumed.
     """
-    spec, n = target.spec, target.n
+    spec = target.spec
     if zparam.spec != spec:
         raise ValueError("zparam must live in the target's field")
     if zparam.is_zero():
         raise ValueError("zparam must be nonzero (trivial character excluded)")
-    if verify_central:
-        _verify_central(target)
-    p, q = spec.p, spec.q
-    d_elem = target.d_elem()
+    _check_central(target)
     corner_counts: dict[int, int] = {}
-    for sd in product(spec.elements(), repeat=n - 1):
-        ups = spec.one
-        for x in sd:
-            ups = ups * x * x
-        if ups.is_zero():
-            continue
-        corner = d_elem / ups
+    for _, corner in _solution_corners(target):
         key = corner.index()
         corner_counts[key] = corner_counts.get(key, 0) + 1
-    freedom = (n - 1) * (n - 2) // 2 + n * (n + 1) // 2 - 1
-    multiplicity = q ** freedom
-    residue_vector = [0] * p
+    multiplicity = spec.q ** _free_exponent(target.n)
+    residue_vector = [0] * spec.p
     for key, cnt in sorted(corner_counts.items()):
         x = spec.from_index(key)
         residue_vector[(zparam * x).trace()] += cnt * multiplicity
-    inner = CycNum.from_residue_vector(p, residue_vector)
-    value = inner.norm_sq()
-    rational, rv = value.is_rational()
-    return BetaValue(
-        value=value,
-        rational=rational,
-        rational_value=rv,
-        m=target.m,
-        z=target.describe(),
-        chi=f"xi(zparam={zparam})",
-        zparam=zparam.to_json(),
+    inner = CycNum.from_residue_vector(spec.p, residue_vector)
+    return _beta_from_inner(
+        inner, target.m, target.describe(), f"xi(zparam={zparam})", zparam.to_json()
     )
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Sequence, TypeVar
+from typing import Callable, TypeVar
 
 T = TypeVar("T")
 
@@ -71,20 +71,4 @@ def run_partitioned(
         return [worker(lo, hi) for lo, hi in ranges]
     with ThreadPoolExecutor(max_workers=threads) as pool:
         futures = [pool.submit(worker, lo, hi) for lo, hi in ranges]
-        return [f.result() for f in futures]
-
-
-def run_over_chunks(
-    worker: Callable[[Sequence[int]], T],
-    items: Sequence[int],
-    threads: int | None = None,
-) -> list[T]:
-    """Like run_partitioned but over an explicit item list."""
-    threads = default_threads() if threads is None else max(1, threads)
-    ranges = split_range(0, len(items), threads)
-    chunks = [items[lo:hi] for lo, hi in ranges]
-    if threads == 1 or len(chunks) == 1:
-        return [worker(c) for c in chunks]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [pool.submit(worker, c) for c in chunks]
         return [f.result() for f in futures]

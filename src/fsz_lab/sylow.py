@@ -8,15 +8,18 @@ inverse, and arbitrary powers all have closed block forms; powers use
 
 The module also carries the structural maps that drive the p-th power
 analysis: the abelianization tuple `kappa`, the linear characters `xi_lambda`
-built from additive field characters, the twisted-sum operator `y_map`, the
-superdiagonal square-product `upsilon`, the corner-concentration check for
+built from additive field characters, the twisted-sum operator `y_map` (the
+sum above over p^k terms, computed by `twisted_sum` as `pow` does), the
+superdiagonal square-product `upsilon` (through `square_product`, which the
+fast counting route in `fsz` shares), the corner-concentration check for
 y_map images, embeddings into larger block groups, and a deterministic,
-partitionable enumeration of the whole group.
+partitionable enumeration of the whole group.  Element input arrives through
+`SylowElem.from_json`, the validated inverse of `to_json`.
 """
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .cyclotomic import CycNum, e_q
 from .fields import FieldElem, FieldSpec
@@ -94,14 +97,8 @@ class SylowElem:
             return self.inv().pow(-j)
         if j == 0:
             return SylowElem.identity(self.spec, self.n)
-        L, A = self.L, self.A
-        Lmat = L.to_mat()
-        acc = A  # m = 0 term
-        Lm = Lmat
-        for _ in range(j - 1):
-            acc = acc + Lm.transpose() @ A @ Lm
-            Lm = Lm @ Lmat
-        new_A = acc @ L.pow(j - 1).inv().to_mat()
+        L = self.L
+        new_A = twisted_sum(L, self.A, j) @ L.pow(j - 1).inv().to_mat()
         return SylowElem(L.pow(j), new_A)
 
     def order(self) -> int:
@@ -134,6 +131,28 @@ class SylowElem:
             "A": [[x.to_json() for x in r] for r in self.A.rows],
         }
 
+    @classmethod
+    def from_json(cls, spec: FieldSpec, n: int, doc) -> "SylowElem":
+        """Inverse of :meth:`to_json`; malformed input raises ValueError."""
+        if not isinstance(doc, dict):
+            raise ValueError("element JSON must be an object")
+        for key, expected in (("n", n), ("q", spec.q)):
+            if key in doc and doc[key] != expected:
+                raise ValueError(f"element JSON has {key} = {doc[key]!r}, expected {expected}")
+        for key in ("L_upper", "A"):
+            if key not in doc:
+                raise ValueError(f"element JSON lacks {key!r}")
+        upper, rows = doc["L_upper"], doc["A"]
+        if not isinstance(upper, list) or len(upper) != n * (n - 1) // 2:
+            raise ValueError(f"L_upper must list {n * (n - 1) // 2} entries")
+        if not isinstance(rows, list) or len(rows) != n or not all(
+            isinstance(r, list) and len(r) == n for r in rows
+        ):
+            raise ValueError(f"A must be an {n} x {n} list of rows")
+        L = UniTriMat(spec, n, [_elem_from_json(spec, v) for v in upper])
+        A = MatFq(spec, [[_elem_from_json(spec, v) for v in r] for r in rows])
+        return cls(L, A)
+
     def index(self) -> int:
         """Position in the canonical enumeration (see :func:`sylow_from_index`)."""
         q = self.spec.q
@@ -149,16 +168,13 @@ class SylowElem:
         return li * q ** (n * (n + 1) // 2) + si
 
 
-def sylow_mul(x: SylowElem, y: SylowElem) -> SylowElem:
-    return x * y
-
-
-def sylow_inv(x: SylowElem) -> SylowElem:
-    return x.inv()
-
-
-def sylow_pow(x: SylowElem, j: int) -> SylowElem:
-    return x.pow(j)
+def _elem_from_json(spec: FieldSpec, value) -> FieldElem:
+    # bool is an int subclass, but JSON true/false is not a field entry
+    if type(value) is int or (
+        isinstance(value, list) and all(type(c) is int for c in value)
+    ):
+        return spec.elem(value)
+    raise ValueError(f"entry {value!r} is neither an integer nor a coefficient list")
 
 
 def kappa(x: SylowElem) -> tuple[FieldElem, ...]:
@@ -176,19 +192,31 @@ def xi_lambda(zparam: FieldElem, x: SylowElem) -> CycNum:
     return e_q(zparam * x.A.rows[0][0])
 
 
+def twisted_sum(L: UniTriMat, A: MatFq, terms: int) -> MatFq:
+    """sum_{m < terms} (L^m)^T A L^m, the A-part of the closed power formula."""
+    Lmat = L.to_mat()
+    acc = A  # m = 0 term
+    Lm = Lmat
+    for _ in range(terms - 1):
+        acc = acc + Lm.transpose() @ A @ Lm
+        Lm = Lm @ Lmat
+    return acc
+
+
 def y_map(L: UniTriMat, k: int, A: MatFq) -> MatFq:
     """The twisted sum over p^k conjugate-translates: sum (L^m)^T A L^m.
 
     Linear in A; the zero map whenever the order of L is below p^k.
     """
-    spec = L.spec
-    Lmat = L.to_mat()
-    acc = A
-    Lm = Lmat
-    for _ in range(spec.p ** k - 1):
-        acc = acc + Lm.transpose() @ A @ Lm
-        Lm = Lm @ Lmat
-    return acc
+    return twisted_sum(L, A, L.spec.p ** k)
+
+
+def square_product(spec: FieldSpec, entries: Iterable[FieldElem]) -> FieldElem:
+    """Product of the squares of the given entries (1 for none)."""
+    prod = spec.one
+    for e in entries:
+        prod = prod * e * e
+    return prod
 
 
 def upsilon(L: UniTriMat, k: int) -> FieldElem:
@@ -200,11 +228,7 @@ def upsilon(L: UniTriMat, k: int) -> FieldElem:
     count = (spec.p ** k - 1) // 2
     if spec.p ** k > 2 * L.n - 1:
         raise ValueError(f"p^k = {spec.p ** k} exceeds 2n - 1 = {2 * L.n - 1}")
-    prod = spec.one
-    for i in range(count):
-        e = L.entry(i, i + 1)
-        prod = prod * e * e
-    return prod
+    return square_product(spec, L.superdiagonal()[:count])
 
 
 def corner_concentration_check(L: UniTriMat, y: int, s: int, t: int) -> bool:

@@ -6,6 +6,7 @@ exact result and the tier's wall-clock budget.
 
 import pytest
 
+from fsz_lab import acceptance
 from fsz_lab.acceptance import acceptance_tiers, run_acceptance
 from fsz_lab.parallel import DEFAULT_BUDGET
 
@@ -29,3 +30,18 @@ def test_runner_quick_subset():
     results = run_acceptance(quick=True, only=["AC1", "AC5"], out=lambda _: None)
     assert [r.key for r in results] == ["AC1", "AC5"]
     assert all(r.passed for r in results)
+
+
+def test_quick_runs_the_tiers_limited_to_30s():
+    results = run_acceptance(quick=True, out=lambda _: None)
+    assert [r.key for r in results] == ["AC1", "AC2", "AC5", "AC9"]
+    assert all(r.passed for r in results)
+
+
+def test_runner_fails_a_tier_over_its_limit(monkeypatch):
+    monkeypatch.setattr(acceptance, "acceptance_tiers",
+                        lambda budget, threads: [("AC0", "instant", 0, lambda: (True, "ok"))])
+    lines = []
+    (result,) = run_acceptance(out=lines.append)
+    assert not result.passed
+    assert lines == [result.line()] and "FAIL" in lines[0] and "overran" in lines[0]

@@ -111,6 +111,16 @@ def test_sylow_gm_with_u_from_file(capsys, tmp_path):
     assert json.loads(out)["count"] == 62500
 
 
+def test_sylow_gm_with_malformed_u_file(capsys, tmp_path):
+    path = tmp_path / "u.json"
+    path.write_text(json.dumps({"A": [[1, 0, 0], [0, 0, 0], [0, 0, 0]]}))
+    code, out, err = run(capsys, "sylow", "gm", "--p", "5", "--q", "5", "--j", "1",
+                         "--u", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "L_upper" in err and err.count("\n") == 1
+
+
 def test_sylow_fsz_with_beta(capsys):
     code, out, _ = run(capsys, "sylow", "fsz", "--p", "5", "--q", "5", "--j", "1",
                        "--beta")
@@ -195,6 +205,12 @@ def test_verify_only_single_tier(capsys):
     code, out, _ = run(capsys, "verify", "all", "--only", "AC2")
     assert code == 0
     assert out.startswith("AC2") and "PASS" in out
+
+
+def test_verify_empty_selection_is_usage_error(capsys):
+    code, out, err = run(capsys, "verify", "quick", "--only", "AC6", "AC7")
+    assert code == 2
+    assert out == "" and "AC6" in err and err.count("\n") == 1
 
 
 def test_mismatch_exit_code_on_corrupted_formula(capsys, monkeypatch):

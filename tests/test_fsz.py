@@ -196,7 +196,7 @@ class TestFszReport:
         spec = field(5)
         u_set = [("identity", SylowElem.identity(spec, 3))]
         report = fsz_test_at(5, 5, 1, u_set=u_set)
-        assert report.verdict == "inconclusive-budget"
+        assert report.verdict == "inconclusive-nonexhaustive"
 
     def test_report_json_shape(self):
         doc = fsz_test_at(5, 5, 1).to_json()
@@ -288,13 +288,13 @@ class TestOtherRegimes:
         for p, q in ((3, 3), (7, 7)):
             report = fsz_test_at(p, q, 1)
             assert report.witness is None
-            assert report.verdict == "inconclusive-budget"
+            assert report.verdict == "inconclusive-nonexhaustive"
 
     def test_even_power_counts_balance(self):
         # prime-subfield exponents are all squares in GF(25)
         report = fsz_test_at(5, 25, 1)
         assert report.witness is None
-        assert report.verdict == "inconclusive-budget"
+        assert report.verdict == "inconclusive-nonexhaustive"
 
 
 class TestPairCounts:

@@ -53,6 +53,42 @@ class TestConstruction:
         assert is_symplectic(u.to_matrix())
 
 
+class TestJson:
+    def test_roundtrip_over_small_group(self):
+        spec = field(3)
+        for x in enumerate_sylow(spec, 2):
+            assert SylowElem.from_json(spec, 2, x.to_json()) == x
+
+    def test_roundtrip_extension_field(self):
+        spec = field(3, 2)
+        x = random_elem(spec, 2, random.Random(41))
+        assert SylowElem.from_json(spec, 2, x.to_json()) == x
+
+    @pytest.mark.parametrize("edit", [
+        lambda d: d.pop("L_upper"),
+        lambda d: d.pop("A"),
+        lambda d: d["L_upper"].pop(),
+        lambda d: d["A"].pop(),
+        lambda d: d["A"][1].pop(),
+        lambda d: d["L_upper"].__setitem__(0, "1"),
+        lambda d: d["L_upper"].__setitem__(0, True),
+        lambda d: d["A"][0].__setitem__(1, [1, 2]),
+        lambda d: d["A"][0].__setitem__(1, 3),  # A L no longer symmetric
+        lambda d: d.__setitem__("q", 7),
+    ], ids=["no-L", "no-A", "short-L", "short-A", "ragged-A", "string", "bool",
+            "long-coeffs", "asymmetric", "other-q"])
+    def test_malformed_input_rejected(self, edit):
+        spec = field(5)
+        doc = u_witness(spec, 3).to_json()
+        edit(doc)
+        with pytest.raises(ValueError):
+            SylowElem.from_json(spec, 3, doc)
+
+    def test_non_object_rejected(self):
+        with pytest.raises(ValueError):
+            SylowElem.from_json(field(5), 3, [1, 0, 0])
+
+
 class TestGroupLaw:
     def test_block_product_matches_embedding(self):
         spec = field(5)

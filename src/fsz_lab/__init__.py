@@ -11,6 +11,7 @@ from .fsz import (
     SolutionSet,
     beta_definitional,
     beta_linear,
+    beta_linear_batch,
     beta_via_counts,
     brute_characterization_scan,
     characterization_holds,

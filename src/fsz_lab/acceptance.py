@@ -29,7 +29,7 @@ from .residues import (
 )
 from .fsz import (
     beta_definitional,
-    beta_linear,
+    beta_linear_batch,
     beta_via_counts,
     brute_characterization_scan,
     center_of,
@@ -251,10 +251,8 @@ def ac10_headline(budget: int, threads: int | None) -> tuple[bool, str]:
         return False, f"counting verdict wrong: {report.verdict}"
     target = make_target(5, 5, 1, 1)
     irrational = []
-    for zp in spec.elements():
-        if zp.is_zero():
-            continue
-        beta = beta_linear(zp, target)
+    zparams = [zp for zp in spec.elements() if not zp.is_zero()]
+    for zp, beta in zip(zparams, beta_linear_batch(zparams, target)):
         if beta.rational:
             return False, f"beta unexpectedly rational at zparam={zp}"
         irrational.append(zp)

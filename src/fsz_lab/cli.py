@@ -18,7 +18,7 @@ from . import centralizer as cz
 from .cyclotomic import gauss_sum, gauss_sum_via_prime
 from .fields import field, field_for_order
 from .fsz import (
-    beta_linear,
+    beta_linear_batch,
     count_solutions,
     fsz_test_at,
     gm_count,
@@ -253,8 +253,7 @@ def cmd_sylow_beta(args) -> int:
         else [z for z in spec.elements() if not z.is_zero()]
     )
     rows = []
-    for zp in zparams:
-        beta = beta_linear(zp, target)
+    for zp, beta in zip(zparams, beta_linear_batch(zparams, target)):
         row = {"zparam": zp.to_json(), "rational": beta.rational,
                "coeffs": beta.value.to_json()["coeffs"]}
         if beta.rational:

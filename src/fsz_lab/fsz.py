@@ -14,15 +14,22 @@ unipotent g = I + sigma * d * E[n-1, 2n-1]:
 The closed characterization is A[0,0] * upsilon(L, j) = d; the brute route
 powers every group element directly (vectorized over prime fields) and
 doubles as the verification that the characterization is exact.
+
+The fast route never lists the q^(n-1) superdiagonals of L.  Both power
+conditions see a superdiagonal x only through a = prod x_i^2 and
+b = prod (x_i + y_i)^2, where y is the superdiagonal of u, so a dynamic
+program folds the n-1 slots one at a time into a histogram of (a, b) values
+with every x_i nonzero.  The double count sums the states with
+(d/a + A_u[0,0]) * b = d; with y = 0 the same histogram gives the corner
+values d/a behind the betas.  The tuples are counted, not assumed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from itertools import product
 from math import gcd
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -34,7 +41,6 @@ from .residues import FiberCountQuery, trace_fiber_qr_count
 from .sylow import (
     SylowElem,
     enumerate_sylow,
-    square_product,
     sylow_count,
     u_witness,
     upsilon,
@@ -54,6 +60,7 @@ __all__ = [
     "fsz_test_at",
     "BetaValue",
     "beta_linear",
+    "beta_linear_batch",
     "beta_definitional",
     "beta_via_counts",
     "kappa_character",
@@ -183,19 +190,32 @@ def _free_exponent(n: int) -> int:
     return (n - 1) * (n - 2) // 2 + n * (n + 1) // 2 - 1
 
 
-def _solution_corners(
-    target: PthPowerTarget,
-) -> Iterator[tuple[tuple[FieldElem, ...], FieldElem]]:
-    """(superdiagonal, corner) for every superdiagonal of L with upsilon != 0.
+def _superdiagonal_histogram(
+    spec: FieldSpec, shift: Sequence[FieldElem]
+) -> dict[tuple[FieldElem, FieldElem], int]:
+    """{(a, b): number of superdiagonals x} with a = prod x_i^2, b = prod (x_i+y_i)^2.
 
-    The corner d / upsilon is the one value of A[0,0] that makes the element a
-    solution; superdiagonals with a zero entry admit no solution.
+    y is the given shift (the superdiagonal of u, or zeros) and only tuples
+    with every x_i nonzero are counted, since those are the superdiagonals
+    that admit a solution.  The product is folded one slot at a time and equal
+    (a, b) states are merged, so each slot costs at most (number of states) * q
+    steps instead of the q^(n-1) tuples being listed.
     """
-    spec, d_elem = target.spec, target.d_elem()
-    for sd in product(spec.elements(), repeat=target.n - 1):
-        ups = square_product(spec, sd)
-        if not ups.is_zero():
-            yield sd, d_elem / ups
+    nonzero = [x for x in spec.elements() if not x.is_zero()]
+    states = {(spec.one, spec.one): 1}
+    for y in shift:
+        steps: dict[tuple[FieldElem, FieldElem], int] = {}
+        for x in nonzero:
+            s = x + y
+            key = (x * x, s * s)
+            steps[key] = steps.get(key, 0) + 1
+        folded: dict[tuple[FieldElem, FieldElem], int] = {}
+        for (a, b), count in states.items():
+            for (sa, sb), k in steps.items():
+                key = (a * sa, b * sb)
+                folded[key] = folded.get(key, 0) + count * k
+        states = folded
+    return states
 
 
 @dataclass(frozen=True)
@@ -475,14 +495,13 @@ def _gm_count_fast(u: SylowElem, target: PthPowerTarget) -> int:
     spec = target.spec
     d_elem = target.d_elem()
     a_u = u.A.rows[0][0]
-    sd_u = u.L.superdiagonal()
-    # both power conditions see only (A[0,0], superdiagonal of L); every
+    # both power conditions see only (A[0,0], superdiagonal of L): a solution's
+    # corner is d / a, and a*u is a solution iff (d / a + A_u[0,0]) * b = d; every
     # satisfying choice extends the same number of ways through the free entries
     matches = sum(
-        1
-        for sd, corner in _solution_corners(target)
-        if (corner + a_u) * square_product(spec, (x + y for x, y in zip(sd, sd_u)))
-        == d_elem
+        count
+        for (a, b), count in _superdiagonal_histogram(spec, u.L.superdiagonal()).items()
+        if (d_elem / a + a_u) * b == d_elem
     )
     return matches * spec.q ** _free_exponent(target.n)
 
@@ -570,7 +589,7 @@ def fsz_test_at(
         rows.append(FszRow(u_name=name, u=u, counts=counts))
     m = p ** j
     witness = next((r.u_name for r in rows if not r.uniform()), None)
-    exhaustive = len(u_set) >= sylow_count(n, q)
+    exhaustive = len({u for _, u in u_set}) >= sylow_count(n, q)
     if witness is not None:
         verdict = f"non-FSZ_{m}-at-z"
     elif exhaustive:
@@ -579,9 +598,9 @@ def fsz_test_at(
         verdict = "inconclusive-nonexhaustive"
     betas: tuple[BetaValue, ...] = ()
     if with_betas:
-        betas = tuple(
-            beta_linear(zp, targets[1]) for zp in spec.elements() if not zp.is_zero()
-        )
+        betas = tuple(beta_linear_batch(
+            [zp for zp in spec.elements() if not zp.is_zero()], targets[1]
+        ))
     return FszReport(
         group=f"P(Sp_{2 * n}({q}))",
         m=m,
@@ -646,31 +665,44 @@ def _check_central(target: PthPowerTarget, samples: int = 24) -> None:
 
 
 def beta_linear(zparam: FieldElem, target: PthPowerTarget) -> BetaValue:
-    """Exact beta for the corner character lambda(x) = zeta^tr(zparam x).
+    """Exact beta for the corner character lambda(x) = zeta^tr(zparam x)."""
+    return beta_linear_batch([zparam], target)[0]
+
+
+def beta_linear_batch(
+    zparams: Sequence[FieldElem], target: PthPowerTarget
+) -> list[BetaValue]:
+    """beta_linear for each zparam, with one centrality check and one histogram.
 
     Groups the sum over solutions by the achieved corner value: each nonzero
     square w = upsilon(L, j) pins the corner to d/w, and the number of
     elements sharing a corner is counted, not assumed.
     """
     spec = target.spec
-    if zparam.spec != spec:
-        raise ValueError("zparam must live in the target's field")
-    if zparam.is_zero():
-        raise ValueError("zparam must be nonzero (trivial character excluded)")
+    for zparam in zparams:
+        if zparam.spec != spec:
+            raise ValueError("zparam must live in the target's field")
+        if zparam.is_zero():
+            raise ValueError("zparam must be nonzero (trivial character excluded)")
     _check_central(target)
-    corner_counts: dict[int, int] = {}
-    for _, corner in _solution_corners(target):
-        key = corner.index()
-        corner_counts[key] = corner_counts.get(key, 0) + 1
+    d_elem = target.d_elem()
     multiplicity = spec.q ** _free_exponent(target.n)
-    residue_vector = [0] * spec.p
-    for key, cnt in sorted(corner_counts.items()):
-        x = spec.from_index(key)
-        residue_vector[(zparam * x).trace()] += cnt * multiplicity
-    inner = CycNum.from_residue_vector(spec.p, residue_vector)
-    return _beta_from_inner(
-        inner, target.m, target.describe(), f"xi(zparam={zparam})", zparam.to_json()
-    )
+    corner_counts = {
+        d_elem / a: count * multiplicity
+        for (a, _), count in _superdiagonal_histogram(
+            spec, [spec.zero] * (target.n - 1)
+        ).items()
+    }
+    betas = []
+    for zparam in zparams:
+        residue_vector = [0] * spec.p
+        for x, count in corner_counts.items():
+            residue_vector[(zparam * x).trace()] += count
+        inner = CycNum.from_residue_vector(spec.p, residue_vector)
+        betas.append(_beta_from_inner(
+            inner, target.m, target.describe(), f"xi(zparam={zparam})", zparam.to_json()
+        ))
+    return betas
 
 
 def beta_definitional(

@@ -31,6 +31,8 @@ GOLDEN = [
      "6e7edcb961a1709bcc760ff9549cd9dcbd26d04795158b06800482d8bb7cb942"),
     ("sylow fsz --p 5 --q 5 --j 1",
      "1e3d999281d2f69920e990bc59d46c5915b064427fdb4c3aaae5b41b71f1f8ae"),
+    ("sylow fsz --p 13 --q 13 --j 1",
+     "9633f070bb906103fdc4888a2195d7b5da2c6ea479c711143473b84ded3a8b76"),
     ("sylow fsz --p 5 --q 5 --j 1 --beta",
      "70dbfeebefc7d06f936d4c58dd5a3371d843c8485eb64b451b066637a6e176c9"),
     ("sylow beta --p 5 --q 5 --j 1",

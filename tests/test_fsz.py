@@ -1,13 +1,19 @@
 import itertools
 import random
+import time
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fsz_lab.cyclotomic import CycNum
-from fsz_lab.fields import field
+from fsz_lab.fields import field, field_for_order
 from fsz_lab.matrices import UniTriMat
 from fsz_lab.parallel import BudgetExceeded
 from fsz_lab.fsz import (
+    _gm_count_fast,
+    _superdiagonal_histogram,
     beta_definitional,
     beta_linear,
     beta_via_counts,
@@ -27,7 +33,14 @@ from fsz_lab.fsz import (
     sylow_group_elements,
     witness_order_search,
 )
-from fsz_lab.sylow import SylowElem, u_witness, xi_lambda
+from fsz_lab.sylow import (
+    SylowElem,
+    square_product,
+    sylow_count,
+    sylow_from_index,
+    u_witness,
+    xi_lambda,
+)
 
 
 class TestTargets:
@@ -119,6 +132,14 @@ class TestSolutionCounts:
         t = make_target(5, 5, 1, 2)
         enumerate_solutions(t).verify_sample(random.Random(5), k=15)
 
+    @pytest.mark.parametrize("q", [3, 9])
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_characterization_sample_check_at_j2(self, q, d):
+        # p^j = 9: the characterization powered at j = 2, where the group is
+        # too large for the brute scan
+        t = make_target(3, q, 2, d)
+        enumerate_solutions(t).verify_sample(random.Random(q * 10 + d), k=20)
+
     def test_zero_superdiagonal_never_satisfies(self):
         t = make_target(5, 5, 1, 1)
         spec = t.spec
@@ -198,12 +219,111 @@ class TestFszReport:
         report = fsz_test_at(5, 5, 1, u_set=u_set)
         assert report.verdict == "inconclusive-nonexhaustive"
 
+    def test_repeated_u_is_not_exhaustive(self):
+        # 81 copies of one element are not the 81-element group
+        spec = field(3)
+        u_set = [("identity", SylowElem.identity(spec, 2))] * sylow_count(2, 3)
+        report = fsz_test_at(3, 3, 1, u_set=u_set)
+        assert report.verdict == "inconclusive-nonexhaustive"
+
     def test_report_json_shape(self):
         doc = fsz_test_at(5, 5, 1).to_json()
         assert doc["group"] == "P(Sp_6(5))"
         assert doc["m"] == 5
         assert doc["verdict"] == "non-FSZ_5-at-z"
         assert {row["u"] for row in doc["rows"]} == {"identity", "U"}
+
+
+def _enumerated_gm_count(u, target):
+    """|G_m(u, g^d)| by listing all q^(n-1) superdiagonals (the DP's oracle)."""
+    spec, n, d_elem = target.spec, target.n, target.d_elem()
+    a_u = u.A.rows[0][0]
+    sd_u = u.L.superdiagonal()
+    matches = 0
+    for sd in itertools.product(spec.elements(), repeat=n - 1):
+        ups = square_product(spec, sd)
+        if ups.is_zero():
+            continue
+        shifted = square_product(spec, (x + y for x, y in zip(sd, sd_u)))
+        if (d_elem / ups + a_u) * shifted == d_elem:
+            matches += 1
+    return matches * spec.q ** ((n - 1) * (n - 2) // 2 + n * (n + 1) // 2 - 1)
+
+
+def _enumerated_corners(target):
+    """{corner d / upsilon: number of superdiagonals} over the nonzero tuples."""
+    spec, d_elem = target.spec, target.d_elem()
+    corners = Counter()
+    for sd in itertools.product(spec.elements(), repeat=target.n - 1):
+        ups = square_product(spec, sd)
+        if not ups.is_zero():
+            corners[d_elem / ups] += 1
+    return corners
+
+
+DP_INSTANCES = [(3, 3, 1), (3, 9, 1), (5, 5, 1), (3, 3, 2), (7, 7, 1)]
+
+
+def _assert_dp_matches_enumeration(p, q, j, u):
+    for d in range(1, p):
+        t = make_target(p, q, j, d)
+        assert _gm_count_fast(u, t) == _enumerated_gm_count(u, t)
+
+
+class TestSuperdiagonalDp:
+    @pytest.mark.parametrize("p,q,j", DP_INSTANCES)
+    def test_gm_count_matches_enumeration_for_identity_and_witness(self, p, q, j):
+        spec, n = field_for_order(q), (p ** j + 1) // 2
+        for u in (SylowElem.identity(spec, n), u_witness(spec, n)):
+            _assert_dp_matches_enumeration(p, q, j, u)
+
+    @pytest.mark.parametrize("p,q,j", DP_INSTANCES)
+    @settings(max_examples=8, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_gm_count_matches_enumeration_for_drawn_u(self, p, q, j, data):
+        spec, n = field_for_order(q), (p ** j + 1) // 2
+        idx = data.draw(st.integers(0, sylow_count(n, q) - 1), label="index")
+        _assert_dp_matches_enumeration(p, q, j, sylow_from_index(spec, n, idx))
+
+    @pytest.mark.parametrize("p,q,j", DP_INSTANCES)
+    def test_corner_histogram_matches_enumeration(self, p, q, j):
+        for d in range(1, p):
+            t = make_target(p, q, j, d)
+            spec = t.spec
+            hist = _superdiagonal_histogram(spec, [spec.zero] * (t.n - 1))
+            assert all(a == b for a, b in hist)
+            corners = {t.d_elem() / a: count for (a, _), count in hist.items()}
+            assert corners == _enumerated_corners(t)
+
+
+class TestReachableInstances:
+    # desk scale before the DP: the fast route listed 13^6, 5^12 and 11^5 tuples
+    @pytest.mark.parametrize("p,q,j,splits", [
+        (13, 13, 1, True),   # p = 1 mod 4: the paper's p = 13 case
+        (5, 5, 2, True),     # P(Sp_26(5)): the paper's j = 2 case
+        (11, 11, 1, False),  # p = 3 mod 4: -1 is not a square
+    ])
+    def test_rows(self, p, q, j, splits):
+        start = time.perf_counter()
+        report = fsz_test_at(p, q, j)
+        rows = {r.u_name: r.counts for r in report.rows}
+        for d, count in rows["identity"].items():
+            assert count == count_solutions(make_target(p, q, j, d))
+        spec = field_for_order(q)
+        by_class = {}
+        for d, count in rows["U"].items():
+            by_class.setdefault(spec.elem(d).legendre(), set()).add(count)
+        assert sorted(by_class) == [-1, 1]
+        assert all(len(counts) == 1 for counts in by_class.values())
+        if splits:
+            assert by_class[1] != by_class[-1]
+            assert report.verdict == f"non-FSZ_{p ** j}-at-z"
+            assert report.witness == "U"
+        else:
+            assert by_class[1] == by_class[-1]
+            assert report.verdict == "inconclusive-nonexhaustive"
+            assert report.witness is None
+        assert time.perf_counter() - start < 5.0
 
 
 class TestBeta:

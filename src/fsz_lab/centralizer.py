@@ -255,8 +255,10 @@ def property_suites(target: PthPowerTarget, rng, samples: int) -> dict[str, dict
     The suites draw from rng in a fixed order, so a seed fixes every sample:
     predicate equivalence on centralizer and general symplectic matrices,
     multiplicativity of the projection, the section as a right inverse, and
-    the order-p closed power form of kernel elements.
+    the order-p closed power form of kernel elements.  samples must be >= 1.
     """
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
     spec, dim = target.spec, 2 * target.n
 
     def predicates_agree() -> bool:

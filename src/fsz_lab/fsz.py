@@ -12,8 +12,9 @@ unipotent g = I + sigma * d * E[n-1, 2n-1]:
   the exponents.
 
 The closed characterization is A[0,0] * upsilon(L, j) = d; the brute route
-powers every group element directly (vectorized over prime fields) and
-doubles as the verification that the characterization is exact.
+powers every group element directly and doubles as the verification that the
+characterization is exact.  It is vectorized over every GF(p^f): entries enter
+one int64 kernel over GF(p) through the regular representation of GF(p^f).
 
 The fast route never lists the q^(n-1) superdiagonals of L.  Both power
 conditions see a superdiagonal x only through a = prod x_i^2 and
@@ -41,7 +42,9 @@ from .residues import FiberCountQuery, trace_fiber_qr_count
 from .sylow import (
     SylowElem,
     enumerate_sylow,
+    square_product,
     sylow_count,
+    sylow_from_index,
     u_witness,
     upsilon,
 )
@@ -246,16 +249,9 @@ class SolutionSet:
                 raise AssertionError("sampled solution failed to power to the target")
         total = sylow_count(n, spec.q)
         for _ in range(k):
-            x = _random_sylow(spec, n, rng, total)
+            x = sylow_from_index(spec, n, rng.randrange(total))
             if (x.pow(t.m) == t.g) != self.holds(x):
                 raise AssertionError("characterization mismatch on a random element")
-
-
-def _random_sylow(spec: FieldSpec, n: int, rng, total: int | None = None) -> SylowElem:
-    from .sylow import sylow_from_index
-
-    total = sylow_count(n, spec.q) if total is None else total
-    return sylow_from_index(spec, n, rng.randrange(total))
 
 
 def enumerate_solutions(
@@ -283,44 +279,60 @@ def enumerate_solutions(
     return SolutionSet(target=target, count=count, elements=elements)
 
 
-# -- vectorized brute scans (prime fields) -----------------------------------------
+# -- vectorized brute scans ----------------------------------------------------------
 
+_REGULAR_CACHE: dict[int, np.ndarray] = {}
 _SYM_CACHE: dict[tuple[int, int], np.ndarray] = {}
 
 
-def _sym_blocks(p: int, n: int) -> np.ndarray:
-    """All q^(n(n+1)/2) symmetric matrices, in canonical digit order."""
-    key = (p, n)
+def _embed(q: int, idx: np.ndarray) -> np.ndarray:
+    """The GF(p) regular representation of a matrix (or batch) of GF(q) indices.
+
+    With q = p^f, x becomes the f x f matrix whose column k holds the
+    coefficients of x t^k.  The map is an injective ring homomorphism, so
+    powering commutes with it and one int64 kernel serves every field; for
+    f = 1 it is the identity.
+    """
+    table = _REGULAR_CACHE.get(q)
+    if table is None:
+        spec = field_for_order(q)
+        f = spec.n
+        t = spec.elem([0, 1]) if f > 1 else spec.one
+        basis = [t ** k for k in range(f)]
+        table = np.zeros((q, f, f), dtype=np.int64)
+        for x in spec.elements():
+            for k, b in enumerate(basis):
+                table[x.index(), :, k] = (x * b).coeffs
+        _REGULAR_CACHE[q] = table
+    f = table.shape[1]
+    rows, cols = idx.shape[-2:]
+    blocks = table[idx].swapaxes(-3, -2)
+    return blocks.reshape(idx.shape[:-2] + (rows * f, cols * f))
+
+
+def _sym_blocks(q: int, n: int) -> np.ndarray:
+    """All q^(n(n+1)/2) symmetric matrices, embedded, in canonical digit order."""
+    key = (q, n)
     cached = _SYM_CACHE.get(key)
     if cached is not None:
         return cached
     k = n * (n + 1) // 2
-    count = p ** k
-    idx = np.arange(count)
-    S = np.zeros((count, n, n), dtype=np.int64)
-    pos = 0
-    for i in range(n):
-        for j in range(i, n):
-            digit = (idx // (p ** (k - 1 - pos))) % p
-            S[:, i, j] = digit
-            S[:, j, i] = digit
-            pos += 1
+    idx = np.arange(q ** k)
+    S = np.zeros((q ** k, n, n), dtype=np.int64)
+    for pos, (i, j) in enumerate(zip(*np.triu_indices(n))):
+        digit = (idx // q ** (k - 1 - pos)) % q
+        S[:, i, j] = digit
+        S[:, j, i] = digit
+    S = _embed(q, S)
     _SYM_CACHE[key] = S
     return S
 
 
-def _decode_unitri(p: int, n: int, lidx: int) -> np.ndarray:
-    digits = []
-    for _ in range(n * (n - 1) // 2):
-        lidx, d = divmod(lidx, p)
-        digits.append(d)
-    digits.reverse()
+def _decode_unitri(q: int, n: int, lidx: int) -> np.ndarray:
+    k = n * (n - 1) // 2
     L = np.eye(n, dtype=np.int64)
-    pos = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            L[i, j] = digits[pos]
-            pos += 1
+    for pos, (i, j) in enumerate(zip(*np.triu_indices(n, 1))):
+        L[i, j] = lidx // q ** (k - 1 - pos) % q
     return L
 
 
@@ -336,7 +348,7 @@ def _unitri_inv_int(L: np.ndarray, p: int) -> np.ndarray:
 
 
 def _scan_worker(
-    p: int,
+    q: int,
     n: int,
     j: int,
     d_list: Sequence[int],
@@ -346,33 +358,37 @@ def _scan_worker(
 ) -> tuple[dict[int, int], bool, dict[int, int] | None]:
     """Scan all elements whose L-index lies in [lo, hi).
 
-    For every element the power X^(p^j) is computed by repeated batched
-    matrix multiplication and compared entrywise against each target; the
-    closed characterization is evaluated independently and the masks must
-    coincide.  With u given, products X u are powered the same way to count
-    the double condition.
+    Every element is embedded over GF(p) and the power X^(p^j) is computed by
+    repeated batched matrix multiplication and compared entrywise against each
+    target; the closed characterization is evaluated independently and the
+    masks must coincide.  With u given (already embedded), products X u are
+    powered the same way to count the double condition.
     """
-    S = _sym_blocks(p, n)
+    spec = field_for_order(q)
+    p, f = spec.p, spec.n
+    S = _sym_blocks(q, n)
     count_s = S.shape[0]
     e = p ** j
-    two_n = 2 * n
+    nf = n * f
     sigma = (-1) ** (j * (p - 1) // 2)
     targets = {}
     for d in d_list:
-        T = np.eye(two_n, dtype=np.int64)
-        T[n - 1, two_n - 1] = (sigma * d) % p
-        targets[d] = T
+        T = np.eye(2 * n, dtype=np.int64)
+        T[n - 1, 2 * n - 1] = (sigma * d) % p
+        targets[d] = _embed(q, T)
+    place = p ** np.arange(f)
     power_counts = {d: 0 for d in d_list}
     gm_counts = {d: 0 for d in d_list} if u_int is not None else None
     agree = True
     for lidx in range(lo, hi):
-        L = _decode_unitri(p, n, lidx)
-        Linv = _unitri_inv_int(L, p)
+        L_idx = _decode_unitri(q, n, lidx)
+        Linv = _unitri_inv_int(_embed(q, L_idx), p)
         A = (S @ Linv) % p
-        X = np.zeros((count_s, two_n, two_n), dtype=np.int64)
-        X[:, :n, :n] = L.T
-        X[:, :n, n:] = A
-        X[:, n:, n:] = Linv
+        X = np.zeros((count_s, 2 * nf, 2 * nf), dtype=np.int64)
+        # the embedding of L^T, not the transpose of L's embedding
+        X[:, :nf, :nf] = _embed(q, L_idx.T)
+        X[:, :nf, nf:] = A
+        X[:, nf:, nf:] = Linv
         XP = X
         for _ in range(e - 1):
             XP = (XP @ X) % p
@@ -381,28 +397,22 @@ def _scan_worker(
             XUP = XU
             for _ in range(e - 1):
                 XUP = (XUP @ XU) % p
-        ups = 1
-        for i in range(n - 1):
-            ups = ups * int(L[i, i + 1]) ** 2 % p
-        corners = A[:, 0, 0]
+        ups = square_product(spec, [spec.from_index(int(x)) for x in np.diag(L_idx, 1)])
+        # column 0 of the corner block holds the coefficients of A[0,0]
+        corners = A[:, :f, 0] @ place
         for d in d_list:
             mask = (XP == targets[d]).all(axis=(1, 2))
             power_counts[d] += int(mask.sum())
-            if ups == 0:
+            if ups.is_zero():
                 cmask = np.zeros(count_s, dtype=bool)
             else:
-                cmask = corners == d * pow(ups, -1, p) % p
+                cmask = corners == (spec.elem(d) / ups).index()
             if not np.array_equal(mask, cmask):
                 agree = False
             if u_int is not None:
                 umask = (XUP == targets[d]).all(axis=(1, 2))
                 gm_counts[d] += int((mask & umask).sum())
     return power_counts, agree, gm_counts
-
-
-def _require_prime_field(spec: FieldSpec, what: str) -> None:
-    if spec.n != 1:
-        raise ValueError(f"{what} is only vectorized over prime fields")
 
 
 def brute_characterization_scan(
@@ -420,15 +430,16 @@ def brute_characterization_scan(
     where "agree" asserts that the brute solution sets coincide with the
     closed characterization on every element scanned.
     """
-    spec = field_for_order_checked(p, q)
-    _require_prime_field(spec, "the full group scan")
+    field_for_order_checked(p, q)
     n = (p ** j + 1) // 2
     d_list = list(range(1, p)) if d_list is None else list(d_list)
     check_budget(sylow_count(n, q), budget)
-    u_int = _to_int_matrix(u.to_matrix()) if u is not None else None
+    u_int = None
+    if u is not None:
+        u_int = _embed(q, np.array([[x.index() for x in r] for r in u.to_matrix().rows]))
     n_l = q ** (n * (n - 1) // 2)
     results = run_partitioned(
-        lambda lo, hi: _scan_worker(p, n, j, d_list, u_int, lo, hi),
+        lambda lo, hi: _scan_worker(q, n, j, d_list, u_int, lo, hi),
         0,
         n_l,
         threads,
@@ -443,12 +454,6 @@ def brute_characterization_scan(
             if gm is not None:
                 gm[d] += part_gm[d]
     return {"counts": counts, "agree": agree, "gm": gm}
-
-
-def _to_int_matrix(M: MatFq) -> np.ndarray:
-    if M.spec.n != 1:
-        raise ValueError("integer matrices exist only over prime fields")
-    return np.array([[x.coeffs[0] for x in r] for r in M.rows], dtype=np.int64)
 
 
 # -- the two G_m(u, g) routes ---------------------------------------------------
@@ -473,21 +478,12 @@ def gm_count(
     if mode == "fast":
         return _gm_count_fast(u, target)
     if mode == "brute":
-        if spec.n == 1:
-            out = brute_characterization_scan(
-                spec.p, spec.q, target.j, [target.d], u=u, budget=budget, threads=threads
-            )
-            if not out["agree"]:
-                raise AssertionError("brute scan disagrees with characterization")
-            return out["gm"][target.d]
-        total = sylow_count(n, spec.q)
-        check_budget(total, budget)
-        m = target.m
-        return sum(
-            1
-            for a in enumerate_sylow(spec, n)
-            if a.pow(m) == target.g and (a * u).pow(m) == target.g
+        out = brute_characterization_scan(
+            spec.p, spec.q, target.j, [target.d], u=u, budget=budget, threads=threads
         )
+        if not out["agree"]:
+            raise AssertionError("brute scan disagrees with characterization")
+        return out["gm"][target.d]
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -652,16 +648,15 @@ def _beta_from_inner(
     )
 
 
-def _check_central(target: PthPowerTarget, samples: int = 24) -> None:
-    # centrality of g in P is checked per instance, never assumed
-    import random
-
-    rng = random.Random(0xC0FFEE ^ target.spec.q ^ target.n)
-    g = target.g
-    for _ in range(samples):
-        x = _random_sylow(target.spec, target.n, rng)
-        if x * g != g * x:
-            raise AssertionError("target element is not central in the sampled group")
+def _check_central(target: PthPowerTarget) -> None:
+    # g = (I, D) with D = c E[n-1, n-1] is central: for x = (L, A), x g adds
+    # L^T D to A and g x adds D L^-1, and both equal D because the last row of
+    # an upper unitriangular L, and of its inverse, is e_{n-1}.  So the block
+    # pattern of g is checked per target, never assumed.
+    g, n = target.g, target.n
+    corner = MatFq.elementary(target.spec, n, n - 1, n - 1, g.A.rows[n - 1][n - 1])
+    if g.L != UniTriMat.identity(target.spec, n) or g.A != corner:
+        raise AssertionError("target element does not have the central block pattern")
 
 
 def beta_linear(zparam: FieldElem, target: PthPowerTarget) -> BetaValue:

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .fields import FieldElem, FieldSpec
+from .fields import FieldElem, FieldSpec, is_prime
 
 
 def gauss_square_int(p: int) -> int:
@@ -132,8 +132,13 @@ def binom_product_sum_mod(p: int, j: int, k: int, l: int, mode: str = "lucas") -
 
     Vanishes when k + l < p^j - 1 and equals (-1)^(j(p-1)/2) at the extreme
     k = l = (p^j - 1)/2.  The ``direct`` mode is the big-integer oracle; the
-    ``lucas`` mode carries the digit factorization.
+    ``lucas`` mode carries the digit factorization.  p must be an odd prime
+    and j >= 1.
     """
+    if p == 2 or not is_prime(p):
+        raise ValueError(f"p must be an odd prime, got {p}")
+    if j < 1:
+        raise ValueError(f"j must be >= 1, got {j}")
     bound = (p ** j - 1) // 2
     if not (0 <= k <= bound and 0 <= l <= bound):
         raise ValueError(f"k, l must lie in [0, {bound}]")

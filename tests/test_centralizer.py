@@ -155,3 +155,10 @@ class TestRandomness:
                     v[0] = spec.one
                 T = cz.transvection(spec, v, spec.random(rng))
                 assert is_symplectic(T)
+
+
+class TestPropertySuites:
+    @pytest.mark.parametrize("samples", [0, -1])
+    def test_no_samples_rejected(self, target, samples):
+        with pytest.raises(ValueError):
+            cz.property_suites(target, random.Random(37), samples)

@@ -75,6 +75,32 @@ def test_sylow_count_fast(capsys):
     assert json.loads(out)["count"] == 250000
 
 
+def test_sylow_count_brute_over_extension_field(capsys):
+    code, out, _ = run(capsys, "sylow", "count", "--p", "3", "--q", "9", "--j", "1",
+                       "--mode", "brute")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["count"] == 648
+    assert doc["oracle_match"] is True
+
+
+def test_binom_bad_input_is_usage_error(capsys):
+    for p, j in (("4", "1"), ("5", "0")):
+        code, out, err = run(capsys, "binom", "--p", p, "--j", j)
+        assert code == 2
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1
+
+
+def test_centralizer_check_needs_a_sample(capsys):
+    for samples in ("-1", "0"):
+        code, out, err = run(capsys, "centralizer", "check", "--p", "5", "--q", "5",
+                             "--j", "1", "--samples", samples)
+        assert code == 2
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1
+
+
 def test_sylow_fsz_verdict(capsys):
     code, out, _ = run(capsys, "sylow", "fsz", "--p", "5", "--q", "5", "--j", "1")
     assert code == 0

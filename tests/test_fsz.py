@@ -12,10 +12,12 @@ from fsz_lab.fields import field, field_for_order
 from fsz_lab.matrices import UniTriMat
 from fsz_lab.parallel import BudgetExceeded
 from fsz_lab.fsz import (
+    PthPowerTarget,
     _gm_count_fast,
     _superdiagonal_histogram,
     beta_definitional,
     beta_linear,
+    beta_linear_batch,
     beta_via_counts,
     brute_characterization_scan,
     center_of,
@@ -178,7 +180,7 @@ class TestGmCounts:
         assert info.value.required == 7 ** 16
 
     def test_fast_equals_brute_over_extension_field(self):
-        # the non-vectorized brute path: P(Sp_4(9)) has 9^4 = 6561 elements
+        # the scan over GF(9) by its regular representation: 9^4 = 6561 elements
         spec = field(3, 2)
         u = u_witness(spec, 2)
         for d in (1, 2):
@@ -324,6 +326,27 @@ class TestReachableInstances:
             assert report.verdict == "inconclusive-nonexhaustive"
             assert report.witness is None
         assert time.perf_counter() - start < 5.0
+
+
+class TestCentrality:
+    # the sampled commutation check that beta_linear_batch replaced by the
+    # block-pattern argument
+    @pytest.mark.parametrize("p,q,j", [
+        (5, 5, 1), (3, 3, 2), (7, 7, 1), (5, 25, 1), (3, 9, 2), (13, 13, 1),
+    ])
+    def test_target_commutes_with_sampled_elements(self, p, q, j):
+        t = make_target(p, q, j, 1)
+        rng = random.Random(0xC0FFEE ^ q ^ t.n)
+        for _ in range(24):
+            x = sylow_from_index(t.spec, t.n, rng.randrange(sylow_count(t.n, q)))
+            assert x * t.g == t.g * x
+
+    def test_non_central_target_rejected(self):
+        t = make_target(5, 5, 1, 1)
+        bad = PthPowerTarget(spec=t.spec, j=t.j, d=t.d, n=t.n, sigma=t.sigma,
+                             g=u_witness(t.spec, t.n))
+        with pytest.raises(AssertionError):
+            beta_linear_batch([t.spec.one], bad)
 
 
 class TestBeta:
@@ -485,3 +508,35 @@ class TestBruteScan:
     def test_budget_refusal(self):
         with pytest.raises(BudgetExceeded):
             brute_characterization_scan(5, 5, 1, [1], budget=100)
+
+    def test_extension_field_counts(self):
+        out = brute_characterization_scan(3, 9, 1)
+        assert out["agree"]
+        assert out["counts"] == {d: count_solutions(make_target(3, 9, 1, d)) for d in (1, 2)}
+
+    @settings(max_examples=8, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_extension_field_gm_matches_fast(self, data):
+        spec = field(3, 2)
+        idx = data.draw(st.integers(0, sylow_count(2, 9) - 1), label="index")
+        for u in (u_witness(spec, 2), sylow_from_index(spec, 2, idx)):
+            for d in (1, 2):
+                t = make_target(3, 9, 1, d)
+                assert gm_count(u, t, mode="brute") == gm_count(u, t, mode="fast")
+
+    def test_cubic_extension_gm_matches_fast(self):
+        # P(Sp_4(27)): 27^4 = 531441 elements, 12 x 12 matrices over GF(3)
+        spec = field(3, 3)
+        u = sylow_from_index(spec, 2, 59_298)  # a u with nonzero counts
+        out = brute_characterization_scan(3, 27, 1, u=u)
+        assert out["agree"]
+        assert out["counts"] == {d: count_solutions(make_target(3, 27, 1, d))
+                                 for d in (1, 2)}
+        assert out["gm"] == {d: gm_count(u, make_target(3, 27, 1, d)) for d in (1, 2)}
+        assert out["gm"][1] > 0
+
+    def test_extension_field_scan_independent_of_threads(self):
+        spec = field(3, 2)
+        u = sylow_from_index(spec, 2, 4321)
+        one, two = (brute_characterization_scan(3, 9, 1, u=u, threads=k) for k in (1, 2))
+        assert one == two

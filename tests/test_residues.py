@@ -144,6 +144,12 @@ class TestBinomSums:
         with pytest.raises(ValueError):
             binom_product_sum_mod(5, 1, 0, -1)
 
+    @pytest.mark.parametrize("p,j", [(4, 1), (2, 1), (9, 1), (5, 0), (3, -1)])
+    def test_bad_prime_or_exponent_rejected(self, p, j):
+        for mode in ("direct", "lucas"):
+            with pytest.raises(ValueError):
+                binom_product_sum_mod(p, j, 0, 0, mode)
+
     @pytest.mark.parametrize("p,j", [(3, 1), (3, 2), (5, 1), (5, 2), (7, 1), (7, 2)])
     def test_lucas_equals_direct_with_claimed_values(self, p, j):
         bound = (p ** j - 1) // 2

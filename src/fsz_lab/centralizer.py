@@ -215,14 +215,14 @@ def transvection(spec: FieldSpec, v: Sequence[FieldElem], scale: FieldElem) -> M
     return MatFq.identity(spec, dim) + (J @ col @ row) * scale
 
 
-def random_symplectic(spec: FieldSpec, dim: int, rng, words: int = 12) -> MatFq:
-    """A random product of symplectic transvections.
+def random_symplectic(spec: FieldSpec, dim: int, rng) -> MatFq:
+    """A random product of 12 symplectic transvections.
 
     Deterministic under the given rng; no uniformity is claimed (or needed
     for property testing).
     """
     out = MatFq.identity(spec, dim)
-    for _ in range(words):
+    for _ in range(12):
         v = [spec.random(rng) for _ in range(dim)]
         if all(x.is_zero() for x in v):
             v[rng.randrange(dim)] = spec.one

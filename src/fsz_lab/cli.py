@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import random
 import sys
 
 from . import acceptance
@@ -19,6 +20,7 @@ from .cyclotomic import gauss_sum, gauss_sum_via_prime
 from .fields import field, field_for_order
 from .fsz import (
     beta_linear_batch,
+    brute_characterization_scan,
     count_solutions,
     fsz_test_at,
     gm_count,
@@ -27,7 +29,7 @@ from .fsz import (
     solve_pth_power,
 )
 from .parallel import DEFAULT_BUDGET, BudgetExceeded, check_budget
-from .residues import FiberCountQuery, qr_diff_count, trace_fiber_qr_count
+from .residues import FiberCountQuery, binom_product_sum_mod, qr_diff_count, trace_fiber_qr_count
 from .sylow import SylowElem, enumerate_sylow, sylow_count, u_witness
 
 USAGE_ERROR = 2
@@ -158,8 +160,6 @@ def cmd_fibers(args) -> int:
 
 
 def cmd_binom(args) -> int:
-    from .residues import binom_product_sum_mod
-
     bound = (args.p ** args.j - 1) // 2
     if args.k is not None:
         pairs = [(args.k, args.l if args.l is not None else args.k)]
@@ -217,8 +217,6 @@ def cmd_sylow_count(args) -> int:
         doc["count"] = count_solutions(target)
         doc["oracle_match"] = True
     else:
-        from .fsz import brute_characterization_scan
-
         scan = brute_characterization_scan(
             args.p, args.q, args.j, [args.d], budget=args.budget, threads=args.threads
         )
@@ -285,8 +283,8 @@ def cmd_sylow_enumerate(args) -> int:
 def cmd_sylow_gm(args) -> int:
     target = make_target(args.p, args.q, args.j, args.d)
     name, u = _resolve_u(args.u or "U", target.spec, target.n)
-    count = gm_count(u, target, mode=args.mode, budget=args.budget,
-                     threads=args.threads)
+    count = gm_count(u, args.p, args.q, args.j, [target.d], mode=args.mode,
+                     budget=args.budget, threads=args.threads)[target.d]
     doc = {
         "claim": "double-root-count",
         "inputs": {"p": args.p, "q": args.q, "j": args.j, "d": args.d, "u": name,
@@ -316,8 +314,6 @@ def cmd_pairs(args) -> int:
 
 
 def cmd_centralizer_check(args) -> int:
-    import random
-
     target = make_target(args.p, args.q, args.j, 1)
     seed = args.check_seed if args.check_seed is not None else args.seed
     results = cz.property_suites(target, random.Random(seed), args.samples)
@@ -373,7 +369,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("fibers", help="squares per trace fiber")
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--all", action="store_true", help="all z and y (default)")
     sp.add_argument("--z", type=str, default=None)
     sp.add_argument("--y", type=int, default=None)
     sp.set_defaults(fn=cmd_fibers)
@@ -466,6 +461,9 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0, None) else 0
+    if args.threads is not None and args.threads < 1:
+        print("error: --threads must be at least 1", file=sys.stderr)
+        return USAGE_ERROR
     try:
         return args.fn(args)
     except BudgetExceeded as exc:

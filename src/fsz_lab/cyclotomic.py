@@ -18,7 +18,7 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from .fields import FieldElem, FieldSpec, field, is_prime
+from .fields import TABLE_BOUND, FieldElem, FieldSpec, field, is_prime
 
 
 def _canonical(p: int, full: Sequence) -> tuple[Fraction, ...]:
@@ -209,7 +209,7 @@ def gauss_sum(spec: FieldSpec) -> CycNum:
     """
     p = spec.p
     full = [0] * p
-    if spec.q <= 1 << 16:
+    if spec.q <= TABLE_BOUND:
         spec.tables()
         for i in range(1, spec.q):
             full[spec.trace_idx(i)] += spec.legendre_idx(i)

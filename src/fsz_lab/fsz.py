@@ -6,7 +6,7 @@ unipotent g = I + sigma * d * E[n-1, 2n-1]:
 
 * counting: |G_m(u, g^d)| with G_m(u, g) = {a : a^m = (a u)^m = g} compared
   across exponents d coprime to p, in a fast closed-characterization mode and
-  a brute full-enumeration mode that must agree;
+  a brute full-enumeration mode that must agree (one pass per u serves all d);
 * characters: the exact squared modulus beta of the character sum over the
   p^j-th roots of g, rational precisely when the counts cannot distinguish
   the exponents.
@@ -21,8 +21,8 @@ conditions see a superdiagonal x only through a = prod x_i^2 and
 b = prod (x_i + y_i)^2, where y is the superdiagonal of u, so a dynamic
 program folds the n-1 slots one at a time into a histogram of (a, b) values
 with every x_i nonzero.  The double count sums the states with
-(d/a + A_u[0,0]) * b = d; with y = 0 the same histogram gives the corner
-values d/a behind the betas.  The tuples are counted, not assumed.
+(d/a + A_u[0,0]) * b = d for each d; with y = 0 the same histogram gives the
+corner values d/a behind the betas.  The tuples are counted, not assumed.
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ from .residues import FiberCountQuery, trace_fiber_qr_count
 from .sylow import (
     SylowElem,
     enumerate_sylow,
+    kappa,
     square_product,
     sylow_count,
     sylow_from_index,
@@ -115,6 +116,15 @@ def field_for_order_checked(p: int, q: int) -> FieldSpec:
     if spec.p != p:
         raise ValueError(f"q = {q} is not a power of p = {p}")
     return spec
+
+
+def _exponents(p: int, d_list: Sequence[int] | None) -> list[int]:
+    """The exponents to tally: every unit 1..p-1 by default; rejects d = 0 mod p."""
+    if d_list is None:
+        return list(range(1, p))
+    if any(d % p == 0 for d in d_list):
+        raise ValueError("d must be a unit mod p")
+    return list(dict.fromkeys(d_list))
 
 
 def make_target(p: int, q: int, j: int, d: int) -> PthPowerTarget:
@@ -432,7 +442,7 @@ def brute_characterization_scan(
     """
     field_for_order_checked(p, q)
     n = (p ** j + 1) // 2
-    d_list = list(range(1, p)) if d_list is None else list(d_list)
+    d_list = _exponents(p, d_list)
     check_budget(sylow_count(n, q), budget)
     u_int = None
     if u is not None:
@@ -461,45 +471,49 @@ def brute_characterization_scan(
 
 def gm_count(
     u: SylowElem,
-    target: PthPowerTarget,
+    p: int,
+    q: int,
+    j: int,
+    d_list: Sequence[int] | None = None,
     mode: str = "fast",
     budget: int | None = None,
     threads: int | None = None,
-) -> int:
-    """|{a in P : a^(p^j) = (a u)^(p^j) = g^d}|.
+) -> dict[int, int]:
+    """{d: |{a in P : a^(p^j) = (a u)^(p^j) = g^d}|} for d in d_list (default 1..p-1).
 
-    The fast mode intersects the closed characterizations for a and a*u,
-    which depend only on the corner A[0,0] and the superdiagonal of L; the
-    brute mode powers every element and is the oracle.
+    The fast mode intersects the closed characterizations for a and a*u, which
+    depend only on the corner A[0,0] and the superdiagonal of L, and reads every
+    d from one histogram; the brute mode, the oracle, runs one scan for every d.
     """
-    spec, n = target.spec, target.n
+    spec = field_for_order_checked(p, q)
+    n = (p ** j + 1) // 2
+    d_list = _exponents(p, d_list)
     if u.spec != spec or u.n != n:
         raise ValueError("u must live in the target's block group")
     if mode == "fast":
-        return _gm_count_fast(u, target)
+        return _gm_count_fast(u, d_list)
     if mode == "brute":
-        out = brute_characterization_scan(
-            spec.p, spec.q, target.j, [target.d], u=u, budget=budget, threads=threads
-        )
+        out = brute_characterization_scan(p, q, j, d_list, u=u, budget=budget, threads=threads)
         if not out["agree"]:
             raise AssertionError("brute scan disagrees with characterization")
-        return out["gm"][target.d]
+        return out["gm"]
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def _gm_count_fast(u: SylowElem, target: PthPowerTarget) -> int:
-    spec = target.spec
-    d_elem = target.d_elem()
+def _gm_count_fast(u: SylowElem, d_list: Sequence[int]) -> dict[int, int]:
+    spec = u.spec
     a_u = u.A.rows[0][0]
+    d_elems = {d: spec.elem(d) for d in d_list}
+    matches = dict.fromkeys(d_elems, 0)
     # both power conditions see only (A[0,0], superdiagonal of L): a solution's
     # corner is d / a, and a*u is a solution iff (d / a + A_u[0,0]) * b = d; every
     # satisfying choice extends the same number of ways through the free entries
-    matches = sum(
-        count
-        for (a, b), count in _superdiagonal_histogram(spec, u.L.superdiagonal()).items()
-        if (d_elem / a + a_u) * b == d_elem
-    )
-    return matches * spec.q ** _free_exponent(target.n)
+    for (a, b), count in _superdiagonal_histogram(spec, u.L.superdiagonal()).items():
+        a_inv = a.inv()
+        for d, d_elem in d_elems.items():
+            if (d_elem * a_inv + a_u) * b == d_elem:
+                matches[d] += count
+    return {d: k * spec.q ** _free_exponent(u.n) for d, k in matches.items()}
 
 
 # -- reports ------------------------------------------------------------------------
@@ -563,26 +577,22 @@ def fsz_test_at(
     threads: int | None = None,
     with_betas: bool = False,
 ) -> FszReport:
-    """Tabulate |G_m(u, g^d)| over d in 1..p-1 and the given u-set.
+    """Tabulate |G_m(u, g^d)| over d in 1..p-1 and the given u-set, one row per u.
 
     Exponents coprime to the group order reduce to units mod p on the cyclic
     group generated by g, so this d-range is a complete test set at g.
     """
-    spec = field_for_order_checked(p, q)
-    n = (p ** j + 1) // 2
+    target = make_target(p, q, j, 1)
+    spec, n = target.spec, target.n
     if u_set is None:
         u_set = [
             ("identity", SylowElem.identity(spec, n)),
             ("U", u_witness(spec, n)),
         ]
-    targets = {d: make_target(p, q, j, d) for d in range(1, p)}
-    rows = []
-    for name, u in u_set:
-        counts = {
-            d: gm_count(u, t, mode=mode, budget=budget, threads=threads)
-            for d, t in targets.items()
-        }
-        rows.append(FszRow(u_name=name, u=u, counts=counts))
+    rows = [
+        FszRow(name, u, gm_count(u, p, q, j, mode=mode, budget=budget, threads=threads))
+        for name, u in u_set
+    ]
     m = p ** j
     witness = next((r.u_name for r in rows if not r.uniform()), None)
     exhaustive = len({u for _, u in u_set}) >= sylow_count(n, q)
@@ -595,12 +605,12 @@ def fsz_test_at(
     betas: tuple[BetaValue, ...] = ()
     if with_betas:
         betas = tuple(beta_linear_batch(
-            [zp for zp in spec.elements() if not zp.is_zero()], targets[1]
+            [zp for zp in spec.elements() if not zp.is_zero()], target
         ))
     return FszReport(
         group=f"P(Sp_{2 * n}({q}))",
         m=m,
-        z=targets[1].describe(),
+        z=target.describe(),
         rows=tuple(rows),
         verdict=verdict,
         witness=witness,
@@ -746,8 +756,6 @@ def beta_via_counts(
 
 def kappa_character(spec: FieldSpec, n: int, weights: Sequence[int | FieldElem]):
     """Linear character of P from additive characters along the kappa tuple."""
-    from .sylow import kappa
-
     if len(weights) != n:
         raise ValueError(f"expected {n} weights")
     ws = [spec.elem(w) if isinstance(w, int) else w for w in weights]
@@ -827,11 +835,10 @@ def witness_order_search(
     return WitnessSearchResult(found=False, exhausted=True)
 
 
-def _root_of_unity_order(val: CycNum, bound: int | None = None) -> int | None:
+def _root_of_unity_order(val: CycNum) -> int | None:
     one = CycNum.one(val.p)
-    bound = 2 * val.p if bound is None else bound
     acc = val
-    for k in range(1, bound + 1):
+    for k in range(1, 2 * val.p + 1):
         if acc == one:
             return k
         acc = acc * val

@@ -71,9 +71,6 @@ class MatFq:
     def ncols(self) -> int:
         return len(self.rows[0]) if self.rows else 0
 
-    def at(self, i: int, j: int) -> FieldElem:
-        return self.rows[i][j]
-
     def submatrix(self, rows: Sequence[int], cols: Sequence[int]) -> "MatFq":
         return MatFq(self.spec, [[self.rows[i][j] for j in cols] for i in rows])
 

@@ -2,7 +2,7 @@
 
 Budgets are element counts, never seconds, so refusals are reproducible
 across machines.  Partitioned work is reduced in partition order, which keeps
-results byte-identical for any thread count.
+results byte-identical for any thread count; a pool has one worker per CPU at most.
 """
 
 from __future__ import annotations
@@ -69,6 +69,6 @@ def run_partitioned(
     ranges = split_range(start, stop, threads)
     if threads == 1 or len(ranges) == 1:
         return [worker(lo, hi) for lo, hi in ranges]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    with ThreadPoolExecutor(max_workers=min(threads, os.cpu_count() or 1)) as pool:
         futures = [pool.submit(worker, lo, hi) for lo, hi in ranges]
         return [f.result() for f in futures]

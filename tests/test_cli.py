@@ -101,6 +101,15 @@ def test_centralizer_check_needs_a_sample(capsys):
         assert len(err.strip().splitlines()) == 1
 
 
+def test_threads_below_one_is_usage_error(capsys):
+    for threads in ("0", "-4"):
+        code, out, err = run(capsys, "--threads", threads, "sylow", "count", "--p", "3",
+                             "--q", "3", "--j", "1", "--mode", "brute")
+        assert code == 2
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1
+
+
 def test_sylow_fsz_verdict(capsys):
     code, out, _ = run(capsys, "sylow", "fsz", "--p", "5", "--q", "5", "--j", "1")
     assert code == 0

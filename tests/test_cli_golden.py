@@ -33,6 +33,8 @@ GOLDEN = [
      "1e3d999281d2f69920e990bc59d46c5915b064427fdb4c3aaae5b41b71f1f8ae"),
     ("sylow fsz --p 13 --q 13 --j 1",
      "9633f070bb906103fdc4888a2195d7b5da2c6ea479c711143473b84ded3a8b76"),
+    ("sylow fsz --p 3 --q 9 --j 1 --mode brute",
+     "50301f913e1cefd1c39be9df0450fbe45f0372391e2e979a41c93f7a1c7007ab"),
     ("sylow fsz --p 5 --q 5 --j 1 --beta",
      "70dbfeebefc7d06f936d4c58dd5a3371d843c8485eb64b451b066637a6e176c9"),
     ("sylow beta --p 5 --q 5 --j 1",

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fsz_lab import fsz
 from fsz_lab.cyclotomic import CycNum
 from fsz_lab.fields import field, field_for_order
 from fsz_lab.matrices import UniTriMat
@@ -153,13 +154,12 @@ class TestGmCounts:
     def test_identity_u_gives_solution_count(self):
         t = make_target(5, 5, 1, 1)
         u = SylowElem.identity(t.spec, 3)
-        assert gm_count(u, t, mode="fast") == 250_000
+        assert gm_count(u, 5, 5, 1, [1], mode="fast") == {1: 250_000}
 
     def test_witness_counts_per_exponent(self):
         u = u_witness(field(5), 3)
         expected = {1: 0, 2: 62_500, 3: 62_500, 4: 0}
-        for d, want in expected.items():
-            assert gm_count(u, make_target(5, 5, 1, d), mode="fast") == want
+        assert gm_count(u, 5, 5, 1, mode="fast") == expected
 
     def test_fast_equals_brute_exhaustively_on_small_group(self):
         spec = field(3)
@@ -167,27 +167,37 @@ class TestGmCounts:
         targets = {d: make_target(3, 3, 1, d) for d in (1, 2)}
         for u in elements:
             for d, t in targets.items():
-                fast = gm_count(u, t, mode="fast")
+                fast = gm_count(u, 3, 3, 1, [d], mode="fast")[d]
                 brute = sum(
                     1 for a in elements if a.pow(3) == t.g and (a * u).pow(3) == t.g
                 )
                 assert fast == brute
 
+    def test_row_defaults_to_every_unit(self):
+        u = u_witness(field(5), 3)
+        assert list(gm_count(u, 5, 5, 1)) == [1, 2, 3, 4]
+        # 7 = 2 mod 5 names the same target as 2
+        assert gm_count(u, 5, 5, 1, [2, 7]) == {2: 62_500, 7: 62_500}
+
+    def test_rejects_exponents_divisible_by_p(self):
+        u = u_witness(field(3), 2)
+        for mode in ("fast", "brute"):
+            with pytest.raises(ValueError):
+                gm_count(u, 3, 3, 1, [1, 3], mode=mode)
+
     def test_budget_refusal_on_big_brute(self):
         t = make_target(7, 7, 1, 1)
         with pytest.raises(BudgetExceeded) as info:
-            gm_count(u_witness(t.spec, t.n), t, mode="brute", budget=10_000)
+            gm_count(u_witness(t.spec, t.n), 7, 7, 1, [1], mode="brute", budget=10_000)
         assert info.value.required == 7 ** 16
 
     def test_fast_equals_brute_over_extension_field(self):
         # the scan over GF(9) by its regular representation: 9^4 = 6561 elements
         spec = field(3, 2)
         u = u_witness(spec, 2)
-        for d in (1, 2):
-            t = make_target(3, 9, 1, d)
-            assert gm_count(u, t, mode="fast") == gm_count(
-                u, t, mode="brute", budget=10_000
-            )
+        assert gm_count(u, 3, 9, 1, mode="fast") == gm_count(
+            u, 3, 9, 1, mode="brute", budget=10_000
+        )
 
 
 class TestFszReport:
@@ -228,6 +238,40 @@ class TestFszReport:
         report = fsz_test_at(3, 3, 1, u_set=u_set)
         assert report.verdict == "inconclusive-nonexhaustive"
 
+    @pytest.mark.parametrize("p,q,j,idx", [(3, 3, 1, 40), (3, 9, 1, 4321)])
+    def test_brute_rows_equal_fast_rows(self, p, q, j, idx):
+        spec, n = field_for_order(q), (p ** j + 1) // 2
+        u_set = [("identity", SylowElem.identity(spec, n)), ("U", u_witness(spec, n)),
+                 ("drawn", sylow_from_index(spec, n, idx))]
+        fast = fsz_test_at(p, q, j, u_set=u_set)
+        brute = fsz_test_at(p, q, j, u_set=u_set, mode="brute")
+        assert [r.counts for r in brute.rows] == [r.counts for r in fast.rows]
+        assert brute.verdict == fast.verdict
+
+    def test_brute_mode_scans_once_per_u(self, monkeypatch):
+        calls = []
+        scan = fsz.brute_characterization_scan
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return scan(*args, **kwargs)
+
+        monkeypatch.setattr(fsz, "brute_characterization_scan", counted)
+        fsz_test_at(3, 9, 1, mode="brute")
+        assert len(calls) == 2
+
+    def test_fast_mode_builds_one_histogram_per_u(self, monkeypatch):
+        calls = []
+        histogram = fsz._superdiagonal_histogram
+
+        def counted(*args):
+            calls.append(args)
+            return histogram(*args)
+
+        monkeypatch.setattr(fsz, "_superdiagonal_histogram", counted)
+        fsz_test_at(5, 5, 1)
+        assert len(calls) == 2
+
     def test_report_json_shape(self):
         doc = fsz_test_at(5, 5, 1).to_json()
         assert doc["group"] == "P(Sp_6(5))"
@@ -267,9 +311,8 @@ DP_INSTANCES = [(3, 3, 1), (3, 9, 1), (5, 5, 1), (3, 3, 2), (7, 7, 1)]
 
 
 def _assert_dp_matches_enumeration(p, q, j, u):
-    for d in range(1, p):
-        t = make_target(p, q, j, d)
-        assert _gm_count_fast(u, t) == _enumerated_gm_count(u, t)
+    row = _gm_count_fast(u, range(1, p))
+    assert row == {d: _enumerated_gm_count(u, make_target(p, q, j, d)) for d in range(1, p)}
 
 
 class TestSuperdiagonalDp:
@@ -509,6 +552,17 @@ class TestBruteScan:
         with pytest.raises(BudgetExceeded):
             brute_characterization_scan(5, 5, 1, [1], budget=100)
 
+    def test_rejects_exponents_divisible_by_p(self):
+        for d_list in ([0, 3, 4], [3]):
+            with pytest.raises(ValueError):
+                brute_characterization_scan(3, 3, 1, d_list)
+
+    def test_each_exponent_is_tallied_once(self):
+        out = brute_characterization_scan(3, 3, 1, [1, 1, 4])
+        want = count_solutions(make_target(3, 3, 1, 1))
+        assert out["agree"]
+        assert out["counts"] == {1: want, 4: want}
+
     def test_extension_field_counts(self):
         out = brute_characterization_scan(3, 9, 1)
         assert out["agree"]
@@ -520,9 +574,7 @@ class TestBruteScan:
         spec = field(3, 2)
         idx = data.draw(st.integers(0, sylow_count(2, 9) - 1), label="index")
         for u in (u_witness(spec, 2), sylow_from_index(spec, 2, idx)):
-            for d in (1, 2):
-                t = make_target(3, 9, 1, d)
-                assert gm_count(u, t, mode="brute") == gm_count(u, t, mode="fast")
+            assert gm_count(u, 3, 9, 1, mode="brute") == gm_count(u, 3, 9, 1, mode="fast")
 
     def test_cubic_extension_gm_matches_fast(self):
         # P(Sp_4(27)): 27^4 = 531441 elements, 12 x 12 matrices over GF(3)
@@ -532,7 +584,7 @@ class TestBruteScan:
         assert out["agree"]
         assert out["counts"] == {d: count_solutions(make_target(3, 27, 1, d))
                                  for d in (1, 2)}
-        assert out["gm"] == {d: gm_count(u, make_target(3, 27, 1, d)) for d in (1, 2)}
+        assert out["gm"] == gm_count(u, 3, 27, 1)
         assert out["gm"][1] > 0
 
     def test_extension_field_scan_independent_of_threads(self):

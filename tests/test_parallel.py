@@ -1,5 +1,8 @@
+from concurrent.futures import Future
+
 import pytest
 
+from fsz_lab import parallel
 from fsz_lab.parallel import (
     BudgetExceeded,
     check_budget,
@@ -44,3 +47,31 @@ def test_env_override(monkeypatch):
     assert default_threads() == 3
     monkeypatch.setenv("FSZ_LAB_THREADS", "junk")
     assert default_threads() >= 1
+
+
+
+def test_pool_is_capped_at_cpu_count(monkeypatch):
+    # (3, 27, 1) has 27^3 = 19683 L-partitions; the pool below starts no thread
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(parallel, "ThreadPoolExecutor", InlinePool)
+    for cpus, want in ((2, 2), (None, 1)):
+        monkeypatch.setattr(parallel.os, "cpu_count", lambda: cpus)
+        out = run_partitioned(lambda lo, hi: hi - lo, 0, 19_683, threads=20_000)
+        assert out == [1] * 19_683
+        assert sizes[-1] == want

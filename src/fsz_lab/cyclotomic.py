@@ -7,6 +7,13 @@ additive character e_q of a finite field, and Gauss sums are all computed
 without any floating point; floating evaluation exists only as a diagnostic
 (see :func:`complex_approx`).
 
+A product runs as one integer cyclic convolution: both operands are brought
+to integer numerators over one common denominator (1 for every Gauss sum and
+every beta), the nonzero terms are convolved with Python ints mod p, and the
+p - 1 result coefficients become Fractions once.  Only the public constructor
+and its classmethods validate p and the coefficients; ring operations build
+their results from operands that were checked already.
+
 Numbers attached to different primes never mix: sums live in a single
 Q(zeta_p), matching the needs of the character computations downstream.
 """
@@ -21,13 +28,24 @@ from typing import Sequence
 from .fields import TABLE_BOUND, FieldElem, FieldSpec, field, is_prime
 
 
-def _canonical(p: int, full: Sequence) -> tuple[Fraction, ...]:
-    """Collapse coefficients on {zeta^0..zeta^(p-1)} to the power basis.
+def _canonical(p: int, full: Sequence, d: int = 1) -> tuple[Fraction, ...]:
+    """Collapse coefficients full[i] / d on {zeta^0..zeta^(p-1)} to the power basis.
 
     Uses 1 + zeta + ... + zeta^(p-1) = 0 to eliminate the zeta^(p-1) slot.
     """
     top = full[p - 1]
-    return tuple(Fraction(c - top) for c in full[: p - 1])
+    return tuple(Fraction(c - top, d) for c in full[: p - 1])
+
+
+def _rational_coeffs(p: int, value) -> tuple[Fraction, ...]:
+    """Power-basis coefficients of the rational number value."""
+    return (Fraction(value),) + (Fraction(0),) * (p - 2)
+
+
+def _integer_terms(coeffs: tuple[Fraction, ...]) -> tuple[list[tuple[int, int]], int]:
+    """The nonzero (index, numerator) pairs of coeffs over their common denominator d."""
+    d = math.lcm(*(c.denominator for c in coeffs))
+    return [(i, c.numerator * (d // c.denominator)) for i, c in enumerate(coeffs) if c], d
 
 
 class CycNum:
@@ -44,6 +62,14 @@ class CycNum:
         self.p = p
         self.coeffs = coeffs
 
+    @staticmethod
+    def _wrap(p: int, coeffs: tuple[Fraction, ...]) -> "CycNum":
+        """Wrap coefficients derived from already-checked operands, unchecked."""
+        x = object.__new__(CycNum)
+        x.p = p
+        x.coeffs = coeffs
+        return x
+
     # -- constructors ----------------------------------------------------------
 
     @classmethod
@@ -56,8 +82,7 @@ class CycNum:
 
     @classmethod
     def rational(cls, p: int, value) -> "CycNum":
-        coeffs = [Fraction(value)] + [Fraction(0)] * (p - 2)
-        return cls(p, coeffs)
+        return cls(p, _rational_coeffs(p, value))
 
     @classmethod
     def zeta(cls, p: int, k: int = 1) -> "CycNum":
@@ -78,7 +103,7 @@ class CycNum:
 
     def _check(self, other) -> "CycNum":
         if isinstance(other, (int, Fraction)):
-            return CycNum.rational(self.p, other)
+            return CycNum._wrap(self.p, _rational_coeffs(self.p, other))
         if not isinstance(other, CycNum):
             raise TypeError(f"cannot combine CycNum with {type(other).__name__}")
         if other.p != self.p:
@@ -87,32 +112,32 @@ class CycNum:
 
     def __add__(self, other):
         other = self._check(other)
-        return CycNum(self.p, [a + b for a, b in zip(self.coeffs, other.coeffs)])
+        return CycNum._wrap(self.p, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
 
     __radd__ = __add__
 
     def __sub__(self, other):
         other = self._check(other)
-        return CycNum(self.p, [a - b for a, b in zip(self.coeffs, other.coeffs)])
+        return CycNum._wrap(self.p, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
 
     def __rsub__(self, other):
         return self._check(other) - self
 
     def __neg__(self):
-        return CycNum(self.p, [-a for a in self.coeffs])
+        return CycNum._wrap(self.p, tuple(-a for a in self.coeffs))
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return CycNum(self.p, [a * other for a in self.coeffs])
+            return CycNum._wrap(self.p, tuple(a * other for a in self.coeffs))
         other = self._check(other)
         p = self.p
-        full = [Fraction(0)] * p
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        full[(i + j) % p] += a * b
-        return CycNum(p, _canonical(p, full))
+        terms_a, da = _integer_terms(self.coeffs)
+        terms_b, db = _integer_terms(other.coeffs)
+        full = [0] * p
+        for i, a in terms_a:
+            for j, b in terms_b:
+                full[(i + j) % p] += a * b
+        return CycNum._wrap(p, _canonical(p, full, da * db))
 
     __rmul__ = __mul__
 
@@ -121,12 +146,13 @@ class CycNum:
             raise ValueError("negative exponents not supported")
         result = CycNum.one(self.p)
         base = self
-        while e:
+        while True:
             if e & 1:
                 result = result * base
-            base = base * base
             e >>= 1
-        return result
+            if not e:
+                return result
+            base = base * base
 
     # -- Galois structure ------------------------------------------------------
 
@@ -138,7 +164,7 @@ class CycNum:
         full = [Fraction(0)] * p
         for i, a in enumerate(self.coeffs):
             full[(i * k) % p] += a
-        return CycNum(p, _canonical(p, full))
+        return CycNum._wrap(p, _canonical(p, full))
 
     def conj(self) -> "CycNum":
         """Complex conjugation, i.e. the Galois map zeta -> zeta^(p-1)."""
@@ -158,7 +184,7 @@ class CycNum:
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = CycNum.rational(self.p, other)
+            return self.coeffs == _rational_coeffs(self.p, other)
         if isinstance(other, CycNum):
             return self.p == other.p and self.coeffs == other.coeffs
         return NotImplemented

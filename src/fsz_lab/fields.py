@@ -135,26 +135,31 @@ def _pgcd(a: list[int], b: list[int], p: int) -> list[int]:
 
 
 def poly_is_irreducible(f: Sequence[int], p: int) -> bool:
-    """Rabin irreducibility test for a monic polynomial over Z_p."""
+    """Ben-Or irreducibility test for a monic polynomial over Z_p.
+
+    A degree-n f is reducible iff it has a factor of some degree i <= n/2,
+    i.e. iff gcd(f, x^(p^i) - x) != 1 for some such i.  Candidates with a
+    root in Z_p (the i = 1 case) are rejected by evaluation, and the loop
+    stops at the first nontrivial gcd, so most reducible f cost little.
+    """
     n = len(f) - 1
     if n < 1 or f[-1] != 1:
         raise ValueError("monic polynomial of positive degree required")
     if n == 1:
         return True
-    x = [0, 1]
-    # x^(p^k) mod f for k = 1..n via iterated Frobenius
-    frob = [x]
-    h = x
-    for _ in range(n):
+    f = list(f)
+    for a in range(p):
+        value = 0
+        for c in reversed(f):
+            value = (value * a + c) % p
+        if value == 0:
+            return False
+    h = _ppowmod([0, 1], p, f, p)  # x^p mod f
+    for _ in range(2, n // 2 + 1):
         h = _ppowmod(h, p, f, p)
-        frob.append(h)
-    if frob[n] != x:
-        return False
-    for ell in factorize(n):
-        d = n // ell
-        g = [(c - (1 if i == 1 else 0)) % p for i, c in
-             enumerate(frob[d] + [0] * (2 - len(frob[d])))]
-        if len(_pgcd(list(f), _ptrim(g), p)) - 1 != 0:
+        g = h + [0] * (2 - len(h))
+        g[1] = (g[1] - 1) % p
+        if len(_pgcd(f, _ptrim(g), p)) != 1:
             return False
     return True
 

@@ -1,4 +1,4 @@
-"""Byte-identical stdout for the README command examples.
+"""Byte-identical stdout for the README command examples and a few larger cases.
 
 Each digest is the sha256 of the JSON a command prints.  A change to any
 route behind these commands that alters a single output byte fails here.
@@ -19,6 +19,12 @@ GOLDEN = [
      "9b18dd0471351180d9ef307919c0ff6781abe88279a1390ee4e2631df8206616"),
     ("gauss --p 5 --n 2",
      "c55288bb4e6e40e579af8967cd069a10ea7a64fef3aa062338dedb15d0605b95"),
+    ("gauss --p 397 --n 1",
+     "fb83342cb890aaac0e8cf9c7bd053ccd2eb62890dbca46d570959a44f670c5a3"),
+    ("gauss --p 3 --n 5",
+     "3b29f1f79f9fa7613ee5fa862920bd2c63ce02749cd0dcd93afec154b25461cf"),
+    ("field --p 3 --n 6",
+     "90c830fd81f960d5694e73b8dcd2268ab4feca69c9287db16d30725e6308f2b6"),
     ("fibers --p 5 --n 2",
      "552a686e32617543e3df4e9056cfe57995ce1958e2927e74299523e17142dbdc"),
     ("binom --p 5 --j 1",

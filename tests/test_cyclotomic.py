@@ -24,6 +24,29 @@ def cycnums(p=5):
     ).map(lambda cs: CycNum(p, cs))
 
 
+def rational_cycnums(p):
+    """Coefficients with denominators, some zero, to exercise the common denominator."""
+    coeff = st.one_of(st.just(Fraction(0)),
+                      st.fractions(min_value=-9, max_value=9, max_denominator=12))
+    return st.lists(coeff, min_size=p - 1, max_size=p - 1).map(lambda cs: CycNum(p, cs))
+
+
+def schoolbook_mul(a, b):
+    """The Fraction convolution over {zeta^0..zeta^(p-1)}, folded by 1 + ... + zeta^(p-1) = 0."""
+    p = a.p
+    full = [Fraction(0)] * p
+    for i, x in enumerate(a.coeffs):
+        for j, y in enumerate(b.coeffs):
+            full[(i + j) % p] += x * y
+    return CycNum(p, [c - full[p - 1] for c in full[: p - 1]])
+
+
+@st.composite
+def rational_pairs(draw):
+    p = draw(st.sampled_from([3, 5, 7, 13]))
+    return draw(rational_cycnums(p)), draw(rational_cycnums(p))
+
+
 class TestRing:
     def test_zeta_times_conjugate_power(self):
         for p in (3, 5, 7):
@@ -60,6 +83,37 @@ class TestRing:
     def test_galois_group_action(self, a):
         assert a.galois(2).galois(3) == a.galois(6 % 5)
         assert a.galois(1) == a
+
+
+class TestMultiply:
+    @given(rational_pairs())
+    def test_product_matches_schoolbook(self, pair):
+        a, b = pair
+        assert a * b == schoolbook_mul(a, b)
+
+    @given(rational_cycnums(7), st.fractions(max_denominator=9))
+    def test_scalar_product_matches_schoolbook(self, a, c):
+        assert a * c == c * a == schoolbook_mul(a, CycNum.rational(7, c))
+
+    @given(rational_cycnums(5))
+    def test_power_matches_repeated_product(self, x):
+        expected = CycNum.one(5)
+        for e in range(10):
+            assert x ** e == expected
+            expected = schoolbook_mul(expected, x)
+
+    @pytest.mark.parametrize("e", range(1, 18))
+    def test_power_squares_only_up_to_the_top_bit(self, monkeypatch, e):
+        counts = {"square": 0, "multiply": 0}
+        mul = CycNum.__mul__
+
+        def counting_mul(a, b):
+            counts["square" if a is b else "multiply"] += 1
+            return mul(a, b)
+
+        monkeypatch.setattr(CycNum, "__mul__", counting_mul)
+        CycNum(7, [1, Fraction(1, 2), 0, -1, 0, 3]) ** e
+        assert counts == {"square": e.bit_length() - 1, "multiply": bin(e).count("1")}
 
 
 class TestRationality:

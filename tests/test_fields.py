@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,6 +9,7 @@ from fsz_lab.fields import (
     canonical_modulus,
     field,
     field_for_order,
+    poly_is_irreducible,
     qr_set,
     trace_z,
 )
@@ -50,6 +53,80 @@ class TestConstruction:
 
     def test_spec_json(self):
         assert field(3, 2).to_json() == {"p": 3, "n": 2, "modulus": [1, 0, 1]}
+
+
+# canonical_modulus(p, n) for every extension field the tests, the CLI
+# examples and the benchmark's residue census (q <= 2000) build, plus (3, 7)
+# through (3, 11).  Recorded from the Rabin-test implementation; any other
+# irreducibility test must pick the same polynomials.
+PINNED_MODULI = {
+    (3, 2): (1, 0, 1),
+    (3, 3): (1, 0, 2, 1),
+    (3, 4): (1, 0, 1, 1, 1),
+    (3, 5): (1, 0, 0, 0, 2, 1),
+    (3, 6): (1, 0, 0, 0, 1, 1, 1),
+    (3, 7): (1, 0, 0, 0, 0, 1, 2, 1),
+    (3, 8): (1, 0, 0, 0, 0, 1, 1, 0, 1),
+    (3, 9): (1, 0, 0, 0, 0, 0, 2, 1, 0, 1),
+    (3, 10): (1, 0, 0, 0, 0, 0, 0, 0, 2, 0, 1),
+    (3, 11): (1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 2, 1),
+    (5, 2): (1, 1, 1),
+    (5, 3): (1, 0, 1, 1),
+    (5, 4): (1, 0, 1, 1, 1),
+    (7, 2): (1, 0, 1),
+    (7, 3): (1, 0, 1, 1),
+    (11, 2): (1, 0, 1),
+    (11, 3): (1, 0, 4, 1),
+    (13, 2): (1, 3, 1),
+    (17, 2): (1, 1, 1),
+    (19, 2): (1, 0, 1),
+    (23, 2): (1, 0, 1),
+    (29, 2): (1, 1, 1),
+    (31, 2): (1, 0, 1),
+    (37, 2): (1, 3, 1),
+    (41, 2): (1, 1, 1),
+    (43, 2): (1, 0, 1),
+}
+
+
+def _has_factor_by_division(f, p):
+    """Trial division by every monic polynomial of degree 1..deg(f)/2."""
+    n = len(f) - 1
+    for d in range(1, n // 2 + 1):
+        for low in product(range(p), repeat=d):
+            g = list(low) + [1]
+            r = list(f)
+            for top in range(n, d - 1, -1):
+                c = r[top]
+                for k in range(d + 1):
+                    r[top - d + k] = (r[top - d + k] - c * g[k]) % p
+            if not any(r[:d]):
+                return True
+    return False
+
+
+class TestIrreducibility:
+    @pytest.mark.parametrize("p,n", sorted(PINNED_MODULI))
+    def test_pinned_moduli(self, p, n):
+        assert canonical_modulus(p, n) == PINNED_MODULI[(p, n)]
+
+    @pytest.mark.parametrize("p", [3, 5])
+    def test_agrees_with_trial_division(self, p):
+        for n in range(1, 5):
+            irreducible = 0
+            for low in product(range(p), repeat=n):
+                f = list(low) + [1]
+                expected = not _has_factor_by_division(f, p)
+                assert poly_is_irreducible(f, p) is expected, f
+                irreducible += expected
+            # Gauss's count of monic irreducibles of degree n over GF(p)
+            mobius = {1: 1, 2: -1, 3: -1, 4: 0}
+            assert irreducible == sum(mobius[n // d] * p ** d for d in range(1, n + 1)
+                                      if n % d == 0) // n
+
+    def test_non_monic_rejected(self):
+        with pytest.raises(ValueError):
+            poly_is_irreducible([1, 2], 3)
 
 
 class TestArithmetic:

@@ -77,6 +77,13 @@ def _parse_elem(spec, text: str):
     return spec.parse(text)
 
 
+def _field_within_budget(p: int, n: int, budget: int | None):
+    """GF(p^n) for a command that enumerates it, refused before the modulus search."""
+    if n >= 1:
+        check_budget(p ** n, budget)
+    return field(p, n)
+
+
 def cmd_field(args) -> int:
     spec = field(args.p, args.n)
     doc = {"claim": "field-spec", **spec.to_json(), "q": spec.q}
@@ -85,6 +92,7 @@ def cmd_field(args) -> int:
 
 
 def cmd_qr(args) -> int:
+    check_budget(args.q, args.budget)
     spec = field_for_order(args.q)
     qr = sorted(x.index() for x in spec.qr_set())
     doc = {
@@ -100,6 +108,7 @@ def cmd_qr(args) -> int:
 
 
 def cmd_qrdiff(args) -> int:
+    check_budget(args.q, args.budget)
     spec = field_for_order(args.q)
     cs = [spec.elem(args.c)] if args.c is not None else [
         c for c in spec.elements() if not c.is_zero()
@@ -118,7 +127,7 @@ def cmd_qrdiff(args) -> int:
 
 
 def cmd_gauss(args) -> int:
-    spec = field(args.p, args.n)
+    spec = _field_within_budget(args.p, args.n, args.budget)
     definitional = gauss_sum(spec)
     closed = gauss_sum_via_prime(args.p, args.n)
     match = definitional == closed
@@ -138,7 +147,7 @@ def cmd_gauss(args) -> int:
 
 
 def cmd_fibers(args) -> int:
-    spec = field(args.p, args.n)
+    spec = _field_within_budget(args.p, args.n, args.budget)
     if args.z is not None:
         zs = [_parse_elem(spec, args.z)]
     else:
@@ -265,6 +274,8 @@ def cmd_sylow_beta(args) -> int:
 
 
 def cmd_sylow_enumerate(args) -> int:
+    if args.n < 1:
+        raise ValueError(f"--n must be at least 1, got {args.n}")
     spec = field_for_order(args.q)
     total = sylow_count(args.n, args.q)
     stop = total if args.stop is None else min(args.stop, total)
@@ -296,6 +307,7 @@ def cmd_sylow_gm(args) -> int:
 
 
 def cmd_pairs(args) -> int:
+    check_budget(args.q, args.budget)
     spec = field_for_order(args.q)
     ds = [spec.elem(args.d)] if args.d is not None else [
         d for d in spec.elements() if not d.is_zero()

@@ -260,12 +260,23 @@ class FieldSpec:
     # -- residues and tables --------------------------------------------------
 
     def qr_set(self) -> frozenset[FieldElem]:
-        """The set {y^2 : y in GF(q)}; includes 0 and has (q+1)/2 elements."""
+        """The set {y^2 : y in GF(q)}; includes 0 and has (q+1)/2 elements.
+
+        y and -y have the same square, so only 0 and the y whose highest
+        nonzero coefficient lies in 1..(p-1)/2 are squared.
+        """
         if self._qr is None:
-            squares = {self.zero}
-            for i in range(1, self.q):
-                y = self.from_index(i)
-                squares.add(y * y)
+            p = self.p
+            if self.n == 1:
+                squares = {FieldElem(self, (i * i % p,)) for i in range((p + 1) // 2)}
+            else:
+                squares = {self.zero}
+                for t in range(self.n):
+                    top = p ** t
+                    for lead in range(1, (p + 1) // 2):
+                        for low in range(top):
+                            y = self.from_index(lead * top + low)
+                            squares.add(y * y)
             self._qr = frozenset(squares)
         return self._qr
 

@@ -1,6 +1,14 @@
 """Dense matrices over a finite field, and upper unitriangular groups.
 
 Matrices are immutable tuples of FieldElem entries with exact arithmetic.
+Sums, differences and products work on the entries' integer coefficients and
+build one FieldElem per result entry.  Over GF(p) an entry of A @ B is
+sum(a * b) % p.  Over GF(p^f) each entry is packed into one int, coefficient
+k in bit slot k (Kronecker substitution), so the row . column sum of packed
+ints holds the unreduced coefficient convolution of the whole dot product;
+it is reduced once mod p and the field modulus.  The slot width is sized so
+that no slot overflows into the next.
+
 All indices in this package are 0-based.  The symplectic membership test
 checks the defining block identity directly: writing M in n x n blocks
 [[X, A], [B, Y]], M is symplectic iff
@@ -15,9 +23,27 @@ repeated p-th powers.
 from __future__ import annotations
 
 from itertools import combinations_with_replacement
+from operator import add, mul, sub
 from typing import Sequence
 
-from .fields import FieldElem, FieldSpec, split_prime_power
+from .fields import FieldElem, FieldSpec, _pmod, split_prime_power
+
+
+def _pack(coeffs: Sequence[int], width: int) -> int:
+    """Coefficients c_0, c_1, ... as one int with c_k in bits [k*width, (k+1)*width)."""
+    v = 0
+    for c in reversed(coeffs):
+        v = (v << width) | c
+    return v
+
+
+def _unpack(spec: FieldSpec, v: int, width: int) -> FieldElem:
+    """The element whose unreduced coefficients _pack put into the slots of v."""
+    mask = (1 << width) - 1
+    p = spec.p
+    slots = [((v >> (k * width)) & mask) % p for k in range(2 * spec.n - 1)]
+    coeffs = _pmod(slots, spec.modulus, p)
+    return FieldElem(spec, tuple(coeffs) + (0,) * (spec.n - len(coeffs)))
 
 
 class MatFq:
@@ -32,7 +58,7 @@ class MatFq:
             if len(r) != width:
                 raise ValueError("ragged rows")
             for x in r:
-                if not isinstance(x, FieldElem) or x.spec != spec:
+                if not isinstance(x, FieldElem) or (x.spec is not spec and x.spec != spec):
                     raise ValueError("entries must be elements of the given field")
         self.spec = spec
         self.rows = rows
@@ -78,18 +104,31 @@ class MatFq:
 
     def __add__(self, other: "MatFq") -> "MatFq":
         self._compat(other, same_shape=True)
-        return MatFq(self.spec, [
-            [a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)
-        ])
+        return self._entrywise(other, add)
 
     def __sub__(self, other: "MatFq") -> "MatFq":
         self._compat(other, same_shape=True)
-        return MatFq(self.spec, [
-            [a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)
-        ])
+        return self._entrywise(other, sub)
 
     def __neg__(self) -> "MatFq":
-        return MatFq(self.spec, [[-a for a in r] for r in self.rows])
+        spec = self.spec
+        p = spec.p
+        return MatFq(spec, [[FieldElem(spec, tuple([-c % p for c in x.coeffs])) for x in r]
+                            for r in self.rows])
+
+    def _entrywise(self, other: "MatFq", op) -> "MatFq":
+        """op on each pair of entries, coefficient by coefficient, reduced mod p."""
+        spec = self.spec
+        p = spec.p
+        pairs = [zip(ra, rb) for ra, rb in zip(self.rows, other.rows)]
+        if spec.n == 1:
+            return MatFq(spec, [[FieldElem(spec, (op(x.coeffs[0], y.coeffs[0]) % p,))
+                                 for x, y in r] for r in pairs])
+        return MatFq(spec, [
+            [FieldElem(spec, tuple([op(c, d) % p for c, d in zip(x.coeffs, y.coeffs)]))
+             for x, y in r]
+            for r in pairs
+        ])
 
     def __mul__(self, scalar) -> "MatFq":
         if isinstance(scalar, (int, FieldElem)):
@@ -102,17 +141,21 @@ class MatFq:
         self._compat(other)
         if self.ncols != other.nrows:
             raise ValueError(f"dimension mismatch: {self.ncols} vs {other.nrows}")
+        spec = self.spec
+        p, f = spec.p, spec.n
         cols = tuple(zip(*other.rows))
-        out = []
-        for row in self.rows:
-            new = []
-            for col in cols:
-                acc = row[0] * col[0]
-                for a, b in zip(row[1:], col[1:]):
-                    acc = acc + a * b
-                new.append(acc)
-            out.append(new)
-        return MatFq(self.spec, out)
+        if f == 1:
+            a = [[x.coeffs[0] for x in r] for r in self.rows]
+            b = [[x.coeffs[0] for x in c] for c in cols]
+            return MatFq(spec, [[FieldElem(spec, (sum(map(mul, r, c)) % p,)) for c in b]
+                                for r in a])
+        # a slot holds at most ncols * f * (p-1)^2, the largest coefficient
+        # of an unreduced row . column convolution
+        width = (self.ncols * f * (p - 1) ** 2).bit_length()
+        a = [[_pack(x.coeffs, width) for x in r] for r in self.rows]
+        b = [[_pack(x.coeffs, width) for x in c] for c in cols]
+        return MatFq(spec, [[_unpack(spec, sum(map(mul, r, c)), width) for c in b]
+                            for r in a])
 
     def transpose(self) -> "MatFq":
         return MatFq(self.spec, tuple(zip(*self.rows)))
@@ -163,7 +206,7 @@ class MatFq:
     def _compat(self, other: "MatFq", same_shape: bool = False):
         if not isinstance(other, MatFq):
             raise TypeError(f"matrix expected, got {type(other).__name__}")
-        if other.spec != self.spec:
+        if other.spec is not self.spec and other.spec != self.spec:
             raise ValueError("matrices over different fields")
         if same_shape and (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise ValueError("shape mismatch")
@@ -233,7 +276,7 @@ class UniTriMat:
         if len(upper) != n * (n - 1) // 2:
             raise ValueError(f"expected {n * (n - 1) // 2} strictly-upper entries")
         for x in upper:
-            if not isinstance(x, FieldElem) or x.spec != spec:
+            if not isinstance(x, FieldElem) or (x.spec is not spec and x.spec != spec):
                 raise ValueError("entries must be elements of the given field")
         self.spec = spec
         self.n = n

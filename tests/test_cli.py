@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from fsz_lab import cli
 
 
@@ -180,6 +182,30 @@ def test_budget_refusal_prints_required(capsys):
                          "--mode", "brute")
     assert code == 2
     assert str(7 ** 16) in err
+
+
+@pytest.mark.parametrize("argv,required", [
+    (["gauss", "--p", "3", "--n", "40"], 3 ** 40),
+    (["fibers", "--p", "3", "--n", "40"], 3 ** 40),
+    (["--budget", "100", "gauss", "--p", "5", "--n", "3"], 125),
+    (["--budget", "100", "fibers", "--p", "5", "--n", "3"], 125),
+    (["--budget", "100", "qr", "--q", "125"], 125),
+    (["--budget", "100", "qrdiff", "--q", "125"], 125),
+    (["--budget", "100", "pairs", "--q", "125"], 125),
+], ids=["gauss-3^40", "fibers-3^40", "gauss-125", "fibers-125", "qr-125", "qrdiff-125",
+        "pairs-125"])
+def test_field_enumeration_over_budget_is_refused(capsys, argv, required):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith("budget exceeded") and f"--budget {required}" in err
+
+
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_sylow_enumerate_rejects_n_below_one(capsys, n):
+    code, out, err = run(capsys, "sylow", "enumerate", "--n", n, "--q", "3")
+    assert code == 2
+    assert out == "" and err.count("\n") == 1 and "--n must be at least 1" in err
 
 
 def test_unknown_flag_is_usage_error(capsys):

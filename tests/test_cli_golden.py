@@ -49,6 +49,11 @@ GOLDEN = [
      "c64bfd53f1c01c6aa56d661b9107a6ff9d6051dc077709bf745f1c8efed3615d"),
     ("centralizer check --p 5 --q 5 --j 1 --samples 20 --seed 7",
      "94f2b5ed2eb8939c952377afebfe53af14fa2e8cc91c1ec93d91592e4e15eb44"),
+    # the report names no field, so an all-pass run prints the GF(5) bytes
+    ("centralizer check --p 3 --q 9 --j 1 --samples 20 --seed 7",
+     "94f2b5ed2eb8939c952377afebfe53af14fa2e8cc91c1ec93d91592e4e15eb44"),
+    ("sylow enumerate --n 2 --q 9 --stop 20",
+     "9deaf3cffda2aeebfadd10c4e579d466555ecfee5163e521c9e04c8610e4545f"),
 ]
 
 

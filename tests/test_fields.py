@@ -9,6 +9,7 @@ from fsz_lab.fields import (
     canonical_modulus,
     field,
     field_for_order,
+    is_prime,
     poly_is_irreducible,
     qr_set,
     trace_z,
@@ -246,6 +247,14 @@ class TestResidueSets:
     def test_size(self, p, n):
         spec = field(p, n)
         assert len(spec.qr_set()) == (spec.q + 1) // 2
+
+    def test_matches_definition_for_every_order_up_to_400(self):
+        orders = [(p, n) for p in range(3, 401, 2) if is_prime(p)
+                  for n in range(1, 7) if p ** n <= 400]
+        assert len(orders) == 89
+        for p, n in orders:
+            spec = FieldSpec(p, n)  # fresh: no cached set, no tables
+            assert spec.qr_set() == frozenset(y * y for y in spec.elements()), spec
 
     def test_closure_under_product(self):
         spec = field(5, 2)

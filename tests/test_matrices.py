@@ -1,8 +1,11 @@
 import random
+from operator import add, sub
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fsz_lab.fields import field
+from fsz_lab.fields import FieldElem, FieldSpec, field, field_for_order
 from fsz_lab.matrices import (
     MatFq,
     UniTriMat,
@@ -11,6 +14,107 @@ from fsz_lab.matrices import (
     unitri_power_entry,
     ut_exponent,
 )
+
+
+# -- oracles: entry arithmetic through FieldElem, one term at a time ------------------
+
+def schoolbook_product(A: MatFq, B: MatFq) -> MatFq:
+    cols = tuple(zip(*B.rows))
+    out = []
+    for row in A.rows:
+        new = []
+        for col in cols:
+            acc = row[0] * col[0]
+            for a, b in zip(row[1:], col[1:]):
+                acc = acc + a * b
+            new.append(acc)
+        out.append(new)
+    return MatFq(A.spec, out)
+
+
+def entrywise(A: MatFq, B: MatFq, op) -> MatFq:
+    return MatFq(A.spec, [[op(a, b) for a, b in zip(ra, rb)] for ra, rb in zip(A.rows, B.rows)])
+
+
+DIFF_ORDERS = (3, 5, 9, 25, 27)
+
+
+@st.composite
+def matrix_pairs(draw, same_shape=False):
+    """(A, B) over one of DIFF_ORDERS with A @ B defined (or equal shapes)."""
+    spec = field_for_order(draw(st.sampled_from(DIFF_ORDERS)))
+    r, k, c = (draw(st.integers(1, 6)) for _ in range(3))
+    entry = st.integers(0, spec.q - 1).map(spec.from_index)
+
+    def matrix(nrows, ncols):
+        row = st.lists(entry, min_size=ncols, max_size=ncols)
+        return MatFq(spec, draw(st.lists(row, min_size=nrows, max_size=nrows)))
+
+    return (matrix(r, k), matrix(r, k)) if same_shape else (matrix(r, k), matrix(k, c))
+
+
+class TestIntegerArithmetic:
+    """MatFq arithmetic on integer coefficients against the FieldElem oracles."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(matrix_pairs())
+    def test_product_matches_schoolbook(self, pair):
+        A, B = pair
+        assert A @ B == schoolbook_product(A, B)
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(matrix_pairs(same_shape=True))
+    def test_entrywise_ops_match_field_elements(self, pair):
+        A, B = pair
+        assert A + B == entrywise(A, B, add)
+        assert A - B == entrywise(A, B, sub)
+        assert -A == MatFq(A.spec, [[-x for x in r] for r in A.rows])
+
+    @pytest.mark.parametrize("q", DIFF_ORDERS + (49, 125, 243))
+    @pytest.mark.parametrize("k", [1, 7, 40])
+    def test_largest_coefficients(self, q, k):
+        # every coefficient p - 1: each slot of the unreduced sum at its bound
+        spec = field_for_order(q)
+        top = spec.from_index(q - 1)
+        A = MatFq(spec, [[top] * k] * 2)
+        B = MatFq(spec, [[top] * 3] * k)
+        assert A @ B == schoolbook_product(A, B)
+        assert A + A == entrywise(A, A, add)
+
+    def test_product_makes_no_field_element_multiply(self, monkeypatch):
+        calls = []
+        original = FieldElem.__mul__
+
+        def counting(self, other):
+            calls.append(1)
+            return original(self, other)
+
+        monkeypatch.setattr(FieldElem, "__mul__", counting)
+        monkeypatch.setattr(FieldElem, "__rmul__", counting)
+        rng = random.Random(5)
+        for q in (5, 9, 27):
+            spec = field_for_order(q)
+            M = MatFq(spec, [[spec.random(rng) for _ in range(4)] for _ in range(4)])
+            M @ M
+            M + M
+            M - M
+            -M
+        assert calls == []
+        spec.one * spec.one
+        assert calls == [1]
+
+    def test_equal_spec_instances_are_one_field(self):
+        fresh = FieldSpec(5)
+        A = MatFq(fresh, [[fresh.elem(2), fresh.elem(3)]])
+        B = MatFq.from_ints(field(5), [[1], [4]])
+        assert (A @ B).rows == ((field(5).elem(4),),)
+        assert UniTriMat(field(5), 2, [fresh.elem(1)]) == UniTriMat.jordan(fresh, 2)
+
+    def test_entries_of_another_field_rejected(self):
+        with pytest.raises(ValueError):
+            MatFq(field(5), [[field(7).one]])
+        with pytest.raises(ValueError):
+            UniTriMat(field(5), 2, [field(5, 2).one])
 
 
 class TestMatFq:

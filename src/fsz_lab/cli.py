@@ -28,7 +28,7 @@ from .fsz import (
     witness_pair_count,
     solve_pth_power,
 )
-from .parallel import DEFAULT_BUDGET, BudgetExceeded, check_budget
+from .parallel import DEFAULT_BUDGET, BudgetExceeded, check_budget, count_text
 from .residues import FiberCountQuery, binom_product_sum_mod, qr_diff_count, trace_fiber_qr_count
 from .sylow import SylowElem, enumerate_sylow, sylow_count, u_witness
 
@@ -113,6 +113,8 @@ def cmd_qrdiff(args) -> int:
     cs = [spec.elem(args.c)] if args.c is not None else [
         c for c in spec.elements() if not c.is_zero()
     ]
+    # each c walks the (q+1)/2 squares
+    check_budget(len(cs) * (args.q + 1) // 2, args.budget)
     rows = []
     ok = True
     for c in cs:
@@ -153,6 +155,8 @@ def cmd_fibers(args) -> int:
     else:
         zs = [z for z in spec.elements() if not z.is_zero()]
     ys = [args.y] if args.y is not None else list(range(args.p))
+    # each (z, y) walks the (q+1)/2 squares
+    check_budget(len(zs) * len(ys) * (spec.q + 1) // 2, args.budget)
     rows = []
     ok = True
     for z in zs:
@@ -312,6 +316,8 @@ def cmd_pairs(args) -> int:
     ds = [spec.elem(args.d)] if args.d is not None else [
         d for d in spec.elements() if not d.is_zero()
     ]
+    # each d walks all q^2 pairs (a, b)
+    check_budget(len(ds) * args.q ** 2, args.budget)
     rows = []
     ok = True
     for d in ds:
@@ -479,8 +485,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.fn(args)
     except BudgetExceeded as exc:
-        print(f"budget exceeded: required {exc.required} elements "
-              f"(budget {exc.budget}); rerun with --budget {exc.required}",
+        required = count_text(exc.required)
+        print(f"budget exceeded: required {required} elements "
+              f"(budget {count_text(exc.budget)}); rerun with --budget {required}",
               file=sys.stderr)
         return USAGE_ERROR
     except (ValueError, OSError) as exc:

@@ -14,7 +14,8 @@ unipotent g = I + sigma * d * E[n-1, 2n-1]:
 The closed characterization is A[0,0] * upsilon(L, j) = d; the brute route
 powers every group element directly and doubles as the verification that the
 characterization is exact.  It is vectorized over every GF(p^f): entries enter
-one int64 kernel over GF(p) through the regular representation of GF(p^f).
+one kernel over GF(p) through the regular representation of GF(p^f), which
+powers fixed-size chunks of elements by exact float64 square-and-multiply.
 
 The fast route never lists the q^(n-1) superdiagonals of L.  Both power
 conditions see a superdiagonal x only through a = prod x_i^2 and
@@ -300,8 +301,8 @@ def _embed(q: int, idx: np.ndarray) -> np.ndarray:
 
     With q = p^f, x becomes the f x f matrix whose column k holds the
     coefficients of x t^k.  The map is an injective ring homomorphism, so
-    powering commutes with it and one int64 kernel serves every field; for
-    f = 1 it is the identity.
+    powering commutes with it and one kernel over GF(p) serves every field;
+    for f = 1 it is the identity.
     """
     table = _REGULAR_CACHE.get(q)
     if table is None:
@@ -357,6 +358,52 @@ def _unitri_inv_int(L: np.ndarray, p: int) -> np.ndarray:
     return inv
 
 
+_SCAN_CHUNK = 2048  # symmetric blocks powered at once; bounds a partition's temporaries
+_EXACT = 2 ** 53  # float64 holds every integer up to 2^53 exactly
+
+
+def _reduce(Y: np.ndarray, p: int) -> np.ndarray:
+    """Y mod p, exactly, for a float64 array of integers in [0, 2^53 - p].
+
+    Write Y = k p + r with 0 <= r < p.  The correctly rounded quotient Y / p is
+    at least k, a double.  For r > 0 it stays below k + 1: the true quotient
+    lies (p - r) / p >= 1 / p under k + 1, more than half the spacing of
+    doubles below k + 1, which is at most (k + 1) 2^-53 < 1 / p because
+    p (k + 1) = Y - r + p < 2^53.  So the floor is k, and k p and Y - k p are
+    exact.  (The quotient by the rounded reciprocal 1 / p can round up to k + 1.)
+    """
+    K = np.divide(Y, p)
+    np.floor(K, out=K)
+    K *= p
+    return np.subtract(Y, K, out=K)
+
+
+def _pow_mod(X: np.ndarray, e: int, p: int, bound: int) -> np.ndarray:
+    """X^e mod p for a float64 batch of m x m integer matrices with entries in [0, bound].
+
+    Left-to-right square-and-multiply, e >= 1, with m (p-1)^2 <= 2^53 - p.  A
+    product of factors whose entries are bounded by b1 and b2 has entries
+    bounded by m b1 b2; a factor is reduced mod p only when that bound would
+    pass 2^53 - p.  Every product and partial sum is then a non-negative
+    integer that float64 holds exactly, whatever the summation order, and the
+    closing reduction is exact.
+    """
+    m = X.shape[-1]
+    top = _EXACT - p
+    if m * bound * bound > top:
+        X, bound = _reduce(X, p), p - 1
+    Y, b = X, bound
+    for bit in bin(e)[3:]:
+        if m * b * b > top:
+            Y, b = _reduce(Y, p), p - 1
+        Y, b = Y @ Y, m * b * b
+        if bit == "1":
+            if m * b * bound > top:
+                Y, b = _reduce(Y, p), p - 1
+            Y, b = Y @ X, m * b * bound
+    return _reduce(Y, p)
+
+
 def _scan_worker(
     q: int,
     n: int,
@@ -369,10 +416,12 @@ def _scan_worker(
     """Scan all elements whose L-index lies in [lo, hi).
 
     Every element is embedded over GF(p) and the power X^(p^j) is computed by
-    repeated batched matrix multiplication and compared entrywise against each
-    target; the closed characterization is evaluated independently and the
-    masks must coincide.  With u given (already embedded), products X u are
-    powered the same way to count the double condition.
+    exact float64 square-and-multiply, _SCAN_CHUNK symmetric blocks at a time,
+    and compared entrywise against each target: once against the identity
+    pattern the targets share off their corner block, then on that f x f block
+    for each d.  The closed characterization is evaluated independently and
+    the masks must coincide.  With u given (already embedded), products X u
+    are powered the same way to count the double condition.
     """
     spec = field_for_order(q)
     p, f = spec.p, spec.n
@@ -380,48 +429,52 @@ def _scan_worker(
     count_s = S.shape[0]
     e = p ** j
     nf = n * f
+    m = 2 * nf
     sigma = (-1) ** (j * (p - 1) // 2)
-    targets = {}
-    for d in d_list:
-        T = np.eye(2 * n, dtype=np.int64)
-        T[n - 1, 2 * n - 1] = (sigma * d) % p
-        targets[d] = _embed(q, T)
+    # g^d differs from the identity only in the block of entry (n-1, 2n-1)
+    corner = np.s_[:, (n - 1) * f:n * f, m - f:m]
+    corner_targets = {d: _embed(q, np.array([[(sigma * d) % p]])) for d in d_list}
+    eye = np.eye(m)
+    u_f = None if u_int is None else u_int.astype(np.float64)
     place = p ** np.arange(f)
     power_counts = {d: 0 for d in d_list}
     gm_counts = {d: 0 for d in d_list} if u_int is not None else None
     agree = True
+
+    def matches(XP: np.ndarray) -> dict[int, np.ndarray]:
+        off = XP == eye
+        off[corner] = True
+        base = off.all(axis=(1, 2))
+        C = XP[corner]
+        return {d: base & (C == T).all(axis=(1, 2)) for d, T in corner_targets.items()}
+
+    X = np.zeros((min(_SCAN_CHUNK, count_s), m, m))
     for lidx in range(lo, hi):
         L_idx = _decode_unitri(q, n, lidx)
         Linv = _unitri_inv_int(_embed(q, L_idx), p)
-        A = (S @ Linv) % p
-        X = np.zeros((count_s, 2 * nf, 2 * nf), dtype=np.int64)
         # the embedding of L^T, not the transpose of L's embedding
         X[:, :nf, :nf] = _embed(q, L_idx.T)
-        X[:, :nf, nf:] = A
         X[:, nf:, nf:] = Linv
-        XP = X
-        for _ in range(e - 1):
-            XP = (XP @ X) % p
-        if u_int is not None:
-            XU = (X @ u_int) % p
-            XUP = XU
-            for _ in range(e - 1):
-                XUP = (XUP @ XU) % p
         ups = square_product(spec, [spec.from_index(int(x)) for x in np.diag(L_idx, 1)])
-        # column 0 of the corner block holds the coefficients of A[0,0]
-        corners = A[:, :f, 0] @ place
-        for d in d_list:
-            mask = (XP == targets[d]).all(axis=(1, 2))
-            power_counts[d] += int(mask.sum())
-            if ups.is_zero():
-                cmask = np.zeros(count_s, dtype=bool)
-            else:
-                cmask = corners == (spec.elem(d) / ups).index()
-            if not np.array_equal(mask, cmask):
-                agree = False
-            if u_int is not None:
-                umask = (XUP == targets[d]).all(axis=(1, 2))
-                gm_counts[d] += int((mask & umask).sum())
+        for start in range(0, count_s, _SCAN_CHUNK):
+            A = (S[start:start + _SCAN_CHUNK] @ Linv) % p
+            Xc = X[:len(A)]
+            Xc[:, :nf, nf:] = A
+            masks = matches(_pow_mod(Xc, e, p, p - 1))
+            if u_f is not None:
+                umasks = matches(_pow_mod(Xc @ u_f, e, p, m * (p - 1) ** 2))
+            # column 0 of the corner block holds the coefficients of A[0,0]
+            corners = A[:, :f, 0] @ place
+            for d, mask in masks.items():
+                power_counts[d] += int(mask.sum())
+                if ups.is_zero():
+                    cmask = np.zeros(len(A), dtype=bool)
+                else:
+                    cmask = corners == (spec.elem(d) / ups).index()
+                if not np.array_equal(mask, cmask):
+                    agree = False
+                if u_f is not None:
+                    gm_counts[d] += int((mask & umasks[d]).sum())
     return power_counts, agree, gm_counts
 
 

@@ -7,6 +7,7 @@ results byte-identical for any thread count; a pool has one worker per CPU at mo
 
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, TypeVar
@@ -16,6 +17,14 @@ T = TypeVar("T")
 DEFAULT_BUDGET = 4_000_000
 
 
+def count_text(count: int) -> str:
+    """count in decimal, or "about 10^k" when it has more digits than str() prints."""
+    try:
+        return str(count)
+    except ValueError:
+        return f"about 10^{round(math.log10(count))}"
+
+
 class BudgetExceeded(Exception):
     """Raised when an enumeration would exceed its element budget."""
 
@@ -23,7 +32,8 @@ class BudgetExceeded(Exception):
         self.required = required
         self.budget = budget
         super().__init__(
-            f"enumeration requires {required} elements, over the budget of {budget}"
+            f"enumeration requires {count_text(required)} elements, "
+            f"over the budget of {count_text(budget)}"
         )
 
 

@@ -184,6 +184,38 @@ def test_budget_refusal_prints_required(capsys):
     assert str(7 ** 16) in err
 
 
+def test_budget_refusal_of_a_count_too_long_to_print(capsys):
+    # |P(Sp_400(3))| = 3^40000 has 19085 digits, past str()'s limit
+    code, out, err = run(capsys, "sylow", "enumerate", "--n", "200", "--q", "3")
+    assert code == 2
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith("budget exceeded: required about 10^19085 elements")
+
+
+def test_pairs_budget_counts_every_enumerated_pair(capsys):
+    # 196 exponents d, each walking 197^2 pairs: refused before any enumeration
+    code, out, err = run(capsys, "pairs", "--q", "197")
+    assert code == 2
+    assert out == "" and f"--budget {196 * 197 ** 2}" in err
+    code, out, _ = run(capsys, "pairs", "--q", "53")
+    assert code == 0
+    assert len(json.loads(out)["rows"]) == 52
+
+
+@pytest.mark.parametrize("argv,required", [
+    (["--budget", "1000", "qrdiff", "--q", "125"], 124 * 63),
+    (["--budget", "1000", "qrdiff", "--q", "125", "--c", "1"], None),
+    (["--budget", "1000", "fibers", "--p", "5", "--n", "3"], 124 * 5 * 63),
+    (["--budget", "300", "fibers", "--p", "5", "--n", "3", "--z", "1"], 5 * 63),
+], ids=["qrdiff-all", "qrdiff-one", "fibers-all", "fibers-one-z"])
+def test_residue_budgets_count_every_enumerated_square(capsys, argv, required):
+    code, out, err = run(capsys, *argv)
+    if required is None:
+        assert code == 0 and err == ""
+    else:
+        assert code == 2 and f"--budget {required}" in err
+
+
 @pytest.mark.parametrize("argv,required", [
     (["gauss", "--p", "3", "--n", "40"], 3 ** 40),
     (["fibers", "--p", "3", "--n", "40"], 3 ** 40),

@@ -1,8 +1,10 @@
 import itertools
 import random
 import time
+import tracemalloc
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -592,3 +594,63 @@ class TestBruteScan:
         u = sylow_from_index(spec, 2, 4321)
         one, two = (brute_characterization_scan(3, 9, 1, u=u, threads=k) for k in (1, 2))
         assert one == two
+
+    def test_partial_last_chunk_changes_nothing(self, monkeypatch):
+        # 9^3 = 729 symmetric blocks: chunks of 7 leave a last chunk of one
+        spec = field(3, 2)
+        u = sylow_from_index(spec, 2, 4321)
+        want = brute_characterization_scan(3, 9, 1, u=u)
+        monkeypatch.setattr(fsz, "_SCAN_CHUNK", 7)
+        assert brute_characterization_scan(3, 9, 1, u=u) == want
+
+    def test_partition_memory_is_bounded_by_the_chunk(self):
+        # P(Sp_4(27)) at two threads: L-indices [0, 14) of 27 form one partition
+        spec = field(3, 3)
+        u = sylow_from_index(spec, 2, 59_298)
+        u_int = fsz._embed(27, np.array([[x.index() for x in r] for r in u.to_matrix().rows]))
+        fsz._scan_worker(27, 2, 1, [1, 2], u_int, 0, 1)
+        tracemalloc.start()
+        try:
+            fsz._scan_worker(27, 2, 1, [1, 2], u_int, 0, 14)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 48 * 2 ** 20
+
+
+def _pow_mod_loop(X, e, p):
+    """X^e mod p by e - 1 int64 products, each reduced: the scan's former kernel."""
+    base = X.astype(np.int64) % p
+    power = base
+    for _ in range(e - 1):
+        power = (power @ base) % p
+    return power
+
+
+class TestPowMod:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        p=st.sampled_from([3, 5, 7, 11, 13]),
+        e_of_p=st.sampled_from([lambda p: p, lambda p: p * p, lambda p: 2, lambda p: 3]),
+        m=st.integers(1, 12),
+        bound_bits=st.integers(0, 52),
+        near_bound=st.booleans(),
+        seed=st.integers(0, 2 ** 32 - 1),
+    )
+    def test_matches_int64_loop(self, p, e_of_p, m, bound_bits, near_bound, seed):
+        # entries near a large bound make the products' true sizes reach the
+        # tracked bounds, so each reduction the kernel makes is one it needs
+        e = e_of_p(p)
+        bound = p - 1 if bound_bits == 0 else 2 ** bound_bits + seed % 2 ** bound_bits
+        low = bound // 2 if near_bound else 0
+        X = np.random.default_rng(seed).integers(low, bound + 1, size=(3, m, m))
+        got = fsz._pow_mod(X.astype(np.float64), e, p, bound)
+        assert np.array_equal(got, _pow_mod_loop(X, e, p))
+
+    # the last two are p k - 1 whose floor(y * (1/p)) rounds up to k
+    @pytest.mark.parametrize("p,y", [
+        (13, 0), (13, 1), (13, 2 ** 52), (13, 2 ** 53 - 13), (13, 2 ** 53 - 14),
+        (13, 8_174_545_188_536_778), (5, 8_326_517_379_779_079),
+    ])
+    def test_reduce_is_exact_below_the_limit(self, p, y):
+        assert fsz._reduce(np.array([float(y)]), p)[0] == y % p

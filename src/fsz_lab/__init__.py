@@ -24,7 +24,7 @@ from .fsz import (
     solve_pth_power,
     witness_order_search,
 )
-from .matrices import MatFq, UniTriMat, is_symplectic, ut_exponent
+from .matrices import MatFq, UniTriMat, is_symplectic
 from .parallel import DEFAULT_BUDGET, BudgetExceeded
 from .residues import (
     FiberCountQuery,
@@ -38,7 +38,6 @@ from .sylow import (
     enumerate_sylow,
     kappa,
     sylow_count,
-    sylow_embed_small,
     corner_concentration_check,
     u_witness,
     upsilon,

@@ -145,7 +145,7 @@ def make_target(p: int, q: int, j: int, d: int) -> PthPowerTarget:
 
 def characterization_holds(x: SylowElem, target: PthPowerTarget) -> bool:
     """The closed solvability condition: A[0,0] * upsilon(L, j) = d."""
-    return x.A.rows[0][0] * upsilon(x.L, target.j) == target.d_elem()
+    return x.corner() * upsilon(x, target.j) == target.d_elem()
 
 
 def solve_pth_power(target: PthPowerTarget, x: FieldElem) -> SylowElem:
@@ -555,13 +555,13 @@ def gm_count(
 
 def _gm_count_fast(u: SylowElem, d_list: Sequence[int]) -> dict[int, int]:
     spec = u.spec
-    a_u = u.A.rows[0][0]
+    a_u = u.corner()
     d_elems = {d: spec.elem(d) for d in d_list}
     matches = dict.fromkeys(d_elems, 0)
     # both power conditions see only (A[0,0], superdiagonal of L): a solution's
     # corner is d / a, and a*u is a solution iff (d / a + A_u[0,0]) * b = d; every
     # satisfying choice extends the same number of ways through the free entries
-    for (a, b), count in _superdiagonal_histogram(spec, u.L.superdiagonal()).items():
+    for (a, b), count in _superdiagonal_histogram(spec, u.superdiagonal()).items():
         a_inv = a.inv()
         for d, d_elem in d_elems.items():
             if (d_elem * a_inv + a_u) * b == d_elem:

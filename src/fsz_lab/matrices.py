@@ -22,11 +22,10 @@ repeated p-th powers.
 
 from __future__ import annotations
 
-from itertools import combinations_with_replacement
 from operator import add, mul, sub
 from typing import Sequence
 
-from .fields import FieldElem, FieldSpec, _pmod, split_prime_power
+from .fields import FieldElem, FieldSpec, _pmod
 
 
 def _pack(coeffs: Sequence[int], width: int) -> int:
@@ -63,18 +62,27 @@ class MatFq:
         self.spec = spec
         self.rows = rows
 
+    @staticmethod
+    def _wrap(spec: FieldSpec, rows: tuple[tuple[FieldElem, ...], ...]) -> "MatFq":
+        """Wrap a tuple of equal-length tuples of elements of spec, unchecked."""
+        m = object.__new__(MatFq)
+        m.spec = spec
+        m.rows = rows
+        return m
+
     # -- constructors ------------------------------------------------------------
 
     @classmethod
     def zeros(cls, spec: FieldSpec, r: int, c: int | None = None) -> "MatFq":
         c = r if c is None else c
-        z = spec.zero
-        return cls(spec, [[z] * c for _ in range(r)])
+        row = (spec.zero,) * c
+        return MatFq._wrap(spec, (row,) * r)
 
     @classmethod
     def identity(cls, spec: FieldSpec, m: int) -> "MatFq":
         z, o = spec.zero, spec.one
-        return cls(spec, [[o if i == j else z for j in range(m)] for i in range(m)])
+        return MatFq._wrap(spec, tuple(tuple(o if i == j else z for j in range(m))
+                                       for i in range(m)))
 
     @classmethod
     def from_ints(cls, spec: FieldSpec, rows: Sequence[Sequence[int]]) -> "MatFq":
@@ -98,7 +106,7 @@ class MatFq:
         return len(self.rows[0]) if self.rows else 0
 
     def submatrix(self, rows: Sequence[int], cols: Sequence[int]) -> "MatFq":
-        return MatFq(self.spec, [[self.rows[i][j] for j in cols] for i in rows])
+        return MatFq._wrap(self.spec, tuple(tuple(self.rows[i][j] for j in cols) for i in rows))
 
     # -- arithmetic ------------------------------------------------------------------
 
@@ -113,8 +121,9 @@ class MatFq:
     def __neg__(self) -> "MatFq":
         spec = self.spec
         p = spec.p
-        return MatFq(spec, [[FieldElem(spec, tuple([-c % p for c in x.coeffs])) for x in r]
-                            for r in self.rows])
+        return MatFq._wrap(spec, tuple(
+            tuple(FieldElem(spec, tuple([-c % p for c in x.coeffs])) for x in r)
+            for r in self.rows))
 
     def _entrywise(self, other: "MatFq", op) -> "MatFq":
         """op on each pair of entries, coefficient by coefficient, reduced mod p."""
@@ -122,13 +131,13 @@ class MatFq:
         p = spec.p
         pairs = [zip(ra, rb) for ra, rb in zip(self.rows, other.rows)]
         if spec.n == 1:
-            return MatFq(spec, [[FieldElem(spec, (op(x.coeffs[0], y.coeffs[0]) % p,))
-                                 for x, y in r] for r in pairs])
-        return MatFq(spec, [
-            [FieldElem(spec, tuple([op(c, d) % p for c, d in zip(x.coeffs, y.coeffs)]))
-             for x, y in r]
-            for r in pairs
-        ])
+            return MatFq._wrap(spec, tuple(
+                tuple(FieldElem(spec, (op(x.coeffs[0], y.coeffs[0]) % p,)) for x, y in r)
+                for r in pairs))
+        return MatFq._wrap(spec, tuple(
+            tuple(FieldElem(spec, tuple([op(c, d) % p for c, d in zip(x.coeffs, y.coeffs)]))
+                  for x, y in r)
+            for r in pairs))
 
     def __mul__(self, scalar) -> "MatFq":
         if isinstance(scalar, (int, FieldElem)):
@@ -147,18 +156,18 @@ class MatFq:
         if f == 1:
             a = [[x.coeffs[0] for x in r] for r in self.rows]
             b = [[x.coeffs[0] for x in c] for c in cols]
-            return MatFq(spec, [[FieldElem(spec, (sum(map(mul, r, c)) % p,)) for c in b]
-                                for r in a])
+            return MatFq._wrap(spec, tuple(
+                tuple(FieldElem(spec, (sum(map(mul, r, c)) % p,)) for c in b) for r in a))
         # a slot holds at most ncols * f * (p-1)^2, the largest coefficient
         # of an unreduced row . column convolution
         width = (self.ncols * f * (p - 1) ** 2).bit_length()
         a = [[_pack(x.coeffs, width) for x in r] for r in self.rows]
         b = [[_pack(x.coeffs, width) for x in c] for c in cols]
-        return MatFq(spec, [[_unpack(spec, sum(map(mul, r, c)), width) for c in b]
-                            for r in a])
+        return MatFq._wrap(spec, tuple(
+            tuple(_unpack(spec, sum(map(mul, r, c)), width) for c in b) for r in a))
 
     def transpose(self) -> "MatFq":
-        return MatFq(self.spec, tuple(zip(*self.rows)))
+        return MatFq._wrap(self.spec, tuple(zip(*self.rows)))
 
     def pow(self, e: int) -> "MatFq":
         """Matrix power by square-and-multiply; e >= 0, square matrices only."""
@@ -236,12 +245,15 @@ class MatFq:
 
 def block_matrix(blocks: Sequence[Sequence[MatFq]]) -> MatFq:
     """Assemble a matrix from a grid of conformal blocks."""
-    spec = blocks[0][0].spec
-    rows = []
+    first = blocks[0][0]
     for brow in blocks:
-        for i in range(brow[0].nrows):
-            rows.append([x for b in brow for x in b.rows[i]])
-    return MatFq(spec, rows)
+        for b in brow:
+            first._compat(b)
+    rows = tuple(tuple(x for b in brow for x in b.rows[i])
+                 for brow in blocks for i in range(brow[0].nrows))
+    if any(len(r) != len(rows[0]) for r in rows):
+        raise ValueError("ragged rows")
+    return MatFq._wrap(first.spec, rows)
 
 
 def is_symplectic(M: MatFq) -> bool:
@@ -281,6 +293,22 @@ class UniTriMat:
         self.spec = spec
         self.n = n
         self.upper = tuple(upper)
+
+    @staticmethod
+    def _wrap(spec: FieldSpec, n: int, upper: tuple[FieldElem, ...]) -> "UniTriMat":
+        """Wrap the n(n-1)/2 strictly-upper elements of spec, unchecked."""
+        u = object.__new__(UniTriMat)
+        u.spec = spec
+        u.n = n
+        u.upper = upper
+        return u
+
+    @staticmethod
+    def _of_product(M: MatFq) -> "UniTriMat":
+        """The strictly-upper part of M, a product of unitriangular matrices."""
+        n = M.nrows
+        return UniTriMat._wrap(M.spec, n, tuple(M.rows[i][j] for i in range(n)
+                                                for j in range(i + 1, n)))
 
     @classmethod
     def identity(cls, spec: FieldSpec, n: int) -> "UniTriMat":
@@ -325,13 +353,13 @@ class UniTriMat:
         return tuple(self.entry(i, i + 1) for i in range(self.n - 1))
 
     def to_mat(self) -> MatFq:
-        return MatFq(self.spec, [[self.entry(i, j) for j in range(self.n)]
-                                 for i in range(self.n)])
+        return MatFq._wrap(self.spec, tuple(tuple(self.entry(i, j) for j in range(self.n))
+                                            for i in range(self.n)))
 
     def __matmul__(self, other: "UniTriMat") -> "UniTriMat":
         if not isinstance(other, UniTriMat):
             return NotImplemented
-        return UniTriMat.from_mat(self.to_mat() @ other.to_mat())
+        return UniTriMat._of_product(self.to_mat() @ other.to_mat())
 
     def inv(self) -> "UniTriMat":
         """Inverse via the nilpotent series (I + N)^-1 = I - N + N^2 - ..."""
@@ -342,12 +370,12 @@ class UniTriMat:
         for _ in range(n - 1):
             term = -(term @ N)
             acc = acc + term
-        return UniTriMat.from_mat(acc)
+        return UniTriMat._of_product(acc)
 
     def pow(self, e: int) -> "UniTriMat":
         if e < 0:
             return self.inv().pow(-e)
-        return UniTriMat.from_mat(self.to_mat().pow(e))
+        return UniTriMat._of_product(self.to_mat().pow(e))
 
     def order(self) -> int:
         """Element order, found along the p-power tower."""
@@ -372,39 +400,3 @@ class UniTriMat:
     def __repr__(self):
         return f"UniTriMat(n={self.n}, upper={[x.to_json() for x in self.upper]})"
 
-
-def ut_exponent(n: int, q: int) -> int:
-    """Exponent of UT(n, q): p^t with t = ceil(log_p n)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    p, _ = split_prime_power(q)
-    t = 0
-    size = 1
-    while size < n:
-        size *= p
-        t += 1
-    return p ** t
-
-
-def unitri_power_entry(L: UniTriMat, m: int, i: int, j: int) -> FieldElem:
-    """Entry (i, j) of L^m as the sum over non-decreasing index paths.
-
-    Each path i = i_0 <= i_1 <= ... <= i_m = j contributes the product of the
-    entries it traverses (diagonal steps contribute 1).  Independent of the
-    matrix-multiplication route, so it serves as an oracle for small m.
-    """
-    spec = L.spec
-    if i > j:
-        return spec.zero
-    if m == 0:
-        return spec.one if i == j else spec.zero
-    total = spec.zero
-    for middle in combinations_with_replacement(range(i, j + 1), m - 1):
-        path = (i,) + middle + (j,)
-        prod = spec.one
-        for a in range(m):
-            prod = prod * L.entry(path[a], path[a + 1])
-            if prod.is_zero():
-                break
-        total = total + prod
-    return total

@@ -6,90 +6,294 @@ inverse, and arbitrary powers all have closed block forms; powers use
 
     M^j = [[ (L^j)^T, (sum_{m<j} (L^m)^T A L^m) L^(1-j) ], [0, L^-j]].
 
+A `SylowElem` stores L (unit diagonal and zeros included) and A as n x n
+tuples of int codes, and its group law, inverse, powers, equality, symmetric
+part, embedding and index decoding all run on those ints.  Over GF(p) the
+code of an entry is its residue.  Over GF(p^f) it is the coefficient vector
+packed into one int, coefficient k in bit slot k (Kronecker substitution),
+with slots wide enough for the longest unreduced sum formed here: 2n
+products of entries, in L^T B + A M^-1.  A block product is then one int dot
+product per entry, reduced once: mod p over GF(p), and mod p and the field
+modulus (through `fields._pmod`) over GF(p^f).  Codes are canonical, so two
+elements are equal exactly when their codes are.  `L` and `A` are views that
+build a UniTriMat and a MatFq on demand.  The core never multiplies MatFq
+objects, so the 2n x 2n products of `to_matrix` embeddings stay an
+independent check of the block formulas.
+
 The module also carries the structural maps that drive the p-th power
 analysis: the abelianization tuple `kappa`, the linear characters `xi_lambda`
 built from additive field characters, the twisted-sum operator `y_map` (the
 sum above over p^k terms, computed by `twisted_sum` as `pow` does), the
 superdiagonal square-product `upsilon` (through `square_product`, which the
 fast counting route in `fsz` shares), the corner-concentration check for
-y_map images, embeddings into larger block groups, and a deterministic,
-partitionable enumeration of the whole group.  Element input arrives through
-`SylowElem.from_json`, the validated inverse of `to_json`.
+y_map images, and a deterministic, partitionable enumeration of the whole
+group.  Element input arrives through `SylowElem.from_json`, the validated
+inverse of `to_json`.
 """
 
 from __future__ import annotations
 
+from operator import mul
 from typing import Iterable, Iterator
 
 from .cyclotomic import CycNum, e_q
-from .fields import FieldElem, FieldSpec
-from .matrices import MatFq, UniTriMat, block_matrix
+from .fields import FieldElem, FieldSpec, _pmod
+from .matrices import MatFq, UniTriMat, _pack
 from .parallel import BudgetExceeded
+
+Block = tuple[tuple[int, ...], ...]  # n x n int codes, row-major
+
+
+class _Coding:
+    """Int codes of the entries of n x n blocks over GF(p^f).
+
+    `reduce` maps a non-negative unreduced sum of code products (at most 2n
+    of them) to the code of its value.
+    """
+
+    __slots__ = ("p", "width", "mask", "shifts", "minus_one", "reduce")
+
+    def __init__(self, p: int, f: int, modulus: tuple[int, ...], n: int):
+        self.p = p
+        # a slot holds at most 2n f (p-1)^2, the largest coefficient of an
+        # unreduced convolution sum of 2n products of reduced entries
+        self.width = width = (2 * n * f * (p - 1) ** 2).bit_length()
+        self.mask = mask = (1 << width) - 1
+        self.shifts = range(0, f * width, width)  # the slots of a reduced code
+        self.minus_one = p - 1  # the code of -1: its constant coefficient
+        if f == 1:
+            self.reduce = p.__rmod__
+            return
+        product_shifts = range(0, (2 * f - 1) * width, width)
+
+        def reduce(v: int) -> int:
+            slots = [((v >> s) & mask) % p for s in product_shifts]
+            return _pack(_pmod(slots, modulus, p), width)
+
+        self.reduce = reduce
+
+    def encode(self, x: FieldElem) -> int:
+        return _pack(x.coeffs, self.width)
+
+    def decode(self, spec: FieldSpec, v: int) -> FieldElem:
+        mask = self.mask
+        return FieldElem(spec, tuple([(v >> s) & mask for s in self.shifts]))
+
+    def from_index(self, i: int) -> int:
+        """The code of the field element with index i (base-p digits, c_0 lowest)."""
+        v = 0
+        for s in self.shifts:
+            i, c = divmod(i, self.p)
+            v |= c << s
+        return v
+
+    def index(self, v: int) -> int:
+        i = 0
+        for s in reversed(self.shifts):
+            i = i * self.p + ((v >> s) & self.mask)
+        return i
+
+    def block(self, M: MatFq) -> Block:
+        enc = self.encode
+        return tuple(tuple([enc(x) for x in r]) for r in M.rows)
+
+    def unitri(self, L: UniTriMat) -> Block:
+        enc, n = self.encode, L.n
+        return tuple(tuple([enc(L.entry(i, j)) for j in range(n)]) for i in range(n))
+
+    def matfq(self, spec: FieldSpec, X: Block) -> MatFq:
+        dec = self.decode
+        return MatFq._wrap(spec, tuple(tuple([dec(spec, v) for v in r]) for r in X))
+
+
+_CODINGS: dict[tuple[int, int, int], _Coding] = {}
+
+
+def _coding(spec: FieldSpec, n: int) -> _Coding:
+    """The shared coding of n x n blocks over spec; one object per (p, f, n)."""
+    key = (spec.p, spec.n, n)
+    code = _CODINGS.get(key)
+    if code is None:
+        # setdefault keeps one object per key when threads race, since
+        # elements compare their codings by identity
+        code = _CODINGS.setdefault(key, _Coding(spec.p, spec.n, spec.modulus, n))
+    return code
+
+
+# -- block arithmetic on int codes ---------------------------------------------------
+#
+# Every function returns reduced codes; `red` is the coding's reduction.
+
+def _mm(a: Block, b: Block, red) -> Block:
+    """a @ b, one reduction per entry."""
+    cols = list(zip(*b))
+    return tuple([tuple([red(sum(map(mul, r, c))) for c in cols]) for r in a])
+
+
+def _mm_add(a: Block, b: Block, c: Block, red) -> Block:
+    """a @ b + c, one reduction per entry."""
+    cols = list(zip(*b))
+    return tuple([tuple([red(sum(map(mul, r, col)) + s) for col, s in zip(cols, crow)])
+                  for r, crow in zip(a, c)])
+
+
+def _transpose(a: Block) -> Block:
+    return tuple(zip(*a))
+
+
+def _neg(a: Block, code: _Coding) -> Block:
+    red, m1 = code.reduce, code.minus_one
+    return tuple(tuple([red(m1 * v) for v in r]) for r in a)
+
+
+def _tri_inv(L: Block, code: _Coding) -> Block:
+    """Inverse of a unit upper triangular block.
+
+    X = L^-1 is unit upper triangular with X[i][j] = -sum_{i<k<=j} L[i][k] X[k][j],
+    solved from the bottom row up.
+    """
+    red, m1 = code.reduce, code.minus_one
+    n = len(L)
+    X: list = [None] * n
+    for i in range(n - 1, -1, -1):
+        Li = L[i]
+        row = [0] * n
+        row[i] = 1
+        for j in range(i + 1, n):
+            row[j] = red(m1 * red(sum([Li[k] * X[k][j] for k in range(i + 1, j + 1)])))
+        X[i] = row
+    return tuple(map(tuple, X))
+
+
+def twisted_sum(L: Block, A: Block, terms: int, red) -> tuple[Block, Block]:
+    """(sum_{m < terms} (L^m)^T A L^m, L^terms) for int-coded blocks, terms >= 1.
+
+    The A-part of the closed power formula.  Walks the bits of terms with
+    T(2k) = T(k) + (L^k)^T T(k) L^k and T(k+1) = A + L^T T(k) L, so it makes
+    O(log terms) block products.
+    """
+    T, P = A, L  # T(1) and L^1
+    LT = _transpose(L)
+    for bit in bin(terms)[3:]:
+        T = _mm_add(_transpose(P), _mm(T, P, red), T, red)
+        P = _mm(P, P, red)
+        if bit == "1":
+            T = _mm_add(LT, _mm(T, L, red), A, red)
+            P = _mm(P, L, red)
+    return T, P
+
+
+def _check_blocks(L: UniTriMat, X: MatFq, name: str = "A") -> None:
+    if X.spec != L.spec or X.nrows != L.n or X.ncols != L.n:
+        raise ValueError(f"{name} must be an n x n matrix over the same field as L")
 
 
 class SylowElem:
     """(L, A) with A L symmetric; embeds as [[L^T, A], [0, L^-1]].
 
     Construction validates the symmetry constraint: building an invalid pair
-    directly is a hard error.  Use :meth:`from_symmetric` to pick A from the
-    free data S = A L.
+    directly is a hard error, and every element an operation returns passes
+    the same check.  Use :meth:`from_symmetric` to pick A from the free data
+    S = A L.
     """
 
-    __slots__ = ("L", "A")
+    __slots__ = ("spec", "n", "_code", "_L", "_A")
 
     def __init__(self, L: UniTriMat, A: MatFq):
-        if A.spec != L.spec or A.nrows != L.n or A.ncols != L.n:
-            raise ValueError("A must be an n x n matrix over the same field as L")
-        if not (A @ L.to_mat()).is_symmetric():
-            raise ValueError("A L must be symmetric")
-        self.L = L
-        self.A = A
+        _check_blocks(L, A)
+        code = _coding(L.spec, L.n)
+        self._init(L.spec, code, code.unitri(L), code.block(A))
+
+    def _init(self, spec: FieldSpec, code: _Coding, L: Block, A: Block) -> None:
+        n = len(L)
+        red = code.reduce
+        cols = list(zip(*L))
+        for i in range(n - 1):
+            Ai = A[i]
+            for j in range(i + 1, n):
+                if red(sum(map(mul, Ai, cols[j]))) != red(sum(map(mul, A[j], cols[i]))):
+                    raise ValueError("A L must be symmetric")
+        self.spec = spec
+        self.n = n
+        self._code = code
+        self._L = L
+        self._A = A
+
+    @classmethod
+    def _from_codes(cls, spec: FieldSpec, code: _Coding, L: Block, A: Block) -> "SylowElem":
+        """The element with int-coded blocks L and A; raises unless A L is symmetric."""
+        x = object.__new__(cls)
+        x._init(spec, code, L, A)
+        return x
 
     @property
-    def spec(self) -> FieldSpec:
-        return self.L.spec
+    def L(self) -> UniTriMat:
+        dec, spec, n, L = self._code.decode, self.spec, self.n, self._L
+        return UniTriMat._wrap(spec, n, tuple(dec(spec, L[i][j])
+                                              for i in range(n) for j in range(i + 1, n)))
 
     @property
-    def n(self) -> int:
-        return self.L.n
+    def A(self) -> MatFq:
+        return self._code.matfq(self.spec, self._A)
+
+    def corner(self) -> FieldElem:
+        """A[0, 0]."""
+        return self._code.decode(self.spec, self._A[0][0])
+
+    def superdiagonal(self) -> tuple[FieldElem, ...]:
+        """(L[0, 1], L[1, 2], ..., L[n-2, n-1])."""
+        dec, spec, L = self._code.decode, self.spec, self._L
+        return tuple(dec(spec, L[i][i + 1]) for i in range(self.n - 1))
 
     @classmethod
     def identity(cls, spec: FieldSpec, n: int) -> "SylowElem":
-        return cls(UniTriMat.identity(spec, n), MatFq.zeros(spec, n))
+        L = tuple(tuple([int(i == j) for j in range(n)]) for i in range(n))
+        return cls._from_codes(spec, _coding(spec, n), L, ((0,) * n,) * n)
 
     @classmethod
     def from_symmetric(cls, L: UniTriMat, S: MatFq) -> "SylowElem":
         """Element with A = S L^-1 for symmetric S; S is exactly A L."""
+        _check_blocks(L, S, "S")
         if not S.is_symmetric():
             raise ValueError("S must be symmetric")
-        return cls(L, S @ L.inv().to_mat())
+        code = _coding(L.spec, L.n)
+        Lc = code.unitri(L)
+        return cls._from_codes(L.spec, code, Lc,
+                               _mm(code.block(S), _tri_inv(Lc, code), code.reduce))
 
     def symmetric_part(self) -> MatFq:
-        return self.A @ self.L.to_mat()
+        return self._code.matfq(self.spec, _mm(self._A, self._L, self._code.reduce))
 
     def to_matrix(self) -> MatFq:
         """The 2n x 2n embedding [[L^T, A], [0, L^-1]]."""
-        spec, n = self.spec, self.n
-        return block_matrix([
-            [self.L.to_mat().transpose(), self.A],
-            [MatFq.zeros(spec, n), self.L.inv().to_mat()],
-        ])
+        code, n = self._code, self.n
+        zero = (0,) * n
+        top = [lt + a for lt, a in zip(_transpose(self._L), self._A)]
+        bottom = [zero + r for r in _tri_inv(self._L, code)]
+        return code.matfq(self.spec, top + bottom)
 
     def __mul__(self, other: "SylowElem") -> "SylowElem":
         if not isinstance(other, SylowElem):
             return NotImplemented
-        # [[L^T,A],[0,L^-1]] [[M^T,B],[0,M^-1]] = [[(ML)^T, L^T B + A M^-1],[0,(ML)^-1]]
-        L, A = self.L, self.A
-        M, B = other.L, other.A
-        new_L = M @ L
-        new_A = L.to_mat().transpose() @ B + A @ M.inv().to_mat()
-        return SylowElem(new_L, new_A)
+        if other._code is not self._code:
+            raise ValueError("elements of different block groups")
+        # [[L^T,A],[0,L^-1]] [[M^T,B],[0,M^-1]] = [[(ML)^T, L^T B + A M^-1],[0,(ML)^-1]],
+        # the upper right as one product [L^T | A] @ [B ; M^-1]
+        code = self._code
+        red = code.reduce
+        L, A, M, B = self._L, self._A, other._L, other._A
+        left = [lt + a for lt, a in zip(_transpose(L), A)]
+        right = B + _tri_inv(M, code)
+        return SylowElem._from_codes(self.spec, code, _mm(M, L, red), _mm(left, right, red))
 
     def inv(self) -> "SylowElem":
-        L, A = self.L, self.A
-        Linv = L.inv()
-        new_A = -(Linv.to_mat().transpose() @ A @ L.to_mat())
-        return SylowElem(Linv, new_A)
+        # (L, A)^-1 = (L^-1, -(L^-1)^T A L)
+        code = self._code
+        red = code.reduce
+        L = self._L
+        Linv = _tri_inv(L, code)
+        new_A = _mm(_neg(_transpose(Linv), code), _mm(self._A, L, red), red)
+        return SylowElem._from_codes(self.spec, code, Linv, new_A)
 
     def pow(self, j: int) -> "SylowElem":
         """Closed-form j-th power; agrees with repeated multiplication."""
@@ -97,9 +301,13 @@ class SylowElem:
             return self.inv().pow(-j)
         if j == 0:
             return SylowElem.identity(self.spec, self.n)
-        L = self.L
-        new_A = twisted_sum(L, self.A, j) @ L.pow(j - 1).inv().to_mat()
-        return SylowElem(L.pow(j), new_A)
+        code = self._code
+        red = code.reduce
+        L = self._L
+        T, Lj = twisted_sum(L, self._A, j, red)
+        # L^(1-j) = (L^j)^-1 L
+        new_A = _mm(T, _mm(_tri_inv(Lj, code), L, red), red)
+        return SylowElem._from_codes(self.spec, code, Lj, new_A)
 
     def order(self) -> int:
         """Element order along the p-power tower."""
@@ -114,11 +322,11 @@ class SylowElem:
 
     def __eq__(self, other):
         if isinstance(other, SylowElem):
-            return self.L == other.L and self.A == other.A
+            return self._code is other._code and self._L == other._L and self._A == other._A
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.L, self.A.rows))
+        return hash((self._L, self._A))
 
     def __repr__(self):
         return f"SylowElem(n={self.n}, q={self.spec.q}, L={self.L.upper}, A={self.A.rows})"
@@ -155,26 +363,28 @@ class SylowElem:
 
     def index(self) -> int:
         """Position in the canonical enumeration (see :func:`sylow_from_index`)."""
-        q = self.spec.q
+        code, n, q = self._code, self.n, self.spec.q
+        L = self._L
+        S = _mm(self._A, L, code.reduce)
         li = 0
-        for x in self.L.upper:
-            li = li * q + x.index()
-        S = self.symmetric_part()
+        for i in range(n):
+            for j in range(i + 1, n):
+                li = li * q + code.index(L[i][j])
         si = 0
-        n = self.n
         for i in range(n):
             for j in range(i, n):
-                si = si * q + S.rows[i][j].index()
+                si = si * q + code.index(S[i][j])
         return li * q ** (n * (n + 1) // 2) + si
 
 
 def _elem_from_json(spec: FieldSpec, value) -> FieldElem:
     # bool is an int subclass, but JSON true/false is not a field entry
-    if type(value) is int or (
-        isinstance(value, list) and all(type(c) is int for c in value)
-    ):
-        return spec.elem(value)
-    raise ValueError(f"entry {value!r} is neither an integer nor a coefficient list")
+    coeffs = [value] if type(value) is int else value
+    if not (isinstance(coeffs, list) and all(type(c) is int for c in coeffs)):
+        raise ValueError(f"entry {value!r} is neither an integer nor a coefficient list")
+    if not all(0 <= c < spec.p for c in coeffs):
+        raise ValueError(f"entry {value!r} has a coefficient outside [0, {spec.p})")
+    return spec.elem(value)
 
 
 def kappa(x: SylowElem) -> tuple[FieldElem, ...]:
@@ -182,25 +392,14 @@ def kappa(x: SylowElem) -> tuple[FieldElem, ...]:
 
     Componentwise additive: kappa(xy) = kappa(x) + kappa(y).
     """
-    return (x.A.rows[0][0],) + x.L.superdiagonal()
+    return (x.corner(),) + x.superdiagonal()
 
 
 def xi_lambda(zparam: FieldElem, x: SylowElem) -> CycNum:
     """Linear character zeta^tr(zparam * A[0,0]); zparam = 0 is rejected."""
     if zparam.is_zero():
         raise ValueError("zparam must be nonzero (trivial character excluded)")
-    return e_q(zparam * x.A.rows[0][0])
-
-
-def twisted_sum(L: UniTriMat, A: MatFq, terms: int) -> MatFq:
-    """sum_{m < terms} (L^m)^T A L^m, the A-part of the closed power formula."""
-    Lmat = L.to_mat()
-    acc = A  # m = 0 term
-    Lm = Lmat
-    for _ in range(terms - 1):
-        acc = acc + Lm.transpose() @ A @ Lm
-        Lm = Lm @ Lmat
-    return acc
+    return e_q(zparam * x.corner())
 
 
 def y_map(L: UniTriMat, k: int, A: MatFq) -> MatFq:
@@ -208,7 +407,10 @@ def y_map(L: UniTriMat, k: int, A: MatFq) -> MatFq:
 
     Linear in A; the zero map whenever the order of L is below p^k.
     """
-    return twisted_sum(L, A, L.spec.p ** k)
+    _check_blocks(L, A)
+    code = _coding(L.spec, L.n)
+    T, _ = twisted_sum(code.unitri(L), code.block(A), L.spec.p ** k, code.reduce)
+    return code.matfq(L.spec, T)
 
 
 def square_product(spec: FieldSpec, entries: Iterable[FieldElem]) -> FieldElem:
@@ -219,10 +421,11 @@ def square_product(spec: FieldSpec, entries: Iterable[FieldElem]) -> FieldElem:
     return prod
 
 
-def upsilon(L: UniTriMat, k: int) -> FieldElem:
+def upsilon(L: UniTriMat | SylowElem, k: int) -> FieldElem:
     """Product of squares of the first (p^k - 1)/2 superdiagonal entries.
 
-    Always a quadratic residue.  Requires p^k <= 2n - 1 so the entries exist.
+    Of L, or of the L block of a SylowElem.  Always a quadratic residue.
+    Requires p^k <= 2n - 1 so the entries exist.
     """
     spec = L.spec
     count = (spec.p ** k - 1) // 2
@@ -261,28 +464,6 @@ def corner_concentration_check(L: UniTriMat, y: int, s: int, t: int) -> bool:
             if img.rows[a][b] != expected:
                 return False
     return True
-
-
-def sylow_embed_small(x: SylowElem, n_target: int) -> SylowElem:
-    """Pad (L, A) with an identity/zero block up to size n_target.
-
-    A group homomorphism into the larger block group; commutes with powers.
-    """
-    n0, spec = x.n, x.spec
-    if n_target < n0:
-        raise ValueError("target size must not shrink the element")
-    if n_target == n0:
-        return x
-    L_entries = []
-    for i in range(n_target):
-        for j in range(i + 1, n_target):
-            L_entries.append(x.L.entry(i, j) if i < n0 and j < n0 else spec.zero)
-    L = UniTriMat(spec, n_target, L_entries)
-    A = MatFq(spec, [
-        [x.A.rows[i][j] if i < n0 and j < n0 else spec.zero for j in range(n_target)]
-        for i in range(n_target)
-    ])
-    return SylowElem(L, A)
 
 
 def u_witness(spec: FieldSpec, n: int) -> SylowElem:
@@ -326,16 +507,19 @@ def sylow_from_index(spec: FieldSpec, n: int, idx: int) -> SylowElem:
         si, d = divmod(si, q)
         sym_digits.append(d)
     sym_digits.reverse()
-    L = UniTriMat(spec, n, [spec.from_index(d) for d in upper_digits])
-    rows = [[spec.zero] * n for _ in range(n)]
-    pos = 0
+    code = _coding(spec, n)
+    L = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    S = [[0] * n for _ in range(n)]
+    upper = iter(upper_digits)
+    sym = iter(sym_digits)
     for i in range(n):
+        for j in range(i + 1, n):
+            L[i][j] = code.from_index(next(upper))
         for j in range(i, n):
-            v = spec.from_index(sym_digits[pos])
-            rows[i][j] = v
-            rows[j][i] = v
-            pos += 1
-    return SylowElem.from_symmetric(L, MatFq(spec, rows))
+            S[i][j] = S[j][i] = code.from_index(next(sym))
+    Lc = tuple(map(tuple, L))
+    A = _mm(S, _tri_inv(Lc, code), code.reduce)
+    return SylowElem._from_codes(spec, code, Lc, A)
 
 
 def enumerate_sylow(

@@ -158,6 +158,17 @@ def test_sylow_gm_with_malformed_u_file(capsys, tmp_path):
     assert err.startswith("error:") and "L_upper" in err and err.count("\n") == 1
 
 
+def test_sylow_gm_with_out_of_range_u_entry(capsys, tmp_path):
+    # L_upper [5, 0, 0] would reduce to the identity's, and A = 0 fits it
+    path = tmp_path / "u.json"
+    path.write_text(json.dumps({"L_upper": [5, 0, 0], "A": [[0, 0, 0]] * 3}))
+    code, out, err = run(capsys, "sylow", "gm", "--p", "5", "--q", "5", "--j", "1",
+                         "--u", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "[0, 5)" in err and err.count("\n") == 1
+
+
 def test_sylow_fsz_with_beta(capsys):
     code, out, _ = run(capsys, "sylow", "fsz", "--p", "5", "--q", "5", "--j", "1",
                        "--beta")

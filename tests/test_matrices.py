@@ -1,19 +1,13 @@
 import random
+from itertools import combinations_with_replacement
 from operator import add, sub
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fsz_lab.fields import FieldElem, FieldSpec, field, field_for_order
-from fsz_lab.matrices import (
-    MatFq,
-    UniTriMat,
-    block_matrix,
-    is_symplectic,
-    unitri_power_entry,
-    ut_exponent,
-)
+from fsz_lab.fields import FieldElem, FieldSpec, field, field_for_order, split_prime_power
+from fsz_lab.matrices import MatFq, UniTriMat, block_matrix, is_symplectic
 
 
 # -- oracles: entry arithmetic through FieldElem, one term at a time ------------------
@@ -34,6 +28,41 @@ def schoolbook_product(A: MatFq, B: MatFq) -> MatFq:
 
 def entrywise(A: MatFq, B: MatFq, op) -> MatFq:
     return MatFq(A.spec, [[op(a, b) for a, b in zip(ra, rb)] for ra, rb in zip(A.rows, B.rows)])
+
+
+def ut_exponent(n: int, q: int) -> int:
+    """Exponent of UT(n, q): p^t with t = ceil(log_p n)."""
+    p, _ = split_prime_power(q)
+    t = 0
+    size = 1
+    while size < n:
+        size *= p
+        t += 1
+    return p ** t
+
+
+def unitri_power_entry(L: UniTriMat, m: int, i: int, j: int) -> FieldElem:
+    """Entry (i, j) of L^m as the sum over non-decreasing index paths.
+
+    Each path i = i_0 <= i_1 <= ... <= i_m = j contributes the product of the
+    entries it traverses (diagonal steps contribute 1).  Independent of the
+    matrix-multiplication route, so it serves as an oracle for small m.
+    """
+    spec = L.spec
+    if i > j:
+        return spec.zero
+    if m == 0:
+        return spec.one if i == j else spec.zero
+    total = spec.zero
+    for middle in combinations_with_replacement(range(i, j + 1), m - 1):
+        path = (i,) + middle + (j,)
+        prod = spec.one
+        for a in range(m):
+            prod = prod * L.entry(path[a], path[a + 1])
+            if prod.is_zero():
+                break
+        total = total + prod
+    return total
 
 
 DIFF_ORDERS = (3, 5, 9, 25, 27)

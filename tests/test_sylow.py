@@ -1,9 +1,12 @@
+import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fsz_lab.cyclotomic import CycNum
-from fsz_lab.fields import field
+from fsz_lab.fields import field, field_for_order
 from fsz_lab.matrices import MatFq, UniTriMat, is_symplectic
 from fsz_lab.parallel import BudgetExceeded
 from fsz_lab.sylow import (
@@ -11,7 +14,6 @@ from fsz_lab.sylow import (
     enumerate_sylow,
     kappa,
     sylow_count,
-    sylow_embed_small,
     sylow_from_index,
     corner_concentration_check,
     u_witness,
@@ -23,6 +25,28 @@ from fsz_lab.sylow import (
 
 def random_elem(spec, n, rng):
     return sylow_from_index(spec, n, rng.randrange(sylow_count(n, spec.q)))
+
+
+def sylow_embed_small(x: SylowElem, n_target: int) -> SylowElem:
+    """Pad (L, A) with an identity/zero block up to size n_target.
+
+    A group homomorphism into the larger block group; commutes with powers.
+    """
+    n0, spec = x.n, x.spec
+    if n_target < n0:
+        raise ValueError("target size must not shrink the element")
+    if n_target == n0:
+        return x
+    L_entries = []
+    for i in range(n_target):
+        for j in range(i + 1, n_target):
+            L_entries.append(x.L.entry(i, j) if i < n0 and j < n0 else spec.zero)
+    L = UniTriMat(spec, n_target, L_entries)
+    A = MatFq(spec, [
+        [x.A.rows[i][j] if i < n0 and j < n0 else spec.zero for j in range(n_target)]
+        for i in range(n_target)
+    ])
+    return SylowElem(L, A)
 
 
 class TestConstruction:
@@ -75,8 +99,10 @@ class TestJson:
         lambda d: d["A"][0].__setitem__(1, [1, 2]),
         lambda d: d["A"][0].__setitem__(1, 3),  # A L no longer symmetric
         lambda d: d.__setitem__("q", 7),
+        lambda d: d["L_upper"].__setitem__(2, 5),  # would reduce to 0, a valid element
+        lambda d: d["A"][1].__setitem__(1, -5),  # likewise
     ], ids=["no-L", "no-A", "short-L", "short-A", "ragged-A", "string", "bool",
-            "long-coeffs", "asymmetric", "other-q"])
+            "long-coeffs", "asymmetric", "other-q", "out-of-range", "negative"])
     def test_malformed_input_rejected(self, edit):
         spec = field(5)
         doc = u_witness(spec, 3).to_json()
@@ -87,6 +113,120 @@ class TestJson:
     def test_non_object_rejected(self):
         with pytest.raises(ValueError):
             SylowElem.from_json(field(5), 3, [1, 0, 0])
+
+    @pytest.mark.parametrize("value", [[0, 3], [-1, 0]], ids=["coeff-out-of-range", "coeff-negative"])
+    def test_out_of_range_coefficient_rejected(self, value):
+        spec = field(3, 2)
+        doc = SylowElem.identity(spec, 2).to_json()
+        doc["L_upper"][0] = value
+        with pytest.raises(ValueError):
+            SylowElem.from_json(spec, 2, doc)
+
+
+class TestOutputFormat:
+    """repr and to_json bytes, pinned from the FieldElem-based representation."""
+
+    CASES = [
+        (lambda: u_witness(field(5), 3),
+         "SylowElem(n=3, q=5, L=([1] mod (5,1), [0] mod (5,1), [0] mod (5,1)), "
+         "A=(([1] mod (5,1), [4] mod (5,1), [0] mod (5,1)), "
+         "([0] mod (5,1), [0] mod (5,1), [0] mod (5,1)), "
+         "([0] mod (5,1), [0] mod (5,1), [0] mod (5,1))))",
+         '{"n": 3, "q": 5, "L_upper": [1, 0, 0], "A": [[1, 4, 0], [0, 0, 0], [0, 0, 0]]}'),
+        (lambda: sylow_from_index(field(3, 2), 2, 5000),
+         "SylowElem(n=2, q=9, L=([0,2] mod (3,2),), "
+         "A=(([1,2] mod (3,2), [1,0] mod (3,2)), ([0,2] mod (3,2), [0,1] mod (3,2))))",
+         '{"n": 2, "q": 9, "L_upper": [[0, 2]], "A": [[[1, 2], [1, 0]], [[0, 2], [0, 1]]]}'),
+        (lambda: sylow_from_index(field(3), 2, 40),
+         "SylowElem(n=2, q=3, L=([1] mod (3,1),), "
+         "A=(([1] mod (3,1), [0] mod (3,1)), ([1] mod (3,1), [0] mod (3,1))))",
+         '{"n": 2, "q": 3, "L_upper": [1], "A": [[1, 0], [1, 0]]}'),
+        (lambda: SylowElem.identity(field(7), 1),
+         "SylowElem(n=1, q=7, L=(), A=(([0] mod (7,1),),))",
+         '{"n": 1, "q": 7, "L_upper": [], "A": [[0]]}'),
+    ]
+
+    @pytest.mark.parametrize("make,text,doc", CASES, ids=["u-gf5", "gf9", "gf3", "n1"])
+    def test_repr_and_json_bytes(self, make, text, doc):
+        x = make()
+        assert repr(x) == text
+        assert json.dumps(x.to_json()) == doc
+
+
+DIFF_ORDERS = (3, 5, 9, 25, 27)
+GROUPS = [(q, n) for q in DIFF_ORDERS for n in (1, 2, 3, 4)]
+
+
+def draw_elem(data, q, n):
+    spec = field_for_order(q)
+    return sylow_from_index(spec, n, data.draw(st.integers(0, sylow_count(n, q) - 1)))
+
+
+class TestIntCore:
+    """The int-coded block arithmetic against full 2n x 2n MatFq arithmetic."""
+
+    @pytest.mark.parametrize("q,n", GROUPS)
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_product_matches_embedding(self, q, n, data):
+        x, y = draw_elem(data, q, n), draw_elem(data, q, n)
+        assert (x * y).to_matrix() == x.to_matrix() @ y.to_matrix()
+
+    @pytest.mark.parametrize("q,n", GROUPS)
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_inverse_matches_embedding(self, q, n, data):
+        x = draw_elem(data, q, n)
+        assert x.inv().to_matrix() == x.to_matrix().inv()
+        assert x * x.inv() == SylowElem.identity(x.spec, n)
+
+    @pytest.mark.parametrize("q,n", GROUPS)
+    @settings(max_examples=3, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_powers_match_embedding(self, q, n, data):
+        x = draw_elem(data, q, n)
+        mat = x.to_matrix()
+        for j in range(x.spec.p ** 2 + 1):
+            assert x.pow(j).to_matrix() == mat.pow(j)
+
+    @pytest.mark.parametrize("q,n", GROUPS)
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_index_roundtrip(self, q, n, data):
+        x = draw_elem(data, q, n)
+        assert sylow_from_index(x.spec, n, x.index()) == x
+        assert SylowElem(x.L, x.A) == x
+        assert SylowElem.from_symmetric(x.L, x.symmetric_part()) == x
+
+    def test_group_operations_make_no_matrix_product(self, monkeypatch):
+        rng = random.Random(73)
+        pairs = [(random_elem(spec, n, rng), random_elem(spec, n, rng))
+                 for spec, n in ((field(5), 3), (field(3, 2), 2))]
+        calls = []
+        matmul = MatFq.__matmul__
+
+        def counted(self, other):
+            calls.append(1)
+            return matmul(self, other)
+
+        monkeypatch.setattr(MatFq, "__matmul__", counted)
+        for x, y in pairs:
+            x * y, x.inv(), x.pow(7), x.pow(-3)
+        assert calls == []
+
+    def test_internal_constructor_checks_symmetry(self):
+        spec = field(5)
+        u = u_witness(spec, 3)
+        L = u._L
+        with pytest.raises(ValueError):
+            SylowElem._from_codes(spec, u._code, L, ((1, 0, 0), (0, 0, 0), (0, 0, 0)))
+        assert SylowElem._from_codes(spec, u._code, L, u._A) == u
+
+    def test_mixed_groups_rejected(self):
+        with pytest.raises(ValueError):
+            u_witness(field(5), 3) * u_witness(field(5), 2)
+        with pytest.raises(ValueError):
+            u_witness(field(5), 2) * u_witness(field(3), 2)
 
 
 class TestGroupLaw:

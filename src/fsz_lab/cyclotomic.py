@@ -144,15 +144,21 @@ class CycNum:
     def __pow__(self, e: int):
         if e < 0:
             raise ValueError("negative exponents not supported")
-        result = CycNum.one(self.p)
+        if e == 0:
+            return CycNum.one(self.p)
         base = self
-        while True:
+        while not e & 1:
+            base = base * base
+            e >>= 1
+        # result starts at the lowest set bit's power, not at one
+        result = base
+        e >>= 1
+        while e:
+            base = base * base
             if e & 1:
                 result = result * base
             e >>= 1
-            if not e:
-                return result
-            base = base * base
+        return result
 
     # -- Galois structure ------------------------------------------------------
 
@@ -218,10 +224,6 @@ def complex_approx(x: CycNum) -> complex:
     return sum(float(c) * z ** i for i, c in enumerate(x.coeffs))
 
 
-def zeta_pow(p: int, k: int) -> CycNum:
-    return CycNum.zeta(p, k)
-
-
 def e_q(x: FieldElem) -> CycNum:
     """Canonical additive character: x -> zeta_p^tr(x).  Turns + into *."""
     return CycNum.zeta(x.spec.p, x.trace())
@@ -236,9 +238,11 @@ def gauss_sum(spec: FieldSpec) -> CycNum:
     p = spec.p
     full = [0] * p
     if spec.q <= TABLE_BOUND:
-        spec.tables()
-        for i in range(1, spec.q):
-            full[spec.trace_idx(i)] += spec.legendre_idx(i)
+        # x = exp[k] is a square exactly when k is even
+        t = spec.tables()
+        trace = t["trace"]
+        for k, i in enumerate(t["exp"]):
+            full[trace[i]] += -1 if k & 1 else 1
     else:
         for x in spec.elements():
             s = x.legendre()

@@ -4,9 +4,10 @@ Elements are polynomial coefficient vectors reduced modulo a canonical
 irreducible polynomial (the lexicographically least monic irreducible of the
 right degree), so identical (p, n) always produce identical serializations.
 The module provides the trace map onto the prime subfield, Legendre symbols,
-and quadratic-residue sets.  For small fields a log/antilog table is built
-lazily to speed up bulk multiplication; equality is always defined on
-coefficients.
+and quadratic-residue sets.  For fields of at most TABLE_BOUND elements,
+exp/log, trace and quadratic-residue tables on element indices are built
+lazily: the enumeration oracles run on these index codes, and element
+products read them once built.  Equality is always defined on coefficients.
 
 Elements of the prime subfield are identified with the integers
 {0, ..., p-1}, and mixed int/element arithmetic uses that identification.
@@ -318,13 +319,17 @@ class FieldSpec:
             exp[k] = idx
             log[idx] = k
             acc = acc * gen
-        trace = [self.from_index(i).trace() for i in range(q)]
+        # the trace is GF(p)-linear and index digits are coefficients, so
+        # tr(i) = sum_k c_k tr(x^k): n Frobenius traces, then O(q) int work
+        trace = [0]
+        for k in range(self.n):
+            tk = self.from_index(p ** k).trace()
+            trace = [(t + c * tk) % p for c in range(p) for t in trace]
         qr = bytearray(q)
         qr[0] = 1
-        half = (q - 1) // 2
         for k in range(0, q - 1, 2):
             qr[exp[k]] = 1
-        return {"exp": exp, "log": log, "trace": trace, "qr": qr, "half": half}
+        return {"exp": exp, "log": log, "trace": trace, "qr": qr}
 
     def mul_idx(self, i: int, j: int) -> int:
         if i == 0 or j == 0:
@@ -529,11 +534,6 @@ class FieldElem:
 
 def trace(x: FieldElem) -> int:
     return x.trace()
-
-
-def trace_z(z: FieldElem, x: FieldElem) -> int:
-    """tr(z*x); the zero map for z = 0, one of the q - 1 surjections otherwise."""
-    return (z * x).trace()
 
 
 def legendre(x: FieldElem) -> int:

@@ -830,7 +830,8 @@ def witness_pair_count(spec: FieldSpec, d: int | FieldElem, mode: str = "closed"
 
     Defined under the standing hypothesis -1 in QR(q).  Closed value is
     (q-5)/2 for d a nonzero square and (q-1)/2 otherwise; the enumeration
-    mode loops over all of GF(q)^2.
+    mode loops over all of GF(q)^2 on the field's index tables, so it needs
+    q <= TABLE_BOUND.
     """
     if not spec.minus_one_is_qr():
         raise ValueError("pair count formula requires -1 to be a square in GF(q)")
@@ -843,16 +844,23 @@ def witness_pair_count(spec: FieldSpec, d: int | FieldElem, mode: str = "closed"
         return (q - 5) // 2 if ld == 1 else (q - 1) // 2
     if mode != "enum":
         raise ValueError(f"unknown mode {mode!r}")
-    one = spec.one
+    # on index codes: a product is a sum of logs mod q - 1, x + 1 steps the
+    # low base-p digit, and the Legendre symbol is the QR mask
+    t = spec.tables()
+    exp, log, qr = t["exp"], t["log"], t["qr"]
+    p, m = spec.p, q - 1
+    succ = [i + 1 if i % p != p - 1 else i + 1 - p for i in range(q)]
+    want = 1 if ld == 1 else 0
     count = 0
-    for a in spec.elements():
-        for b in spec.elements():
-            v1 = a * b * b
-            if v1.is_zero():
+    for a in range(q):
+        a1 = succ[a]
+        for b in range(q):
+            b1 = succ[b]
+            # v1 = a b^2 must be nonzero and equal v2 = (a+1)(b+1)^2
+            if 0 in (a, b, a1, b1):
                 continue
-            bp = b + one
-            v2 = (a + one) * bp * bp
-            if v1 == v2 and v1.legendre() == ld:
+            lv1 = (log[a] + 2 * log[b]) % m
+            if lv1 == (log[a1] + 2 * log[b1]) % m and qr[exp[lv1]] == want:
                 count += 1
     return count
 

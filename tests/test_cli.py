@@ -213,6 +213,13 @@ def test_pairs_budget_counts_every_enumerated_pair(capsys):
     assert len(json.loads(out)["rows"]) == 52
 
 
+def test_pairs_above_the_table_bound_is_refused(capsys):
+    # within budget, but the enumeration runs on field tables, which stop at 2^16
+    code, out, err = run(capsys, "--budget", str(10 ** 10), "pairs", "--q", "65537", "--d", "1")
+    assert code == 2
+    assert out == "" and err == "error: field too large for tables (q=65537 > 65536)\n"
+
+
 @pytest.mark.parametrize("argv,required", [
     (["--budget", "1000", "qrdiff", "--q", "125"], 124 * 63),
     (["--budget", "1000", "qrdiff", "--q", "125", "--c", "1"], None),

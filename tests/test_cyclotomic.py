@@ -12,7 +12,6 @@ from fsz_lab.cyclotomic import (
     e_q,
     gauss_sum,
     gauss_sum_via_prime,
-    zeta_pow,
 )
 from fsz_lab.fields import field
 from fsz_lab.residues import gauss_square_int
@@ -102,6 +101,18 @@ class TestMultiply:
             assert x ** e == expected
             expected = schoolbook_mul(expected, x)
 
+    @pytest.mark.parametrize("e", [0, 1, 2, 5])
+    def test_power_of_a_gauss_sum_matches_repeated_product(self, e):
+        g = gauss_sum(field(397))
+        expected = CycNum.one(397)
+        for _ in range(e):
+            expected = expected * g
+        assert g ** e == expected
+
+    def test_negative_power_rejected(self):
+        with pytest.raises(ValueError):
+            CycNum.zeta(5) ** -1
+
     @pytest.mark.parametrize("e", range(1, 18))
     def test_power_squares_only_up_to_the_top_bit(self, monkeypatch, e):
         counts = {"square": 0, "multiply": 0}
@@ -113,7 +124,8 @@ class TestMultiply:
 
         monkeypatch.setattr(CycNum, "__mul__", counting_mul)
         CycNum(7, [1, Fraction(1, 2), 0, -1, 0, 3]) ** e
-        assert counts == {"square": e.bit_length() - 1, "multiply": bin(e).count("1")}
+        # the result starts at the power of the lowest set bit, not at one
+        assert counts == {"square": e.bit_length() - 1, "multiply": bin(e).count("1") - 1}
 
 
 class TestRationality:
@@ -137,7 +149,7 @@ class TestRationality:
 class TestNorm:
     def test_norm_of_roots_of_unity(self):
         for k in range(5):
-            assert zeta_pow(5, k).norm_sq() == CycNum.one(5)
+            assert CycNum.zeta(5, k).norm_sq() == CycNum.one(5)
 
     def test_norm_of_zero(self):
         assert CycNum.zero(5).norm_sq() == CycNum.zero(5)

@@ -12,13 +12,17 @@ from fsz_lab.fields import (
     is_prime,
     poly_is_irreducible,
     qr_set,
-    trace_z,
 )
 
 
 def elems(p, n=1):
     spec = field(p, n)
     return st.integers(min_value=0, max_value=spec.q - 1).map(spec.from_index)
+
+
+def trace_z(z, x) -> int:
+    """tr(z*x); the zero map for z = 0, one of the q - 1 surjections otherwise."""
+    return (z * x).trace()
 
 
 class TestConstruction:
@@ -279,15 +283,21 @@ class TestResidueSets:
 
 class TestTables:
     def test_tables_consistent_with_direct_ops(self):
-        spec = field(3, 2)
-        spec.tables()
-        for i in range(spec.q):
-            x = spec.from_index(i)
-            assert spec.trace_idx(i) == x.trace()
-            assert spec.legendre_idx(i) == x.legendre()
-            for j in range(spec.q):
-                y = spec.from_index(j)
-                assert spec.mul_idx(i, j) == (x * y).index()
+        # the oracle is a second spec whose tables are never built, so its
+        # trace is by Frobenius powers, its Legendre symbol by Euler's
+        # criterion and its product by polynomial multiplication mod f
+        for p, n in [(3, 1), (3, 2), (5, 2), (3, 3), (3, 4), (7, 2), (5, 3)]:
+            spec, direct = FieldSpec(p, n), FieldSpec(p, n)
+            t = spec.tables()
+            xs = list(direct.elements())
+            for i, x in enumerate(xs):
+                assert t["trace"][i] == x.trace()
+                assert t["qr"][i] == (x.legendre() >= 0)
+                for j, y in enumerate(xs):
+                    assert spec.mul_idx(i, j) == (x * y).index()
+            squares = {t["exp"][k] for k in range(0, spec.q - 1, 2)} | {0}
+            assert squares == {x.index() for x in direct.qr_set()}
+            assert direct._tables is None
 
     def test_table_bound(self):
         spec = FieldSpec(3, 11)  # q = 177147 > 2^16

@@ -1,6 +1,8 @@
 import pytest
 
-from fsz_lab.fields import field, field_for_order
+from fsz_lab.cyclotomic import gauss_sum
+from fsz_lab.fields import FieldElem, FieldSpec, field, field_for_order
+from fsz_lab.fsz import witness_pair_count
 from fsz_lab.residues import (
     FiberCountQuery,
     binom_product_sum_mod,
@@ -100,6 +102,27 @@ class TestTraceFibers:
                 assert closed == trace_fiber_qr_count(query, "enum")
                 total += closed
             assert total == (spec.q + 1) // 2
+
+
+class TestIndexCodedOracles:
+    def test_enumerations_make_no_object_products(self, monkeypatch):
+        # once the tables exist, the pair, fiber and Gauss-sum enumerations
+        # run on index codes alone
+        spec = FieldSpec(5, 2)
+        spec.tables()
+        calls = []
+        mul = FieldElem.__mul__
+
+        def counted(self, other):
+            calls.append(1)
+            return mul(self, other)
+
+        monkeypatch.setattr(FieldElem, "__mul__", counted)
+        monkeypatch.setattr(FieldElem, "__rmul__", counted)
+        witness_pair_count(spec, 2, "enum")
+        trace_fiber_qr_count(FiberCountQuery(spec, spec.elem([2, 1]), 3), "enum")
+        gauss_sum(spec)
+        assert calls == []
 
 
 class TestGaussIntegers:

@@ -12,6 +12,9 @@ two independent forms (commutation and block pattern), the projection is
 checked to be multiplicative on random pairs, and kernel elements are powered
 both in closed form and directly.
 
+Membership is checked once, when the section or the kernel parametrization
+builds a CentElem; products are trusted, since the centralizer is a group.
+
 The ambient center {+-I} lies inside the centralizer and projects onto the
 sign factor (pi(-I) = (-I, -1)), so statements about the projective quotient
 need no machinery of their own.
@@ -23,11 +26,15 @@ from typing import Sequence
 
 from .fields import FieldElem, FieldSpec
 from .fsz import PthPowerTarget
-from .matrices import MatFq, block_matrix, is_symplectic
+from .matrices import MatFq, is_symplectic
 
 
 class CentElem:
-    """A validated element of the centralizer of the target's g in Sp_2n(q)."""
+    """An element of the centralizer of the target's g in Sp_2n(q).
+
+    The constructor checks that mat is symplectic and commutes with g;
+    products are trusted, since the centralizer is a group.
+    """
 
     __slots__ = ("mat", "target")
 
@@ -48,7 +55,10 @@ class CentElem:
     def __mul__(self, other: "CentElem") -> "CentElem":
         if not isinstance(other, CentElem):
             return NotImplemented
-        return CentElem(self.mat @ other.mat, self.target)
+        prod = object.__new__(CentElem)
+        prod.mat = self.mat @ other.mat
+        prod.target = self.target
+        return prod
 
     def __eq__(self, other):
         if isinstance(other, CentElem):
@@ -173,18 +183,11 @@ def kernel_element(
 
 
 def kernel_power_closed(K: CentElem, s: int) -> MatFq:
-    """Closed form for K^s: every free block scales linearly with s."""
-    n = K.target.n
+    """Closed form K^s = I + s (K - I): each entry of K - I is linear in the
+    free blocks, so this is kernel_element(s x, s a_col, s a_corner)."""
     spec = K.target.spec
-    mat = K.mat
-    x = [mat.rows[n - 1][k] for k in range(n - 1)]
-    a_col = [mat.rows[k][2 * n - 1] for k in range(n - 1)]
-    a_corner = mat.rows[n - 1][2 * n - 1]
-    se = spec.elem(s)
-    scaled = kernel_element(
-        K.target, [se * v for v in x], [se * v for v in a_col], se * a_corner
-    )
-    return scaled.mat
+    I = MatFq.identity(spec, 2 * K.target.n)
+    return I + (K.mat - I) * spec.elem(s)
 
 
 def kernel_order_check(K: CentElem) -> bool:
@@ -198,21 +201,16 @@ def kernel_order_check(K: CentElem) -> bool:
     return acc == MatFq.identity(K.target.spec, 2 * K.target.n)
 
 
-def symplectic_form(spec: FieldSpec, dim: int) -> MatFq:
-    """The block form [[0, I], [-I, 0]] preserved by Sp_dim(q)."""
-    k = dim // 2
-    I = MatFq.identity(spec, k)
-    Z = MatFq.zeros(spec, k)
-    return block_matrix([[Z, I], [-I, Z]])
-
-
 def transvection(spec: FieldSpec, v: Sequence[FieldElem], scale: FieldElem) -> MatFq:
-    """The symplectic transvection I + scale * (J v^T) v for a row vector v."""
+    """The symplectic transvection I + scale * (J v^T) v for a row vector v,
+    where J = [[0, I], [-I, 0]] makes J v^T = (v[k:], -v[:k]) for k = dim / 2."""
     dim = len(v)
-    J = symplectic_form(spec, dim)
-    col = MatFq(spec, [[x] for x in v])
-    row = MatFq(spec, [list(v)])
-    return MatFq.identity(spec, dim) + (J @ col @ row) * scale
+    if dim % 2:
+        raise ValueError("transvections need an even dimension")
+    k = dim // 2
+    neg = -scale
+    col = MatFq(spec, [[scale * x] for x in v[k:]] + [[neg * x] for x in v[:k]])
+    return MatFq.identity(spec, dim) + col @ MatFq(spec, [list(v)])
 
 
 def random_symplectic(spec: FieldSpec, dim: int, rng) -> MatFq:

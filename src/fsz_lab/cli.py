@@ -173,6 +173,8 @@ def cmd_fibers(args) -> int:
 
 
 def cmd_binom(args) -> int:
+    if args.l is not None and args.k is None:
+        raise ValueError("--l needs --k")
     bound = (args.p ** args.j - 1) // 2
     if args.k is not None:
         pairs = [(args.k, args.l if args.l is not None else args.k)]

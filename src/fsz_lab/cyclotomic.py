@@ -4,8 +4,7 @@ Numbers are stored in the power basis {1, zeta, ..., zeta^(p-2)} with exact
 rational coefficients, so rationality is literally a zero-coefficient test.
 The Galois action, complex conjugation, squared modulus, the canonical
 additive character e_q of a finite field, and Gauss sums are all computed
-without any floating point; floating evaluation exists only as a diagnostic
-(see :func:`complex_approx`).
+without any floating point.
 
 A product runs as one integer cyclic convolution: both operands are brought
 to integer numerators over one common denominator (1 for every Gauss sum and
@@ -20,7 +19,6 @@ Q(zeta_p), matching the needs of the character computations downstream.
 
 from __future__ import annotations
 
-import cmath
 import math
 from fractions import Fraction
 from typing import Sequence
@@ -216,12 +214,6 @@ class CycNum:
             "p": self.p,
             "coeffs": [[c.numerator, c.denominator] for c in self.coeffs],
         }
-
-
-def complex_approx(x: CycNum) -> complex:
-    """Floating evaluation at zeta = exp(2*pi*i/p).  Diagnostic only, never an oracle."""
-    z = cmath.exp(2j * math.pi / x.p)
-    return sum(float(c) * z ** i for i, c in enumerate(x.coeffs))
 
 
 def e_q(x: FieldElem) -> CycNum:

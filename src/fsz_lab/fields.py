@@ -337,11 +337,6 @@ class FieldSpec:
         t = self.tables()
         return t["exp"][(t["log"][i] + t["log"][j]) % (self.q - 1)]
 
-    def legendre_idx(self, i: int) -> int:
-        if i == 0:
-            return 0
-        return 1 if self.tables()["qr"][i] else -1
-
     def trace_idx(self, i: int) -> int:
         return self.tables()["trace"][i]
 
@@ -530,14 +525,6 @@ class FieldElem:
         if self.spec.n == 1:
             return self.coeffs[0]
         return list(self.coeffs)
-
-
-def trace(x: FieldElem) -> int:
-    return x.trace()
-
-
-def legendre(x: FieldElem) -> int:
-    return x.legendre()
 
 
 def qr_set(spec: FieldSpec) -> frozenset[FieldElem]:

@@ -39,7 +39,6 @@ from .cyclotomic import CycNum
 from .fields import FieldElem, FieldSpec, field_for_order
 from .matrices import MatFq, UniTriMat
 from .parallel import check_budget, run_partitioned
-from .residues import FiberCountQuery, trace_fiber_qr_count
 from .sylow import (
     SylowElem,
     enumerate_sylow,
@@ -72,7 +71,6 @@ __all__ = [
     "witness_pair_count",
     "witness_order_search",
     "WitnessSearchResult",
-    "qr_fiber_balance",
     "brute_characterization_scan",
     "sylow_group_elements",
     "center_of",
@@ -904,22 +902,6 @@ def _root_of_unity_order(val: CycNum) -> int | None:
             return k
         acc = acc * val
     return None
-
-
-# -- the even-power surrogate -------------------------------------------------------
-
-
-def qr_fiber_balance(spec: FieldSpec, zparam: FieldElem) -> bool:
-    """Whether squares distribute evenly over the nonzero fibers of tr(z*).
-
-    Balanced fibers are exactly what makes the corner character sum rational,
-    and occur precisely over even-degree extensions.
-    """
-    counts = {
-        trace_fiber_qr_count(FiberCountQuery(spec, zparam, y), mode="enum")
-        for y in range(1, spec.p)
-    }
-    return len(counts) == 1
 
 
 # -- small-group brute machinery ----------------------------------------------------

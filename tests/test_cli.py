@@ -94,6 +94,13 @@ def test_binom_bad_input_is_usage_error(capsys):
         assert len(err.strip().splitlines()) == 1
 
 
+def test_binom_l_without_k_is_usage_error(capsys):
+    code, out, err = run(capsys, "binom", "--p", "3", "--j", "1", "--l", "1")
+    assert code == 2
+    assert out == ""
+    assert err == "error: --l needs --k\n"
+
+
 def test_centralizer_check_needs_a_sample(capsys):
     for samples in ("-1", "0"):
         code, out, err = run(capsys, "centralizer", "check", "--p", "5", "--q", "5",

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from fsz_lab.cyclotomic import (
     CycNum,
-    complex_approx,
     e_q,
     gauss_sum,
     gauss_sum_via_prime,
@@ -28,6 +27,12 @@ def rational_cycnums(p):
     coeff = st.one_of(st.just(Fraction(0)),
                       st.fractions(min_value=-9, max_value=9, max_denominator=12))
     return st.lists(coeff, min_size=p - 1, max_size=p - 1).map(lambda cs: CycNum(p, cs))
+
+
+def complex_approx(x: CycNum) -> complex:
+    """Floating evaluation at zeta = exp(2*pi*i/p): a cross-check, never an oracle."""
+    z = cmath.exp(2j * math.pi / x.p)
+    return sum(float(c) * z ** i for i, c in enumerate(x.coeffs))
 
 
 def schoolbook_mul(a, b):

@@ -14,6 +14,7 @@ from fsz_lab.cyclotomic import CycNum
 from fsz_lab.fields import field, field_for_order
 from fsz_lab.matrices import UniTriMat
 from fsz_lab.parallel import BudgetExceeded
+from fsz_lab.residues import FiberCountQuery, trace_fiber_qr_count
 from fsz_lab.fsz import (
     PthPowerTarget,
     _gm_count_fast,
@@ -32,7 +33,6 @@ from fsz_lab.fsz import (
     gm_count,
     kappa_character,
     make_target,
-    qr_fiber_balance,
     witness_pair_count,
     solve_pth_power,
     sylow_group_elements,
@@ -46,6 +46,19 @@ from fsz_lab.sylow import (
     u_witness,
     xi_lambda,
 )
+
+
+def qr_fiber_balance(spec, zparam) -> bool:
+    """Whether squares distribute evenly over the nonzero fibers of tr(z*).
+
+    Balanced fibers are exactly what makes the corner character sum rational,
+    and occur precisely over even-degree extensions.
+    """
+    counts = {
+        trace_fiber_qr_count(FiberCountQuery(spec, zparam, y), mode="enum")
+        for y in range(1, spec.p)
+    }
+    return len(counts) == 1
 
 
 class TestTargets:

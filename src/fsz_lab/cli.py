@@ -175,7 +175,11 @@ def cmd_fibers(args) -> int:
 def cmd_binom(args) -> int:
     if args.l is not None and args.k is None:
         raise ValueError("--l needs --k")
-    bound = (args.p ** args.j - 1) // 2
+    size = args.p ** args.j
+    bound = (size - 1) // 2
+    # the direct oracle sums p^j terms for each pair (k <= l)
+    n_pairs = 1 if args.k is not None else (bound + 1) * (bound + 2) // 2
+    check_budget(n_pairs * size, args.budget)
     if args.k is not None:
         pairs = [(args.k, args.l if args.l is not None else args.k)]
     else:
@@ -364,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="enumeration budget in elements")
     parser.add_argument("--seed", type=int, default=0, help="sampling seed")
     parser.add_argument("--threads", type=int, default=None,
-                        help="worker threads (default: FSZ_LAB_THREADS or CPU count)")
+                        help="worker threads (default: CPU count, at most 8)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("field", help="show a field's canonical description")

@@ -23,8 +23,20 @@ from typing import Iterator, Sequence
 TABLE_BOUND = 1 << 16
 
 
+# The 12 prime bases 2..37 decide primality below this bound; the bound
+# itself, 399165290221 * 798330580441, is a strong pseudoprime to all of them.
+PRIME_TEST_BOUND = 318665857834031151167461
+
+
 def is_prime(m: int) -> bool:
-    """Deterministic Miller-Rabin, valid for all 64-bit integers."""
+    """Deterministic Miller-Rabin with the prime bases 2..37.
+
+    Exact for m < PRIME_TEST_BOUND (about 3.2 * 10^23, beyond every 64-bit
+    integer); from the bound upward it raises ValueError, since these bases
+    cannot decide such m.
+    """
+    if m >= PRIME_TEST_BOUND:
+        raise ValueError(f"primality is only decided below {PRIME_TEST_BOUND}")
     if m < 2:
         return False
     for sp in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):

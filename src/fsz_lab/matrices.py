@@ -1,13 +1,15 @@
-"""Dense matrices over a finite field, and upper unitriangular groups.
+"""Dense matrices over a finite field, upper unitriangular groups, and the
+packed-int kernel their products run on.
 
 Matrices are immutable tuples of FieldElem entries with exact arithmetic.
-Sums, differences and products work on the entries' integer coefficients and
-build one FieldElem per result entry.  Over GF(p) an entry of A @ B is
-sum(a * b) % p.  Over GF(p^f) each entry is packed into one int, coefficient
-k in bit slot k (Kronecker substitution), so the row . column sum of packed
-ints holds the unreduced coefficient convolution of the whole dot product;
-it is reduced once mod p and the field modulus.  The slot width is sized so
-that no slot overflows into the next.
+Sums and differences work on the entries' integer coefficients.  Products
+and unitriangular inverses run on int codes, a format this module owns: over
+GF(p) a code is the residue, over GF(p^f) the coefficients packed into one
+int, coefficient k in bit slot k (Kronecker substitution).  A row . column
+sum of codes then holds the unreduced convolution of the whole dot product,
+reduced once.  `_coding(spec, terms)` sizes slots for a sum of `terms`
+products, (terms * f * (p-1)^2).bit_length() bits: `MatFq @` asks for
+terms = ncols, `UniTriMat.inv` for n and the `sylow` block core for 2n.
 
 All indices in this package are 0-based.  The symplectic membership test
 checks the defining block identity directly: writing M in n x n blocks
@@ -27,6 +29,8 @@ from typing import Sequence
 
 from .fields import FieldElem, FieldSpec, _pmod
 
+Block = tuple[tuple[int, ...], ...]  # rows of int codes
+
 
 def _pack(coeffs: Sequence[int], width: int) -> int:
     """Coefficients c_0, c_1, ... as one int with c_k in bits [k*width, (k+1)*width)."""
@@ -36,13 +40,141 @@ def _pack(coeffs: Sequence[int], width: int) -> int:
     return v
 
 
-def _unpack(spec: FieldSpec, v: int, width: int) -> FieldElem:
-    """The element whose unreduced coefficients _pack put into the slots of v."""
-    mask = (1 << width) - 1
-    p = spec.p
-    slots = [((v >> (k * width)) & mask) % p for k in range(2 * spec.n - 1)]
-    coeffs = _pmod(slots, spec.modulus, p)
-    return FieldElem(spec, tuple(coeffs) + (0,) * (spec.n - len(coeffs)))
+class _Coding:
+    """Int codes of matrix entries over GF(p^f), sized for sums of `terms` products.
+
+    `reduce` maps a non-negative unreduced sum of at most `terms` products of
+    codes to the code of its value.
+    """
+
+    __slots__ = ("p", "f", "width", "mask", "shifts", "minus_one", "reduce")
+
+    def __init__(self, p: int, f: int, modulus: tuple[int, ...], terms: int):
+        self.p = p
+        self.f = f
+        # a sum of `terms` products of reduced entries has coefficients of at
+        # most terms f (p-1)^2 (an empty sum fits any width)
+        self.width = width = (max(terms, 1) * f * (p - 1) ** 2).bit_length()
+        self.mask = mask = (1 << width) - 1
+        self.shifts = range(0, f * width, width)  # the slots of a reduced code
+        self.minus_one = p - 1  # the code of -1: its constant coefficient
+        if f == 1:
+            self.reduce = p.__rmod__
+            return
+        # a product's slot k >= f adds its value times x^k mod the modulus:
+        # `fold` pairs each slot s < f with those residues' coefficients at s
+        high_shifts = range(f * width, (2 * f - 1) * width, width)
+        powers = [_pmod([0] * k + [1], modulus, p) + [0] * f for k in range(f, 2 * f - 1)]
+        fold = tuple(zip(self.shifts, zip(*powers)))
+
+        def reduce(v: int) -> int:
+            hi = [(v >> s) & mask for s in high_shifts]
+            out = 0
+            for s, row in fold:
+                out |= ((((v >> s) & mask) + sum(map(mul, hi, row))) % p) << s
+            return out
+
+        self.reduce = reduce
+
+    def encode(self, x: FieldElem) -> int:
+        return _pack(x.coeffs, self.width)
+
+    def decode(self, spec: FieldSpec, v: int) -> FieldElem:
+        if self.f == 1:
+            return FieldElem(spec, (v,))
+        mask = self.mask
+        return FieldElem(spec, tuple([(v >> s) & mask for s in self.shifts]))
+
+    def from_index(self, i: int) -> int:
+        """The code of the field element with index i (base-p digits, c_0 lowest)."""
+        v = 0
+        for s in self.shifts:
+            i, c = divmod(i, self.p)
+            v |= c << s
+        return v
+
+    def index(self, v: int) -> int:
+        i = 0
+        for s in reversed(self.shifts):
+            i = i * self.p + ((v >> s) & self.mask)
+        return i
+
+    def block(self, M: "MatFq") -> Block:
+        enc = self.encode
+        return tuple([tuple([enc(x) for x in r]) for r in M.rows])
+
+    def matfq(self, spec: FieldSpec, X: Block) -> "MatFq":
+        if self.f == 1:
+            rows = tuple([tuple([FieldElem(spec, (v,)) for v in r]) for r in X])
+        else:
+            dec = self.decode
+            rows = tuple([tuple([dec(spec, v) for v in r]) for r in X])
+        return MatFq._wrap(spec, rows)
+
+    def unitrimat(self, spec: FieldSpec, X: Block) -> "UniTriMat":
+        """The UniTriMat of the strictly-upper codes of X."""
+        dec, n = self.decode, len(X)
+        return UniTriMat._wrap(spec, n, tuple(dec(spec, X[i][j])
+                                              for i in range(n) for j in range(i + 1, n)))
+
+
+_CODINGS: dict[tuple[int, int, int], _Coding] = {}
+
+
+def _coding(spec: FieldSpec, terms: int) -> _Coding:
+    """The shared coding over spec for sums of `terms` products; one object per (p, f, terms)."""
+    key = (spec.p, spec.n, terms)
+    code = _CODINGS.get(key)
+    if code is None:
+        # setdefault keeps one object per key when threads race, since
+        # block elements compare their codings by identity
+        code = _CODINGS.setdefault(key, _Coding(spec.p, spec.n, spec.modulus, terms))
+    return code
+
+
+# -- block arithmetic on int codes ---------------------------------------------------
+#
+# Every function returns reduced codes; `red` is the coding's reduction.
+
+def _mm(a: Block, b: Block, red) -> Block:
+    """a @ b, one reduction per entry."""
+    cols = list(zip(*b))
+    return tuple([tuple([red(sum(map(mul, r, c))) for c in cols]) for r in a])
+
+
+def _mm_add(a: Block, b: Block, c: Block, red) -> Block:
+    """a @ b + c, one reduction per entry."""
+    cols = list(zip(*b))
+    return tuple([tuple([red(sum(map(mul, r, col)) + s) for col, s in zip(cols, crow)])
+                  for r, crow in zip(a, c)])
+
+
+def _transpose(a: Block) -> Block:
+    return tuple(zip(*a))
+
+
+def _neg(a: Block, code: _Coding) -> Block:
+    red, m1 = code.reduce, code.minus_one
+    return tuple(tuple([red(m1 * v) for v in r]) for r in a)
+
+
+def _tri_inv(L: Block, code: _Coding) -> Block:
+    """Inverse of a unit upper triangular block.
+
+    X = L^-1 is unit upper triangular with X[i][j] = -sum_{i<k<=j} L[i][k] X[k][j],
+    solved from the bottom row up.
+    """
+    red, m1 = code.reduce, code.minus_one
+    n = len(L)
+    X: list = [None] * n
+    for i in range(n - 1, -1, -1):
+        Li = L[i]
+        row = [0] * n
+        row[i] = 1
+        for j in range(i + 1, n):
+            row[j] = red(m1 * red(sum([Li[k] * X[k][j] for k in range(i + 1, j + 1)])))
+        X[i] = row
+    return tuple(map(tuple, X))
 
 
 class MatFq:
@@ -151,20 +283,15 @@ class MatFq:
         if self.ncols != other.nrows:
             raise ValueError(f"dimension mismatch: {self.ncols} vs {other.nrows}")
         spec = self.spec
-        p, f = spec.p, spec.n
-        cols = tuple(zip(*other.rows))
-        if f == 1:
+        if spec.n == 1:
+            # codes are residues: kept inline, since small products are most calls
+            p = spec.p
             a = [[x.coeffs[0] for x in r] for r in self.rows]
-            b = [[x.coeffs[0] for x in c] for c in cols]
-            return MatFq._wrap(spec, tuple(
-                tuple(FieldElem(spec, (sum(map(mul, r, c)) % p,)) for c in b) for r in a))
-        # a slot holds at most ncols * f * (p-1)^2, the largest coefficient
-        # of an unreduced row . column convolution
-        width = (self.ncols * f * (p - 1) ** 2).bit_length()
-        a = [[_pack(x.coeffs, width) for x in r] for r in self.rows]
-        b = [[_pack(x.coeffs, width) for x in c] for c in cols]
-        return MatFq._wrap(spec, tuple(
-            tuple(_unpack(spec, sum(map(mul, r, c)), width) for c in b) for r in a))
+            b = [[x.coeffs[0] for x in c] for c in zip(*other.rows)]
+            return MatFq._wrap(spec, tuple([
+                tuple([FieldElem(spec, (sum(map(mul, r, c)) % p,)) for c in b]) for r in a]))
+        code = _coding(spec, self.ncols)
+        return code.matfq(spec, _mm(code.block(self), code.block(other), code.reduce))
 
     def transpose(self) -> "MatFq":
         return MatFq._wrap(self.spec, tuple(zip(*self.rows)))
@@ -362,15 +489,9 @@ class UniTriMat:
         return UniTriMat._of_product(self.to_mat() @ other.to_mat())
 
     def inv(self) -> "UniTriMat":
-        """Inverse via the nilpotent series (I + N)^-1 = I - N + N^2 - ..."""
-        spec, n = self.spec, self.n
-        N = self.to_mat() - MatFq.identity(spec, n)
-        acc = MatFq.identity(spec, n)
-        term = MatFq.identity(spec, n)
-        for _ in range(n - 1):
-            term = -(term @ N)
-            acc = acc + term
-        return UniTriMat._of_product(acc)
+        """Inverse by back substitution on int codes."""
+        code = _coding(self.spec, self.n)
+        return code.unitrimat(self.spec, _tri_inv(code.block(self.to_mat()), code))
 
     def pow(self, e: int) -> "UniTriMat":
         if e < 0:

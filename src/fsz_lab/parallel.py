@@ -43,13 +43,7 @@ def check_budget(required: int, budget: int | None) -> None:
 
 
 def default_threads() -> int:
-    """Worker count: FSZ_LAB_THREADS if set, else the CPU count (capped at 8)."""
-    env = os.environ.get("FSZ_LAB_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
+    """Worker count: the CPU count, capped at 8."""
     return max(1, min(os.cpu_count() or 1, 8))
 
 

@@ -8,17 +8,19 @@ inverse, and arbitrary powers all have closed block forms; powers use
 
 A `SylowElem` stores L (unit diagonal and zeros included) and A as n x n
 tuples of int codes, and its group law, inverse, powers, equality, symmetric
-part, embedding and index decoding all run on those ints.  Over GF(p) the
-code of an entry is its residue.  Over GF(p^f) it is the coefficient vector
-packed into one int, coefficient k in bit slot k (Kronecker substitution),
-with slots wide enough for the longest unreduced sum formed here: 2n
-products of entries, in L^T B + A M^-1.  A block product is then one int dot
-product per entry, reduced once: mod p over GF(p), and mod p and the field
-modulus (through `fields._pmod`) over GF(p^f).  Codes are canonical, so two
-elements are equal exactly when their codes are.  `L` and `A` are views that
-build a UniTriMat and a MatFq on demand.  The core never multiplies MatFq
-objects, so the 2n x 2n products of `to_matrix` embeddings stay an
-independent check of the block formulas.
+part, embedding and index decoding all run on those ints.  The codes and the
+block kernel (`_mm`, `_mm_add`, `_tri_inv`, ...) come from `matrices`, which
+owns the packed format; the coding here is `_coding(spec, 2n)`, sized for the
+longest unreduced sum formed here: 2n products of entries, in L^T B + A M^-1.
+Codes are canonical, so two elements are equal exactly when their codes are.
+`L` and `A` are views that build a UniTriMat and a MatFq on demand.
+
+The 2n x 2n products of `to_matrix` embeddings stay an independent check of
+the block formulas, although `MatFq @` runs on the same kernel.  No
+`SylowElem` operation calls `MatFq @`, and the two routes share only the
+entry step, one dot product of codes and one reduction, which has its own
+per-term FieldElem oracle in the matrix tests.  `MatFq.inv`, Gaussian
+elimination on FieldElems, is the reference for `_tri_inv`.
 
 The module also carries the structural maps that drive the p-th power
 analysis: the abelianization tuple `kappa`, the linear characters `xi_lambda`
@@ -37,132 +39,10 @@ from operator import mul
 from typing import Iterable, Iterator
 
 from .cyclotomic import CycNum, e_q
-from .fields import FieldElem, FieldSpec, _pmod
-from .matrices import MatFq, UniTriMat, _pack
+from .fields import FieldElem, FieldSpec
+from .matrices import (Block, MatFq, UniTriMat, _Coding, _coding, _mm, _mm_add, _neg,
+                       _transpose, _tri_inv)
 from .parallel import BudgetExceeded
-
-Block = tuple[tuple[int, ...], ...]  # n x n int codes, row-major
-
-
-class _Coding:
-    """Int codes of the entries of n x n blocks over GF(p^f).
-
-    `reduce` maps a non-negative unreduced sum of code products (at most 2n
-    of them) to the code of its value.
-    """
-
-    __slots__ = ("p", "width", "mask", "shifts", "minus_one", "reduce")
-
-    def __init__(self, p: int, f: int, modulus: tuple[int, ...], n: int):
-        self.p = p
-        # a slot holds at most 2n f (p-1)^2, the largest coefficient of an
-        # unreduced convolution sum of 2n products of reduced entries
-        self.width = width = (2 * n * f * (p - 1) ** 2).bit_length()
-        self.mask = mask = (1 << width) - 1
-        self.shifts = range(0, f * width, width)  # the slots of a reduced code
-        self.minus_one = p - 1  # the code of -1: its constant coefficient
-        if f == 1:
-            self.reduce = p.__rmod__
-            return
-        product_shifts = range(0, (2 * f - 1) * width, width)
-
-        def reduce(v: int) -> int:
-            slots = [((v >> s) & mask) % p for s in product_shifts]
-            return _pack(_pmod(slots, modulus, p), width)
-
-        self.reduce = reduce
-
-    def encode(self, x: FieldElem) -> int:
-        return _pack(x.coeffs, self.width)
-
-    def decode(self, spec: FieldSpec, v: int) -> FieldElem:
-        mask = self.mask
-        return FieldElem(spec, tuple([(v >> s) & mask for s in self.shifts]))
-
-    def from_index(self, i: int) -> int:
-        """The code of the field element with index i (base-p digits, c_0 lowest)."""
-        v = 0
-        for s in self.shifts:
-            i, c = divmod(i, self.p)
-            v |= c << s
-        return v
-
-    def index(self, v: int) -> int:
-        i = 0
-        for s in reversed(self.shifts):
-            i = i * self.p + ((v >> s) & self.mask)
-        return i
-
-    def block(self, M: MatFq) -> Block:
-        enc = self.encode
-        return tuple(tuple([enc(x) for x in r]) for r in M.rows)
-
-    def unitri(self, L: UniTriMat) -> Block:
-        enc, n = self.encode, L.n
-        return tuple(tuple([enc(L.entry(i, j)) for j in range(n)]) for i in range(n))
-
-    def matfq(self, spec: FieldSpec, X: Block) -> MatFq:
-        dec = self.decode
-        return MatFq._wrap(spec, tuple(tuple([dec(spec, v) for v in r]) for r in X))
-
-
-_CODINGS: dict[tuple[int, int, int], _Coding] = {}
-
-
-def _coding(spec: FieldSpec, n: int) -> _Coding:
-    """The shared coding of n x n blocks over spec; one object per (p, f, n)."""
-    key = (spec.p, spec.n, n)
-    code = _CODINGS.get(key)
-    if code is None:
-        # setdefault keeps one object per key when threads race, since
-        # elements compare their codings by identity
-        code = _CODINGS.setdefault(key, _Coding(spec.p, spec.n, spec.modulus, n))
-    return code
-
-
-# -- block arithmetic on int codes ---------------------------------------------------
-#
-# Every function returns reduced codes; `red` is the coding's reduction.
-
-def _mm(a: Block, b: Block, red) -> Block:
-    """a @ b, one reduction per entry."""
-    cols = list(zip(*b))
-    return tuple([tuple([red(sum(map(mul, r, c))) for c in cols]) for r in a])
-
-
-def _mm_add(a: Block, b: Block, c: Block, red) -> Block:
-    """a @ b + c, one reduction per entry."""
-    cols = list(zip(*b))
-    return tuple([tuple([red(sum(map(mul, r, col)) + s) for col, s in zip(cols, crow)])
-                  for r, crow in zip(a, c)])
-
-
-def _transpose(a: Block) -> Block:
-    return tuple(zip(*a))
-
-
-def _neg(a: Block, code: _Coding) -> Block:
-    red, m1 = code.reduce, code.minus_one
-    return tuple(tuple([red(m1 * v) for v in r]) for r in a)
-
-
-def _tri_inv(L: Block, code: _Coding) -> Block:
-    """Inverse of a unit upper triangular block.
-
-    X = L^-1 is unit upper triangular with X[i][j] = -sum_{i<k<=j} L[i][k] X[k][j],
-    solved from the bottom row up.
-    """
-    red, m1 = code.reduce, code.minus_one
-    n = len(L)
-    X: list = [None] * n
-    for i in range(n - 1, -1, -1):
-        Li = L[i]
-        row = [0] * n
-        row[i] = 1
-        for j in range(i + 1, n):
-            row[j] = red(m1 * red(sum([Li[k] * X[k][j] for k in range(i + 1, j + 1)])))
-        X[i] = row
-    return tuple(map(tuple, X))
 
 
 def twisted_sum(L: Block, A: Block, terms: int, red) -> tuple[Block, Block]:
@@ -201,8 +81,8 @@ class SylowElem:
 
     def __init__(self, L: UniTriMat, A: MatFq):
         _check_blocks(L, A)
-        code = _coding(L.spec, L.n)
-        self._init(L.spec, code, code.unitri(L), code.block(A))
+        code = _coding(L.spec, 2 * L.n)
+        self._init(L.spec, code, code.block(L.to_mat()), code.block(A))
 
     def _init(self, spec: FieldSpec, code: _Coding, L: Block, A: Block) -> None:
         n = len(L)
@@ -228,9 +108,7 @@ class SylowElem:
 
     @property
     def L(self) -> UniTriMat:
-        dec, spec, n, L = self._code.decode, self.spec, self.n, self._L
-        return UniTriMat._wrap(spec, n, tuple(dec(spec, L[i][j])
-                                              for i in range(n) for j in range(i + 1, n)))
+        return self._code.unitrimat(self.spec, self._L)
 
     @property
     def A(self) -> MatFq:
@@ -248,7 +126,7 @@ class SylowElem:
     @classmethod
     def identity(cls, spec: FieldSpec, n: int) -> "SylowElem":
         L = tuple(tuple([int(i == j) for j in range(n)]) for i in range(n))
-        return cls._from_codes(spec, _coding(spec, n), L, ((0,) * n,) * n)
+        return cls._from_codes(spec, _coding(spec, 2 * n), L, ((0,) * n,) * n)
 
     @classmethod
     def from_symmetric(cls, L: UniTriMat, S: MatFq) -> "SylowElem":
@@ -256,8 +134,8 @@ class SylowElem:
         _check_blocks(L, S, "S")
         if not S.is_symmetric():
             raise ValueError("S must be symmetric")
-        code = _coding(L.spec, L.n)
-        Lc = code.unitri(L)
+        code = _coding(L.spec, 2 * L.n)
+        Lc = code.block(L.to_mat())
         return cls._from_codes(L.spec, code, Lc,
                                _mm(code.block(S), _tri_inv(Lc, code), code.reduce))
 
@@ -408,8 +286,8 @@ def y_map(L: UniTriMat, k: int, A: MatFq) -> MatFq:
     Linear in A; the zero map whenever the order of L is below p^k.
     """
     _check_blocks(L, A)
-    code = _coding(L.spec, L.n)
-    T, _ = twisted_sum(code.unitri(L), code.block(A), L.spec.p ** k, code.reduce)
+    code = _coding(L.spec, 2 * L.n)
+    T, _ = twisted_sum(code.block(L.to_mat()), code.block(A), L.spec.p ** k, code.reduce)
     return code.matfq(L.spec, T)
 
 
@@ -507,7 +385,7 @@ def sylow_from_index(spec: FieldSpec, n: int, idx: int) -> SylowElem:
         si, d = divmod(si, q)
         sym_digits.append(d)
     sym_digits.reverse()
-    code = _coding(spec, n)
+    code = _coding(spec, 2 * n)
     L = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     S = [[0] * n for _ in range(n)]
     upper = iter(upper_digits)

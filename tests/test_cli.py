@@ -110,6 +110,13 @@ def test_centralizer_check_needs_a_sample(capsys):
         assert len(err.strip().splitlines()) == 1
 
 
+def test_field_beyond_the_prime_test_is_usage_error(capsys):
+    # 399165290221 * 798330580441, a strong pseudoprime to every base 2..37
+    code, out, err = run(capsys, "field", "--p", "318665857834031151167461")
+    assert code == 2
+    assert out == "" and err.count("\n") == 1
+
+
 def test_threads_below_one_is_usage_error(capsys):
     for threads in ("0", "-4"):
         code, out, err = run(capsys, "--threads", threads, "sylow", "count", "--p", "3",
@@ -232,7 +239,13 @@ def test_pairs_above_the_table_bound_is_refused(capsys):
     (["--budget", "1000", "qrdiff", "--q", "125", "--c", "1"], None),
     (["--budget", "1000", "fibers", "--p", "5", "--n", "3"], 124 * 5 * 63),
     (["--budget", "300", "fibers", "--p", "5", "--n", "3", "--z", "1"], 5 * 63),
-], ids=["qrdiff-all", "qrdiff-one", "fibers-all", "fibers-one-z"])
+    # binom: the p^j terms of the direct oracle for each pair k <= l <= (p^j - 1)/2
+    (["--budget", "10", "binom", "--p", "3", "--j", "5"], 122 * 123 // 2 * 3 ** 5),
+    (["binom", "--p", "5", "--j", "6"], 7813 * 7814 // 2 * 5 ** 6),
+    (["--budget", "242", "binom", "--p", "3", "--j", "5", "--k", "1"], 3 ** 5),
+    (["--budget", "243", "binom", "--p", "3", "--j", "5", "--k", "1"], None),
+], ids=["qrdiff-all", "qrdiff-one", "fibers-all", "fibers-one-z", "binom-all",
+        "binom-5^6", "binom-one-over", "binom-one"])
 def test_residue_budgets_count_every_enumerated_square(capsys, argv, required):
     code, out, err = run(capsys, *argv)
     if required is None:

@@ -54,6 +54,9 @@ GOLDEN = [
      "94f2b5ed2eb8939c952377afebfe53af14fa2e8cc91c1ec93d91592e4e15eb44"),
     ("sylow enumerate --n 2 --q 9 --stop 20",
      "9deaf3cffda2aeebfadd10c4e579d466555ecfee5163e521c9e04c8610e4545f"),
+    # nonzero L entries over GF(27): packed block products and inverses with f = 3
+    ("sylow enumerate --n 3 --q 27 --start 5000000000000 --stop 5000000000004",
+     "7089a3d17a4d844b8b795a28e7e44ccea4ca4e4b2f1157c780d02c29edc2c938"),
 ]
 
 

@@ -41,6 +41,19 @@ class TestConstruction:
         with pytest.raises(ValueError):
             FieldSpec(9, 1)
 
+    def test_prime_test_is_exact_below_its_bound_and_refuses_from_it(self):
+        assert is_prime(2 ** 64 - 59)  # the largest 64-bit prime
+        assert not is_prime(3215031751)  # strong pseudoprime to the bases 2, 3, 5, 7
+        # the bound is composite, yet a strong pseudoprime to every base 2..37
+        bound = 318665857834031151167461
+        assert bound == 399165290221 * 798330580441
+        assert is_prime(399165290221) and is_prime(798330580441)
+        for m in (bound, bound + 2, 2 ** 100):
+            with pytest.raises(ValueError):
+                is_prime(m)
+        with pytest.raises(ValueError):
+            FieldSpec(bound)
+
     def test_bad_degree_rejected(self):
         with pytest.raises(ValueError):
             FieldSpec(5, 0)

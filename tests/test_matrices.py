@@ -82,6 +82,16 @@ def matrix_pairs(draw, same_shape=False):
     return (matrix(r, k), matrix(r, k)) if same_shape else (matrix(r, k), matrix(k, c))
 
 
+@st.composite
+def unitri_matrices(draw):
+    """An n x n upper unitriangular matrix over one of DIFF_ORDERS, n = 1..6."""
+    spec = field_for_order(draw(st.sampled_from(DIFF_ORDERS)))
+    n = draw(st.integers(1, 6))
+    size = n * (n - 1) // 2
+    entry = st.integers(0, spec.q - 1).map(spec.from_index)
+    return UniTriMat(spec, n, draw(st.lists(entry, min_size=size, max_size=size)))
+
+
 class TestIntegerArithmetic:
     """MatFq arithmetic on integer coefficients against the FieldElem oracles."""
 
@@ -221,6 +231,27 @@ class TestUniTri:
         spec = field(5)
         L = UniTriMat.from_ints(spec, 4, [1, 2, 3, 4, 0, 1])
         assert L @ L.inv() == UniTriMat.identity(spec, 4)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(unitri_matrices())
+    def test_inverse_matches_gaussian_elimination(self, L):
+        assert L.inv().to_mat() == L.to_mat().inv()
+
+    def test_inverse_makes_no_matrix_product(self, monkeypatch):
+        calls = []
+        original = MatFq.__matmul__
+
+        def counting(self, other):
+            calls.append(1)
+            return original(self, other)
+
+        monkeypatch.setattr(MatFq, "__matmul__", counting)
+        for q in (5, 9, 27):
+            L = UniTriMat.random(field_for_order(q), 6, random.Random(q))
+            L.inv()
+        assert calls == []
+        L @ L
+        assert calls == [1]
 
     def test_from_mat_rejects_non_unitriangular(self):
         spec = field(5)

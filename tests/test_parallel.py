@@ -1,3 +1,4 @@
+import os
 from concurrent.futures import Future
 
 import pytest
@@ -42,11 +43,11 @@ def test_check_budget():
     assert "11" in str(info.value)
 
 
-def test_env_override(monkeypatch):
-    monkeypatch.setenv("FSZ_LAB_THREADS", "3")
-    assert default_threads() == 3
-    monkeypatch.setenv("FSZ_LAB_THREADS", "junk")
-    assert default_threads() >= 1
+def test_default_threads_is_cpu_count_capped_at_8(monkeypatch):
+    monkeypatch.setenv("FSZ_LAB_THREADS", "3")  # an old override, no longer read
+    for cpus, expected in ((None, 1), (1, 1), (2, 2), (8, 8), (64, 8)):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert default_threads() == expected
 
 
 

@@ -14,6 +14,8 @@ both in closed form and directly.
 
 Membership is checked once, when the section or the kernel parametrization
 builds a CentElem; products are trusted, since the centralizer is a group.
+Random symplectic matrices are products of transvections, each applied as
+a rank-one update on the int codes of `matrices`.
 
 The ambient center {+-I} lies inside the centralizer and projects onto the
 sign factor (pi(-I) = (-I, -1)), so statements about the projective quotient
@@ -22,11 +24,12 @@ need no machinery of their own.
 
 from __future__ import annotations
 
+from operator import mul
 from typing import Sequence
 
 from .fields import FieldElem, FieldSpec
 from .fsz import PthPowerTarget
-from .matrices import MatFq, is_symplectic
+from .matrices import MatFq, _coding, _neg, is_symplectic
 
 
 class CentElem:
@@ -201,33 +204,35 @@ def kernel_order_check(K: CentElem) -> bool:
     return acc == MatFq.identity(K.target.spec, 2 * K.target.n)
 
 
-def transvection(spec: FieldSpec, v: Sequence[FieldElem], scale: FieldElem) -> MatFq:
-    """The symplectic transvection I + scale * (J v^T) v for a row vector v,
-    where J = [[0, I], [-I, 0]] makes J v^T = (v[k:], -v[:k]) for k = dim / 2."""
-    dim = len(v)
+def random_symplectic(spec: FieldSpec, dim: int, rng) -> MatFq:
+    """A random product of 12 symplectic transvections, on int codes.
+
+    The transvection of a row vector v and a scalar is I + c v, where
+    c = scale J v^T = (scale v[k:], -scale v[:k]) for J = [[0, I], [-I, 0]]
+    and k = dim / 2, so multiplying it in is the rank-one update
+    out <- out + (out c) v.  Deterministic under the given rng; no uniformity
+    is claimed (or needed for property testing).
+    """
     if dim % 2:
         raise ValueError("transvections need an even dimension")
     k = dim // 2
-    neg = -scale
-    col = MatFq(spec, [[scale * x] for x in v[k:]] + [[neg * x] for x in v[:k]])
-    return MatFq.identity(spec, dim) + col @ MatFq(spec, [list(v)])
-
-
-def random_symplectic(spec: FieldSpec, dim: int, rng) -> MatFq:
-    """A random product of 12 symplectic transvections.
-
-    Deterministic under the given rng; no uniformity is claimed (or needed
-    for property testing).
-    """
-    out = MatFq.identity(spec, dim)
+    code = _coding(spec, dim)
+    red, m1, q = code.reduce, code.minus_one, spec.q
+    out = [[int(i == j) for j in range(dim)] for i in range(dim)]
     for _ in range(12):
-        v = [spec.random(rng) for _ in range(dim)]
-        if all(x.is_zero() for x in v):
-            v[rng.randrange(dim)] = spec.one
-        out = out @ transvection(spec, v, spec.random(rng))
+        v = [code.from_index(rng.randrange(q)) for _ in range(dim)]
+        if not any(v):
+            v[rng.randrange(dim)] = 1
+        scale = code.from_index(rng.randrange(q))
+        sv = [red(scale * x) for x in v]
+        c = sv[k:] + [red(m1 * x) for x in sv[:k]]
+        for i, row in enumerate(out):
+            w = red(sum(map(mul, row, c)))
+            if w:
+                out[i] = [red(a + w * b) for a, b in zip(row, v)]
     if rng.randrange(2):
-        out = -out
-    return out
+        out = _neg(out, code)
+    return code.matfq(spec, out)
 
 
 def random_kernel_element(target: PthPowerTarget, rng) -> CentElem:

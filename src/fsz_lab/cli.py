@@ -175,6 +175,8 @@ def cmd_fibers(args) -> int:
 def cmd_binom(args) -> int:
     if args.l is not None and args.k is None:
         raise ValueError("--l needs --k")
+    if args.j < 1:  # p ** j would be a fraction
+        raise ValueError(f"j must be >= 1, got {args.j}")
     size = args.p ** args.j
     bound = (size - 1) // 2
     # the direct oracle sums p^j terms for each pair (k <= l)

@@ -312,30 +312,34 @@ class FieldSpec:
         return self._tables
 
     def _build_tables(self) -> dict:
-        q, p = self.q, self.p
-        # find a multiplicative generator by scanning in index order
+        q, p, f = self.q, self.p, self.modulus
+        # the generator and its powers are trimmed little-endian coefficient
+        # lists, as _pmulmod returns them: the digits of an index, c_0 first
         fac = list(factorize(q - 1))
-        gen = None
-        for i in range(2, q):
-            g = self.from_index(i)
-            if all((g ** ((q - 1) // ell)) != self.one for ell in fac):
-                gen = g
+        for i in range(2, q):  # a generator exists in 2..q-1 for every q >= 3
+            gen = []
+            while i:
+                i, c = divmod(i, p)
+                gen.append(c)
+            if all(_ppowmod(gen, (q - 1) // ell, f, p) != [1] for ell in fac):
                 break
-        if gen is None:  # q == 3
-            gen = self.from_index(q - 1)
         exp = [0] * (q - 1)
         log = [0] * q
-        acc = self.one
+        acc = [1]
         for k in range(q - 1):
-            idx = acc.index()
+            idx = 0
+            for c in reversed(acc):
+                idx = idx * p + c
             exp[k] = idx
             log[idx] = k
-            acc = acc * gen
+            acc = _pmulmod(acc, gen, f, p)
         # the trace is GF(p)-linear and index digits are coefficients, so
-        # tr(i) = sum_k c_k tr(x^k): n Frobenius traces, then O(q) int work
+        # tr(i) = sum_k c_k tr(x^k); tr(x^k) = sum_i x^(k p^i) lies in GF(p),
+        # so it is the sum of the constant coefficients of its n terms
         trace = [0]
         for k in range(self.n):
-            tk = self.from_index(p ** k).trace()
+            tk = sum((_ppowmod([0] * k + [1], p ** i, f, p) or [0])[0]
+                     for i in range(self.n)) % p
             trace = [(t + c * tk) % p for c in range(p) for t in trace]
         qr = bytearray(q)
         qr[0] = 1

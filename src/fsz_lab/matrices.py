@@ -2,18 +2,19 @@
 packed-int kernel their products run on.
 
 Matrices are immutable tuples of FieldElem entries with exact arithmetic.
-Sums and differences work on the entries' integer coefficients.  Products
-and unitriangular inverses run on int codes, a format this module owns: over
-GF(p) a code is the residue, over GF(p^f) the coefficients packed into one
-int, coefficient k in bit slot k (Kronecker substitution).  A row . column
-sum of codes then holds the unreduced convolution of the whole dot product,
-reduced once.  `_coding(spec, terms)` sizes slots for a sum of `terms`
+Sums, differences and equality work on the entries' integer coefficients.
+Products, unitriangular inverses and the symplectic test run on int codes,
+a format this module owns: over GF(p) a code is the residue, over GF(p^f)
+the coefficients packed into one int, coefficient k in bit slot k
+(Kronecker substitution).  A row . column sum of codes then holds the
+unreduced convolution of the whole dot product, reduced once.  `_coding(spec, terms)` sizes slots for a sum of `terms`
 products, (terms * f * (p-1)^2).bit_length() bits: `MatFq @` asks for
-terms = ncols, `UniTriMat.inv` for n and the `sylow` block core for 2n.
+terms = ncols, `is_symplectic` for the dimension, `UniTriMat.inv` for n and
+the `sylow` block core for 2n.
 
 All indices in this package are 0-based.  The symplectic membership test
-checks the defining block identity directly: writing M in n x n blocks
-[[X, A], [B, Y]], M is symplectic iff
+checks the defining block identity directly, with one full product on the
+codes of M: writing M in n x n blocks [[X, A], [B, Y]], M is symplectic iff
 
     M @ [[Y^T, -A^T], [-B^T, X^T]] == I.
 
@@ -76,9 +77,6 @@ class _Coding:
 
         self.reduce = reduce
 
-    def encode(self, x: FieldElem) -> int:
-        return _pack(x.coeffs, self.width)
-
     def decode(self, spec: FieldSpec, v: int) -> FieldElem:
         if self.f == 1:
             return FieldElem(spec, (v,))
@@ -100,8 +98,10 @@ class _Coding:
         return i
 
     def block(self, M: "MatFq") -> Block:
-        enc = self.encode
-        return tuple([tuple([enc(x) for x in r]) for r in M.rows])
+        if self.f == 1:
+            return tuple([tuple([x.coeffs[0] for x in r]) for r in M.rows])
+        width = self.width
+        return tuple([tuple([_pack(x.coeffs, width) for x in r]) for r in M.rows])
 
     def matfq(self, spec: FieldSpec, X: Block) -> "MatFq":
         if self.f == 1:
@@ -273,7 +273,9 @@ class MatFq:
 
     def __mul__(self, scalar) -> "MatFq":
         if isinstance(scalar, (int, FieldElem)):
-            return MatFq(self.spec, [[a * scalar for a in r] for r in self.rows])
+            # each entry's product checks the scalar's field
+            return MatFq._wrap(self.spec, tuple(tuple([a * scalar for a in r])
+                                                for r in self.rows))
         return NotImplemented
 
     __rmul__ = __mul__
@@ -349,7 +351,12 @@ class MatFq:
 
     def __eq__(self, other):
         if isinstance(other, MatFq):
-            return self.spec == other.spec and self.rows == other.rows
+            a, b = self.rows, other.rows
+            # every entry lies in its matrix's field, so once the fields and
+            # the shapes agree the coefficients decide
+            return (self.spec == other.spec and len(a) == len(b)
+                    and (not a or len(a[0]) == len(b[0]))
+                    and [x.coeffs for r in a for x in r] == [x.coeffs for r in b for x in r])
         return NotImplemented
 
     def __hash__(self):
@@ -384,22 +391,22 @@ def block_matrix(blocks: Sequence[Sequence[MatFq]]) -> MatFq:
 
 
 def is_symplectic(M: MatFq) -> bool:
-    """Block test: M [[Y^T, -A^T], [-B^T, X^T]] == I for the n x n blocks of M."""
+    """Block test: M [[Y^T, -A^T], [-B^T, X^T]] == I for the n x n blocks of M,
+    one product on int codes."""
     m = M.nrows
     if m != M.ncols or m % 2:
         raise ValueError("even-dimensional square matrix required")
     n = m // 2
-    idx = range(n)
-    jdx = range(n, m)
-    X = M.submatrix(idx, idx)
-    A = M.submatrix(idx, jdx)
-    B = M.submatrix(jdx, idx)
-    Y = M.submatrix(jdx, jdx)
-    partner = block_matrix([
-        [Y.transpose(), -A.transpose()],
-        [-B.transpose(), X.transpose()],
-    ])
-    return M @ partner == MatFq.identity(M.spec, m)
+    code = _coding(M.spec, m)
+    red, m1 = code.reduce, code.minus_one
+    C = code.block(M)
+    # M^T = [[X^T, B^T], [A^T, Y^T]]: the partner swaps its block rows and
+    # block columns and negates the blocks that land off the diagonal
+    T = _transpose(C)
+    partner = ([r[n:] + tuple([red(m1 * v) for v in r[:n]]) for r in T[n:]]
+               + [tuple([red(m1 * v) for v in r[n:]]) + r[:n] for r in T[:n]])
+    ident = tuple(tuple([int(i == j) for j in range(m)]) for i in range(m))
+    return _mm(C, partner, red) == ident
 
 
 class UniTriMat:

@@ -39,6 +39,26 @@ def _reference_transvection(spec, v, scale):
     return MatFq.identity(spec, len(v)) + (J @ col @ row) * scale
 
 
+def _transvection(spec, v, scale):
+    """I + scale * (J v^T) v with J v^T = (v[k:], -v[:k]) formed directly."""
+    k = len(v) // 2
+    col = MatFq(spec, [[scale * x] for x in v[k:]] + [[-scale * x] for x in v[:k]])
+    return MatFq.identity(spec, len(v)) + col @ MatFq(spec, [list(v)])
+
+
+def _reference_random_symplectic(spec, dim, rng, fixups):
+    """The full product of 12 reference transvections, drawn in the order of
+    cz.random_symplectic: v, the all-zero fix-up, scale, then the sign."""
+    out = MatFq.identity(spec, dim)
+    for _ in range(12):
+        v = [spec.random(rng) for _ in range(dim)]
+        if all(x.is_zero() for x in v):
+            v[rng.randrange(dim)] = spec.one
+            fixups.append(dim)
+        out = out @ _reference_transvection(spec, v, spec.random(rng))
+    return -out if rng.randrange(2) else out
+
+
 @pytest.fixture(scope="module")
 def target():
     return make_target(5, 5, 1, 1)
@@ -185,7 +205,7 @@ class TestRandomness:
                 v = [spec.random(rng) for _ in range(dim)]
                 if all(x.is_zero() for x in v):
                     v[0] = spec.one
-                T = cz.transvection(spec, v, spec.random(rng))
+                T = _transvection(spec, v, spec.random(rng))
                 assert is_symplectic(T)
 
     @pytest.mark.parametrize("p,n", [(5, 1), (3, 2), (7, 1)])
@@ -196,12 +216,37 @@ class TestRandomness:
             for _ in range(15):
                 v = [spec.random(rng) for _ in range(dim)]
                 scale = spec.random(rng)
-                assert cz.transvection(spec, v, scale) == _reference_transvection(spec, v, scale)
+                assert _transvection(spec, v, scale) == _reference_transvection(spec, v, scale)
 
     def test_odd_dimension_transvection_rejected(self, target):
-        spec = target.spec
         with pytest.raises(ValueError):
-            cz.transvection(spec, [spec.one] * 3, spec.one)
+            cz.random_symplectic(target.spec, 3, random.Random(0))
+
+    @pytest.mark.parametrize("p,n", [(5, 1), (7, 1), (3, 2)])
+    def test_rank_one_updates_equal_the_transvection_product(self, p, n):
+        spec = field(p, n)
+        fixups = []
+        for dim in (2, 4, 6):
+            for seed in range(20):
+                got_rng, ref_rng = random.Random(seed), random.Random(seed)
+                got = cz.random_symplectic(spec, dim, got_rng)
+                assert got == _reference_random_symplectic(spec, dim, ref_rng, fixups)
+                assert got_rng.getstate() == ref_rng.getstate()  # same draws
+        assert 2 in fixups  # the all-zero fix-up ran
+
+    def test_random_symplectic_makes_no_matrix_product(self, target, monkeypatch):
+        calls = []
+        original = MatFq.__matmul__
+
+        def counting(a, b):
+            calls.append(1)
+            return original(a, b)
+
+        monkeypatch.setattr(MatFq, "__matmul__", counting)
+        M = cz.random_symplectic(target.spec, 6, random.Random(59))
+        assert calls == []
+        M @ M
+        assert calls == [1]
 
     @pytest.mark.parametrize("pqj", sorted(PINNED_SAMPLES))
     def test_seeded_samples_are_pinned(self, pqj):

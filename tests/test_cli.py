@@ -94,6 +94,15 @@ def test_binom_bad_input_is_usage_error(capsys):
         assert len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("extra", [[], ["--k", "1"]], ids=["all-pairs", "one-pair"])
+def test_binom_negative_j_is_one_line_usage_error(capsys, extra):
+    # p ** j is a fraction for j < 0; both paths refuse j before using it
+    code, out, err = run(capsys, "binom", "--p", "3", "--j", "-1", *extra)
+    assert code == 2
+    assert out == ""
+    assert err == "error: j must be >= 1, got -1\n"
+
+
 def test_binom_l_without_k_is_usage_error(capsys):
     code, out, err = run(capsys, "binom", "--p", "3", "--j", "1", "--l", "1")
     assert code == 2

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fsz_lab.fields import (
+    FieldElem,
     FieldSpec,
     canonical_modulus,
     field,
@@ -311,6 +312,22 @@ class TestTables:
             squares = {t["exp"][k] for k in range(0, spec.q - 1, 2)} | {0}
             assert squares == {x.index() for x in direct.qr_set()}
             assert direct._tables is None
+
+    def test_table_build_makes_no_field_element_multiply(self, monkeypatch):
+        calls = []
+        original = FieldElem.__mul__
+
+        def counting(self, other):
+            calls.append(1)
+            return original(self, other)
+
+        monkeypatch.setattr(FieldElem, "__mul__", counting)
+        monkeypatch.setattr(FieldElem, "__rmul__", counting)
+        for p, n in [(3, 1), (7, 1), (3, 2), (5, 2), (3, 4), (7, 3)]:
+            FieldSpec(p, n).tables()
+        assert calls == []
+        field(5, 2).one * field(5, 2).one
+        assert calls == [1]
 
     def test_table_bound(self):
         spec = FieldSpec(3, 11)  # q = 177147 > 2^16

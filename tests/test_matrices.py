@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fsz_lab.centralizer import random_symplectic
 from fsz_lab.fields import FieldElem, FieldSpec, field, field_for_order, split_prime_power
 from fsz_lab.matrices import MatFq, UniTriMat, block_matrix, is_symplectic
 
@@ -28,6 +29,17 @@ def schoolbook_product(A: MatFq, B: MatFq) -> MatFq:
 
 def entrywise(A: MatFq, B: MatFq, op) -> MatFq:
     return MatFq(A.spec, [[op(a, b) for a, b in zip(ra, rb)] for ra, rb in zip(A.rows, B.rows)])
+
+
+def block_formula_is_symplectic(M: MatFq) -> bool:
+    """M [[Y^T, -A^T], [-B^T, X^T]] == I, assembled from FieldElem blocks."""
+    n = M.nrows // 2
+    idx, jdx = range(n), range(n, 2 * n)
+    X, A = M.submatrix(idx, idx), M.submatrix(idx, jdx)
+    B, Y = M.submatrix(jdx, idx), M.submatrix(jdx, jdx)
+    partner = block_matrix([[Y.transpose(), -A.transpose()],
+                            [-B.transpose(), X.transpose()]])
+    return schoolbook_product(M, partner).rows == MatFq.identity(M.spec, 2 * n).rows
 
 
 def ut_exponent(n: int, q: int) -> int:
@@ -193,6 +205,13 @@ class TestMatFq:
             assert M.pow(e) == acc
             acc = acc @ M
 
+    def test_equality_needs_the_same_field_and_shape(self):
+        assert MatFq.identity(field(5), 3) != MatFq.identity(field(7), 3)
+        assert MatFq.identity(FieldSpec(5), 3) == MatFq.identity(field(5), 3)
+        assert MatFq.zeros(field(5), 2, 3) != MatFq.zeros(field(5), 3, 2)
+        assert MatFq.zeros(field(5), 2, 3) != MatFq.zeros(field(5), 2, 2)
+        assert MatFq.from_ints(field(5), [[1, 2]]) != MatFq.from_ints(field(5), [[1, 3]])
+
     def test_block_matrix_assembly(self):
         spec = field(5)
         I = MatFq.identity(spec, 2)
@@ -217,6 +236,30 @@ class TestSymplectic:
         spec = field(5)
         M = MatFq.from_ints(spec, [[2, 0], [0, 1]])  # det 2, outside Sp_2 = SL_2
         assert not is_symplectic(M)
+
+    def test_non_square_rejected(self):
+        with pytest.raises(ValueError):
+            is_symplectic(MatFq.zeros(field(5), 4, 2))
+
+    @pytest.mark.parametrize("q", [5, 9])
+    def test_codes_agree_with_the_block_formula(self, q):
+        spec = field_for_order(q)
+        rng = random.Random(61)
+        verdicts = {"symplectic": set(), "random": set(), "perturbed": set()}
+        for dim in (2, 4, 6):
+            for _ in range(12):
+                S = random_symplectic(spec, dim, rng)
+                R = MatFq(spec, [[spec.random(rng) for _ in range(dim)] for _ in range(dim)])
+                rows = [list(r) for r in S.rows]
+                i, j = rng.randrange(dim), rng.randrange(dim)
+                rows[i][j] = rows[i][j] + spec.from_index(rng.randrange(1, q))
+                for kind, M in (("symplectic", S), ("random", R),
+                                ("perturbed", MatFq(spec, rows))):
+                    verdict = is_symplectic(M)
+                    assert verdict == block_formula_is_symplectic(M), (kind, M)
+                    verdicts[kind].add(verdict)
+        assert verdicts["symplectic"] == {True}
+        assert False in verdicts["random"] and False in verdicts["perturbed"]
 
 
 class TestUniTri:

@@ -6,8 +6,9 @@ right degree), so identical (p, n) always produce identical serializations.
 The module provides the trace map onto the prime subfield, Legendre symbols,
 and quadratic-residue sets.  For fields of at most TABLE_BOUND elements,
 exp/log, trace and quadratic-residue tables on element indices are built
-lazily: the enumeration oracles run on these index codes, and element
-products read them once built.  Equality is always defined on coefficients.
+lazily: the enumeration oracles and the fast fsz route run on these index
+codes, and element products read them once built.  Equality is always
+defined on coefficients.
 
 Elements of the prime subfield are identified with the integers
 {0, ..., p-1}, and mixed int/element arithmetic uses that identification.
@@ -325,14 +326,21 @@ class FieldSpec:
                 break
         exp = [0] * (q - 1)
         log = [0] * q
-        acc = [1]
-        for k in range(q - 1):
-            idx = 0
-            for c in reversed(acc):
-                idx = idx * p + c
-            exp[k] = idx
-            log[idx] = k
-            acc = _pmulmod(acc, gen, f, p)
+        if self.n == 1:  # the index is the element: step one int
+            acc, g = 1, gen[0]
+            for k in range(q - 1):
+                exp[k] = acc
+                log[acc] = k
+                acc = acc * g % p
+        else:
+            acc = [1]
+            for k in range(q - 1):
+                idx = 0
+                for c in reversed(acc):
+                    idx = idx * p + c
+                exp[k] = idx
+                log[idx] = k
+                acc = _pmulmod(acc, gen, f, p)
         # the trace is GF(p)-linear and index digits are coefficients, so
         # tr(i) = sum_k c_k tr(x^k); tr(x^k) = sum_i x^(k p^i) lies in GF(p),
         # so it is the sum of the constant coefficients of its n terms
@@ -346,6 +354,19 @@ class FieldSpec:
         for k in range(0, q - 1, 2):
             qr[exp[k]] = 1
         return {"exp": exp, "log": log, "trace": trace, "qr": qr}
+
+    def add_map(self, c: int) -> list[int]:
+        """The index of x + c for every index x, as a list of q ints.
+
+        Index digits are coefficients, so the sum adds digit by digit mod p.
+        """
+        p = self.p
+        out = [0]
+        for k in range(self.n):
+            c, ck = divmod(c, p)
+            w = p ** k
+            out = [r + (digit + ck) % p * w for digit in range(p) for r in out]
+        return out
 
     def mul_idx(self, i: int, j: int) -> int:
         if i == 0 or j == 0:

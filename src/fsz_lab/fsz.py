@@ -24,6 +24,8 @@ program folds the n-1 slots one at a time into a histogram of (a, b) values
 with every x_i nonzero.  The double count sums the states with
 (d/a + A_u[0,0]) * b = d for each d; with y = 0 the same histogram gives the
 corner values d/a behind the betas.  The tuples are counted, not assumed.
+The route runs on the field's exp/log tables: states are discrete logs, a
+product is a sum of logs mod q - 1, and x + c is a digit-wise map on indices.
 """
 
 from __future__ import annotations
@@ -204,27 +206,34 @@ def _free_exponent(n: int) -> int:
 
 def _superdiagonal_histogram(
     spec: FieldSpec, shift: Sequence[FieldElem]
-) -> dict[tuple[FieldElem, FieldElem], int]:
-    """{(a, b): number of superdiagonals x} with a = prod x_i^2, b = prod (x_i+y_i)^2.
+) -> dict[tuple[int, int], int]:
+    """{(log a, log b): number of superdiagonals x} with a = prod x_i^2, b = prod (x_i+y_i)^2.
 
     y is the given shift (the superdiagonal of u, or zeros) and only tuples
     with every x_i nonzero are counted, since those are the superdiagonals
-    that admit a solution.  The product is folded one slot at a time and equal
-    (a, b) states are merged, so each slot costs at most (number of states) * q
-    steps instead of the q^(n-1) tuples being listed.
+    that admit a solution.  Tuples with b = 0 are dropped as well: the count
+    condition (d/a + A_u[0,0]) * b = d never holds for them, as d != 0.  The
+    product is folded one slot at a time on discrete logs (exponents of the
+    tables' generator, mod q - 1) and equal states are merged, so each slot
+    costs at most (number of states) * q steps instead of the q^(n-1) tuples
+    being listed.  Needs q <= TABLE_BOUND.
     """
-    nonzero = [x for x in spec.elements() if not x.is_zero()]
-    states = {(spec.one, spec.one): 1}
+    t = spec.tables()
+    exp, log = t["exp"], t["log"]
+    m = spec.q - 1
+    states = {(0, 0): 1}
     for y in shift:
-        steps: dict[tuple[FieldElem, FieldElem], int] = {}
-        for x in nonzero:
-            s = x + y
-            key = (x * x, s * s)
-            steps[key] = steps.get(key, 0) + 1
-        folded: dict[tuple[FieldElem, FieldElem], int] = {}
-        for (a, b), count in states.items():
+        plus_y = spec.add_map(y.index())
+        steps: dict[tuple[int, int], int] = {}
+        for lx in range(m):
+            s = plus_y[exp[lx]]
+            if s:
+                key = (2 * lx % m, 2 * log[s] % m)
+                steps[key] = steps.get(key, 0) + 1
+        folded: dict[tuple[int, int], int] = {}
+        for (la, lb), count in states.items():
             for (sa, sb), k in steps.items():
-                key = (a * sa, b * sb)
+                key = ((la + sa) % m, (lb + sb) % m)
                 folded[key] = folded.get(key, 0) + count * k
         states = folded
     return states
@@ -553,16 +562,20 @@ def gm_count(
 
 def _gm_count_fast(u: SylowElem, d_list: Sequence[int]) -> dict[int, int]:
     spec = u.spec
-    a_u = u.corner()
-    d_elems = {d: spec.elem(d) for d in d_list}
-    matches = dict.fromkeys(d_elems, 0)
     # both power conditions see only (A[0,0], superdiagonal of L): a solution's
     # corner is d / a, and a*u is a solution iff (d / a + A_u[0,0]) * b = d; every
     # satisfying choice extends the same number of ways through the free entries
-    for (a, b), count in _superdiagonal_histogram(spec, u.superdiagonal()).items():
-        a_inv = a.inv()
-        for d, d_elem in d_elems.items():
-            if (d_elem * a_inv + a_u) * b == d_elem:
+    histogram = _superdiagonal_histogram(spec, u.superdiagonal())
+    t = spec.tables()
+    exp, log = t["exp"], t["log"]
+    m = spec.q - 1
+    plus_corner = spec.add_map(u.corner().index())
+    d_logs = {d: log[d % spec.p] for d in d_list}  # the index of d in GF(p) is d mod p
+    matches = dict.fromkeys(d_logs, 0)
+    for (la, lb), count in histogram.items():
+        for d, ld in d_logs.items():
+            s = plus_corner[exp[(ld - la) % m]]
+            if s and (log[s] + lb) % m == ld:
                 matches[d] += count
     return {d: k * spec.q ** _free_exponent(u.n) for d, k in matches.items()}
 
@@ -741,19 +754,19 @@ def beta_linear_batch(
         if zparam.is_zero():
             raise ValueError("zparam must be nonzero (trivial character excluded)")
     _check_central(target)
-    d_elem = target.d_elem()
     multiplicity = spec.q ** _free_exponent(target.n)
-    corner_counts = {
-        d_elem / a: count * multiplicity
-        for (a, _), count in _superdiagonal_histogram(
-            spec, [spec.zero] * (target.n - 1)
-        ).items()
-    }
+    histogram = _superdiagonal_histogram(spec, [spec.zero] * (target.n - 1))
+    t = spec.tables()
+    exp, log, trace = t["exp"], t["log"], t["trace"]
+    m = spec.q - 1
+    ld = log[target.d]  # target.d is reduced mod p, so it is its own index
+    corner_logs = {(ld - la) % m: count * multiplicity for (la, _), count in histogram.items()}
     betas = []
     for zparam in zparams:
+        lz = log[zparam.index()]
         residue_vector = [0] * spec.p
-        for x, count in corner_counts.items():
-            residue_vector[(zparam * x).trace()] += count
+        for k, count in corner_logs.items():
+            residue_vector[trace[exp[(lz + k) % m]]] += count
         inner = CycNum.from_residue_vector(spec.p, residue_vector)
         betas.append(_beta_from_inner(
             inner, target.m, target.describe(), f"xi(zparam={zparam})", zparam.to_json()
@@ -846,8 +859,8 @@ def witness_pair_count(spec: FieldSpec, d: int | FieldElem, mode: str = "closed"
     # low base-p digit, and the Legendre symbol is the QR mask
     t = spec.tables()
     exp, log, qr = t["exp"], t["log"], t["qr"]
-    p, m = spec.p, q - 1
-    succ = [i + 1 if i % p != p - 1 else i + 1 - p for i in range(q)]
+    m = q - 1
+    succ = spec.add_map(1)
     want = 1 if ld == 1 else 0
     count = 0
     for a in range(q):

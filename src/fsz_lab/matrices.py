@@ -377,19 +377,6 @@ class MatFq:
         }
 
 
-def block_matrix(blocks: Sequence[Sequence[MatFq]]) -> MatFq:
-    """Assemble a matrix from a grid of conformal blocks."""
-    first = blocks[0][0]
-    for brow in blocks:
-        for b in brow:
-            first._compat(b)
-    rows = tuple(tuple(x for b in brow for x in b.rows[i])
-                 for brow in blocks for i in range(brow[0].nrows))
-    if any(len(r) != len(rows[0]) for r in rows):
-        raise ValueError("ragged rows")
-    return MatFq._wrap(first.spec, rows)
-
-
 def is_symplectic(M: MatFq) -> bool:
     """Block test: M [[Y^T, -A^T], [-B^T, X^T]] == I for the n x n blocks of M,
     one product on int codes."""

@@ -7,7 +7,7 @@ import pytest
 from fsz_lab import centralizer as cz
 from fsz_lab.fields import field
 from fsz_lab.fsz import make_target
-from fsz_lab.matrices import MatFq, block_matrix, is_symplectic
+from fsz_lab.matrices import MatFq, is_symplectic
 
 # sha256 of the sorted-key JSON of five seeded samples each (seed 41, drawn in
 # this order): random_symplectic in dimensions 4 and 6, then
@@ -26,6 +26,13 @@ PINNED_SAMPLES = {
 def _digest(mats) -> str:
     return hashlib.sha256(json.dumps([M.to_json() for M in mats], sort_keys=True)
                           .encode()).hexdigest()
+
+
+def block_matrix(blocks) -> MatFq:
+    """Assemble a matrix from a grid of conformal blocks."""
+    rows = [[x for b in brow for x in b.rows[i]]
+            for brow in blocks for i in range(brow[0].nrows)]
+    return MatFq(blocks[0][0].spec, rows)
 
 
 def _reference_transvection(spec, v, scale):

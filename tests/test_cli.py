@@ -236,6 +236,17 @@ def test_pairs_budget_counts_every_enumerated_pair(capsys):
     assert len(json.loads(out)["rows"]) == 52
 
 
+@pytest.mark.parametrize("argv", [
+    ["sylow", "fsz", "--p", "3", "--q", "177147", "--j", "1"],
+    ["sylow", "beta", "--p", "3", "--q", "177147", "--j", "1", "--zparam", "1"],
+], ids=["fsz", "beta"])
+def test_fast_route_above_the_table_bound_is_refused(capsys, argv):
+    # the superdiagonal histogram runs on field tables, which stop at 2^16
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == "" and err == "error: field too large for tables (q=177147 > 65536)\n"
+
+
 def test_pairs_above_the_table_bound_is_refused(capsys):
     # within budget, but the enumeration runs on field tables, which stop at 2^16
     code, out, err = run(capsys, "--budget", str(10 ** 10), "pairs", "--q", "65537", "--d", "1")

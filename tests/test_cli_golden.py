@@ -45,6 +45,11 @@ GOLDEN = [
      "70dbfeebefc7d06f936d4c58dd5a3371d843c8485eb64b451b066637a6e176c9"),
     ("sylow beta --p 5 --q 5 --j 1",
      "3bc867133ec7d179f85998062178f124fed76624ec3fca4fbaca659c3bede7a5"),
+    # the fast route over GF(p^f): histogram, G_m read-out and betas on exp/log codes
+    ("sylow fsz --p 5 --q 25 --j 1 --beta",
+     "980969cd9ff93c8661d61ec588afaf96159ef30fcd50637d5be7f27cdba340b8"),
+    ("sylow beta --p 3 --q 27 --j 1",
+     "08f2e66648f90e0a156aae437d32af511666a71a5cbf7f63ff2b4f22da7437c2"),
     ("sylow enumerate --n 2 --q 3 --stop 10",
      "c64bfd53f1c01c6aa56d661b9107a6ff9d6051dc077709bf745f1c8efed3615d"),
     ("centralizer check --p 5 --q 5 --j 1 --samples 20 --seed 7",

@@ -313,6 +313,13 @@ class TestTables:
             assert squares == {x.index() for x in direct.qr_set()}
             assert direct._tables is None
 
+    def test_add_map_matches_element_sum(self):
+        for p, n in [(3, 1), (5, 1), (3, 2), (5, 2), (3, 3)]:
+            spec = FieldSpec(p, n)
+            xs = list(spec.elements())
+            for c, z in enumerate(xs):
+                assert spec.add_map(c) == [(x + z).index() for x in xs]
+
     def test_table_build_makes_no_field_element_multiply(self, monkeypatch):
         calls = []
         original = FieldElem.__mul__

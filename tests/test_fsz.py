@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from fsz_lab import fsz
 from fsz_lab.cyclotomic import CycNum
-from fsz_lab.fields import field, field_for_order
+from fsz_lab.fields import FieldElem, field, field_for_order
 from fsz_lab.matrices import UniTriMat
 from fsz_lab.parallel import BudgetExceeded
 from fsz_lab.residues import FiberCountQuery, trace_fiber_qr_count
@@ -323,6 +323,63 @@ def _enumerated_corners(target):
 
 
 DP_INSTANCES = [(3, 3, 1), (3, 9, 1), (5, 5, 1), (3, 3, 2), (7, 7, 1)]
+# the element fold is cheap here too, and these reach GF(p^f) with f = 2, 3
+REFERENCE_INSTANCES = DP_INSTANCES + [(5, 25, 1), (3, 27, 1)]
+
+
+def _element_histogram(spec, shift):
+    """{(a, b): number of nonzero superdiagonals x} folded on FieldElem values.
+
+    The reference for the coded DP: a = prod x_i^2 and b = prod (x_i + y_i)^2,
+    every product and sum made by field element arithmetic.
+    """
+    nonzero = [x for x in spec.elements() if not x.is_zero()]
+    states = {(spec.one, spec.one): 1}
+    for y in shift:
+        steps = Counter()
+        for x in nonzero:
+            s = x + y
+            steps[x * x, s * s] += 1
+        folded = Counter()
+        for (a, b), count in states.items():
+            for (sa, sb), k in steps.items():
+                folded[a * sa, b * sb] += count * k
+        states = folded
+    return dict(states)
+
+
+def _u_from_digits(spec, n, rng, corner, superdiagonal):
+    """sylow_from_index on random index digits, with the corner A[0,0] and the
+    superdiagonal of L set to the given field indices."""
+    q = spec.q
+    L = {(i, j): rng.randrange(q) for i in range(n) for j in range(i + 1, n)}
+    L.update({(i, i + 1): y for i, y in enumerate(superdiagonal)})
+    S = {(i, j): rng.randrange(q) for i in range(n) for j in range(i, n)}
+    S[0, 0] = corner  # (A L)[0,0] = A[0,0] for upper unitriangular L
+    idx = 0
+    for digit in [*L.values(), *S.values()]:  # row-major, L digits most significant
+        idx = idx * q + digit
+    u = sylow_from_index(spec, n, idx)
+    assert u.corner().index() == corner
+    assert [y.index() for y in u.superdiagonal()] == list(superdiagonal)
+    return u
+
+
+def _reference_us(spec, n, seed=0):
+    """identity, U and seeded u with corner 0 and with zero superdiagonal slots."""
+    rng = random.Random(seed)
+
+    def nonzero():
+        return rng.randrange(1, spec.q)
+
+    return [
+        SylowElem.identity(spec, n),
+        u_witness(spec, n),
+        _u_from_digits(spec, n, rng, 0, [nonzero() if i % 2 else 0 for i in range(n - 1)]),
+        _u_from_digits(spec, n, rng, nonzero(), [0] * (n - 1)),
+        _u_from_digits(spec, n, rng, 0, [nonzero() for _ in range(n - 1)]),
+        _u_from_digits(spec, n, rng, nonzero(), [nonzero() for _ in range(n - 1)]),
+    ]
 
 
 def _assert_dp_matches_enumeration(p, q, j, u):
@@ -331,10 +388,23 @@ def _assert_dp_matches_enumeration(p, q, j, u):
 
 
 class TestSuperdiagonalDp:
-    @pytest.mark.parametrize("p,q,j", DP_INSTANCES)
+    @pytest.mark.parametrize("p,q,j", REFERENCE_INSTANCES)
+    def test_coded_histogram_equals_element_fold(self, p, q, j):
+        spec, n = field_for_order(q), (p ** j + 1) // 2
+        exp = spec.tables()["exp"]
+        for u in _reference_us(spec, n):
+            shift = u.superdiagonal()
+            decoded = {(spec.from_index(exp[la]), spec.from_index(exp[lb])): count
+                       for (la, lb), count in _superdiagonal_histogram(spec, shift).items()}
+            # the coded DP drops the states with b = 0, which no d can match
+            reference = {key: count for key, count in _element_histogram(spec, shift).items()
+                         if not key[1].is_zero()}
+            assert decoded == reference
+
+    @pytest.mark.parametrize("p,q,j", REFERENCE_INSTANCES)
     def test_gm_count_matches_enumeration_for_identity_and_witness(self, p, q, j):
         spec, n = field_for_order(q), (p ** j + 1) // 2
-        for u in (SylowElem.identity(spec, n), u_witness(spec, n)):
+        for u in _reference_us(spec, n):
             _assert_dp_matches_enumeration(p, q, j, u)
 
     @pytest.mark.parametrize("p,q,j", DP_INSTANCES)
@@ -350,10 +420,27 @@ class TestSuperdiagonalDp:
         for d in range(1, p):
             t = make_target(p, q, j, d)
             spec = t.spec
+            exp = spec.tables()["exp"]
             hist = _superdiagonal_histogram(spec, [spec.zero] * (t.n - 1))
             assert all(a == b for a, b in hist)
-            corners = {t.d_elem() / a: count for (a, _), count in hist.items()}
+            corners = {t.d_elem() / spec.from_index(exp[a]): count
+                       for (a, _), count in hist.items()}
             assert corners == _enumerated_corners(t)
+
+    def test_fast_route_makes_no_field_element_multiply(self, monkeypatch):
+        field_for_order(25).tables()
+        calls = []
+        original = FieldElem.__mul__
+
+        def counting(self, other):
+            calls.append(1)
+            return original(self, other)
+
+        monkeypatch.setattr(FieldElem, "__mul__", counting)
+        monkeypatch.setattr(FieldElem, "__rmul__", counting)
+        report = fsz_test_at(5, 25, 1, with_betas=True)
+        assert len(report.betas) == 24
+        assert calls == []
 
 
 class TestReachableInstances:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from fsz_lab.centralizer import random_symplectic
 from fsz_lab.fields import FieldElem, FieldSpec, field, field_for_order, split_prime_power
-from fsz_lab.matrices import MatFq, UniTriMat, block_matrix, is_symplectic
+from fsz_lab.matrices import MatFq, UniTriMat, is_symplectic
 
 
 # -- oracles: entry arithmetic through FieldElem, one term at a time ------------------
@@ -29,6 +29,13 @@ def schoolbook_product(A: MatFq, B: MatFq) -> MatFq:
 
 def entrywise(A: MatFq, B: MatFq, op) -> MatFq:
     return MatFq(A.spec, [[op(a, b) for a, b in zip(ra, rb)] for ra, rb in zip(A.rows, B.rows)])
+
+
+def block_matrix(blocks) -> MatFq:
+    """Assemble a matrix from a grid of conformal blocks."""
+    rows = [[x for b in brow for x in b.rows[i]]
+            for brow in blocks for i in range(brow[0].nrows)]
+    return MatFq(blocks[0][0].spec, rows)
 
 
 def block_formula_is_symplectic(M: MatFq) -> bool:

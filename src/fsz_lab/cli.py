@@ -266,6 +266,7 @@ def cmd_sylow_fsz(args) -> int:
 def cmd_sylow_beta(args) -> int:
     target = make_target(args.p, args.q, args.j, args.d)
     spec = target.spec
+    spec.tables()  # the fast route reads them: refuse a large q before listing it
     zparams = (
         [_parse_elem(spec, args.zparam)]
         if args.zparam is not None

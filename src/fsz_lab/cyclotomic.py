@@ -1,15 +1,17 @@
 """Exact arithmetic in the cyclotomic field Q(zeta_p) for an odd prime p.
 
-Numbers are stored in the power basis {1, zeta, ..., zeta^(p-2)} with exact
-rational coefficients, so rationality is literally a zero-coefficient test.
-The Galois action, complex conjugation, squared modulus, the canonical
-additive character e_q of a finite field, and Gauss sums are all computed
-without any floating point.
+Numbers are stored in the power basis {1, zeta, ..., zeta^(p-2)} as integer
+numerators over one positive denominator, reduced by their gcd, so
+rationality is literally a zero-coefficient test and equal numbers have
+equal fields.  The Galois action, complex conjugation, squared modulus, the
+canonical additive character e_q of a finite field, and Gauss sums are all
+computed without any floating point.
 
-A product runs as one integer cyclic convolution: both operands are brought
-to integer numerators over one common denominator (1 for every Gauss sum and
-every beta), the nonzero terms are convolved with Python ints mod p, and the
-p - 1 result coefficients become Fractions once.  Only the public constructor
+Every Gauss sum and every beta starts from an integer residue vector, so its
+denominator is 1 throughout.  Sums and products run on Python ints: a product
+is one integer cyclic convolution of the nonzero numerators mod p over the
+product of the denominators.  Fractions appear only at the boundary, in
+``coeffs``, ``is_rational`` and ``to_json``.  Only the public constructor
 and its classmethods validate p and the coefficients; ring operations build
 their results from operands that were checked already.
 
@@ -26,46 +28,54 @@ from typing import Sequence
 from .fields import TABLE_BOUND, FieldElem, FieldSpec, field, is_prime
 
 
-def _canonical(p: int, full: Sequence, d: int = 1) -> tuple[Fraction, ...]:
-    """Collapse coefficients full[i] / d on {zeta^0..zeta^(p-1)} to the power basis.
+def _canonical(p: int, full: Sequence) -> tuple:
+    """Collapse coefficients on {zeta^0..zeta^(p-1)} to the power basis.
 
     Uses 1 + zeta + ... + zeta^(p-1) = 0 to eliminate the zeta^(p-1) slot.
     """
     top = full[p - 1]
-    return tuple(Fraction(c - top, d) for c in full[: p - 1])
-
-
-def _rational_coeffs(p: int, value) -> tuple[Fraction, ...]:
-    """Power-basis coefficients of the rational number value."""
-    return (Fraction(value),) + (Fraction(0),) * (p - 2)
-
-
-def _integer_terms(coeffs: tuple[Fraction, ...]) -> tuple[list[tuple[int, int]], int]:
-    """The nonzero (index, numerator) pairs of coeffs over their common denominator d."""
-    d = math.lcm(*(c.denominator for c in coeffs))
-    return [(i, c.numerator * (d // c.denominator)) for i, c in enumerate(coeffs) if c], d
+    return tuple([c - top for c in full[: p - 1]])
 
 
 class CycNum:
-    """An element of Q(zeta_p) in the power basis, exact and immutable."""
+    """An element of Q(zeta_p) in the power basis, exact and immutable.
 
-    __slots__ = ("p", "coeffs")
+    Stored as integer numerators num over one positive denominator den with
+    gcd(den, *num) = 1, so equal numbers have equal fields.
+    """
+
+    __slots__ = ("p", "num", "den")
 
     def __init__(self, p: int, coeffs):
         if not is_prime(p) or p == 2:
             raise ValueError(f"odd prime required, got {p}")
-        coeffs = tuple(Fraction(c) for c in coeffs)
+        coeffs = tuple(coeffs)
         if len(coeffs) != p - 1:
             raise ValueError(f"expected {p - 1} coefficients, got {len(coeffs)}")
+        if all(type(c) is int for c in coeffs):
+            num, den = coeffs, 1
+        else:
+            # over the lcm of reduced denominators the numerators share no
+            # factor with it, so the pair is already reduced
+            fracs = [Fraction(c) for c in coeffs]
+            den = math.lcm(*(c.denominator for c in fracs))
+            num = tuple([c.numerator * (den // c.denominator) for c in fracs])
         self.p = p
-        self.coeffs = coeffs
+        self.num = num
+        self.den = den
 
     @staticmethod
-    def _wrap(p: int, coeffs: tuple[Fraction, ...]) -> "CycNum":
-        """Wrap coefficients derived from already-checked operands, unchecked."""
+    def _wrap(p: int, num: tuple[int, ...], den: int = 1) -> "CycNum":
+        """Wrap numerators derived from already-checked operands, reducing by the gcd."""
+        if den != 1:
+            g = math.gcd(den, *num)
+            if g != 1:
+                num = tuple([c // g for c in num])
+                den //= g
         x = object.__new__(CycNum)
         x.p = p
-        x.coeffs = coeffs
+        x.num = num
+        x.den = den
         return x
 
     # -- constructors ----------------------------------------------------------
@@ -80,7 +90,7 @@ class CycNum:
 
     @classmethod
     def rational(cls, p: int, value) -> "CycNum":
-        return cls(p, _rational_coeffs(p, value))
+        return cls(p, [value] + [0] * (p - 2))
 
     @classmethod
     def zeta(cls, p: int, k: int = 1) -> "CycNum":
@@ -101,41 +111,54 @@ class CycNum:
 
     def _check(self, other) -> "CycNum":
         if isinstance(other, (int, Fraction)):
-            return CycNum._wrap(self.p, _rational_coeffs(self.p, other))
+            value = Fraction(other)
+            return CycNum._wrap(self.p, (value.numerator,) + (0,) * (self.p - 2),
+                                value.denominator)
         if not isinstance(other, CycNum):
             raise TypeError(f"cannot combine CycNum with {type(other).__name__}")
         if other.p != self.p:
             raise ValueError(f"mixed cyclotomic orders: {self.p} vs {other.p}")
         return other
 
-    def __add__(self, other):
+    def _combine(self, other, sign: int) -> "CycNum":
+        """self + sign * other on numerators over the lcm of the denominators."""
         other = self._check(other)
-        return CycNum._wrap(self.p, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        da, db = self.den, other.den
+        if da == db:
+            return CycNum._wrap(self.p, tuple([a + sign * b for a, b in zip(self.num, other.num)]), da)
+        den = math.lcm(da, db)
+        ma, mb = den // da, sign * (den // db)
+        return CycNum._wrap(self.p, tuple([a * ma + b * mb for a, b in zip(self.num, other.num)]), den)
+
+    def __add__(self, other):
+        return self._combine(other, 1)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = self._check(other)
-        return CycNum._wrap(self.p, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        return self._combine(other, -1)
 
     def __rsub__(self, other):
         return self._check(other) - self
 
     def __neg__(self):
-        return CycNum._wrap(self.p, tuple(-a for a in self.coeffs))
+        return CycNum._wrap(self.p, tuple([-a for a in self.num]), self.den)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return CycNum._wrap(self.p, tuple(a * other for a in self.coeffs))
+            value = Fraction(other)
+            k = value.numerator
+            return CycNum._wrap(self.p, tuple([a * k for a in self.num]),
+                                self.den * value.denominator)
         other = self._check(other)
         p = self.p
-        terms_a, da = _integer_terms(self.coeffs)
-        terms_b, db = _integer_terms(other.coeffs)
+        terms_b = [(j, b) for j, b in enumerate(other.num) if b]
         full = [0] * p
-        for i, a in terms_a:
-            for j, b in terms_b:
-                full[(i + j) % p] += a * b
-        return CycNum._wrap(p, _canonical(p, full, da * db))
+        for i, a in enumerate(self.num):
+            if a:
+                for j, b in terms_b:
+                    full[(i + j) % p] += a * b
+        return CycNum._wrap(p, _canonical(p, full), self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -165,10 +188,10 @@ class CycNum:
         p = self.p
         if k % p == 0:
             raise ValueError(f"galois exponent must be a unit mod {p}")
-        full = [Fraction(0)] * p
-        for i, a in enumerate(self.coeffs):
+        full = [0] * p
+        for i, a in enumerate(self.num):
             full[(i * k) % p] += a
-        return CycNum._wrap(p, _canonical(p, full))
+        return CycNum._wrap(p, _canonical(p, full), self.den)
 
     def conj(self) -> "CycNum":
         """Complex conjugation, i.e. the Galois map zeta -> zeta^(p-1)."""
@@ -178,23 +201,29 @@ class CycNum:
         """Squared modulus x * conj(x); always fixed by conjugation."""
         return self * self.conj()
 
+    # -- boundary: Fractions only from here on ----------------------------------
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The power-basis coefficients as reduced Fractions."""
+        den = self.den
+        return tuple([Fraction(c, den) for c in self.num])
+
     def is_rational(self) -> tuple[bool, Fraction | None]:
         """(True, value) when all basis coefficients beyond the constant vanish."""
-        if any(self.coeffs[1:]):
+        if any(self.num[1:]):
             return False, None
-        return True, self.coeffs[0]
-
-    # -- plumbing ----------------------------------------------------------------
+        return True, Fraction(self.num[0], self.den)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            return self.coeffs == _rational_coeffs(self.p, other)
+            return not any(self.num[1:]) and Fraction(self.num[0], self.den) == other
         if isinstance(other, CycNum):
-            return self.p == other.p and self.coeffs == other.coeffs
+            return self.p == other.p and self.den == other.den and self.num == other.num
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.p, self.coeffs))
+        return hash((self.p, self.num, self.den))
 
     def __repr__(self):
         terms = []

@@ -4,7 +4,9 @@ Elements are polynomial coefficient vectors reduced modulo a canonical
 irreducible polynomial (the lexicographically least monic irreducible of the
 right degree), so identical (p, n) always produce identical serializations.
 The module provides the trace map onto the prime subfield, Legendre symbols,
-and quadratic-residue sets.  For fields of at most TABLE_BOUND elements,
+and quadratic-residue sets.  A residue set is a read-only set view over a
+bytearray mask on element indices, filled by squaring on plain ints without
+the tables, so it can check them.  For fields of at most TABLE_BOUND elements,
 exp/log, trace and quadratic-residue tables on element indices are built
 lazily: the enumeration oracles and the fast fsz route run on these index
 codes, and element products read them once built.  Equality is always
@@ -19,6 +21,8 @@ elements of different fields is a hard error rather than a coercion.
 from __future__ import annotations
 
 import threading
+from collections.abc import Set
+from itertools import compress, product
 from typing import Iterator, Sequence
 
 TABLE_BOUND = 1 << 16
@@ -218,7 +222,7 @@ class FieldSpec:
         self.modulus = canonical_modulus(p, n)
         self._lock = threading.Lock()
         self._tables: dict | None = None
-        self._qr: frozenset[FieldElem] | None = None
+        self._qr: QuadraticResidues | None = None
         self._zero = FieldElem(self, (0,) * n)
         self._one = FieldElem(self, (1,) + (0,) * (n - 1))
 
@@ -273,29 +277,35 @@ class FieldSpec:
 
     # -- residues and tables --------------------------------------------------
 
-    def qr_set(self) -> frozenset[FieldElem]:
-        """The set {y^2 : y in GF(q)}; includes 0 and has (q+1)/2 elements.
+    def qr_set(self) -> "QuadraticResidues":
+        """The set {y^2 : y in GF(q)}, as a read-only view over a square mask.
 
         y and -y have the same square, so only 0 and the y whose highest
-        nonzero coefficient lies in 1..(p-1)/2 are squared.
+        nonzero coefficient lies in 1..(p-1)/2 are squared, on plain ints;
+        the tables are never read, so the set can serve as their oracle.
         """
         if self._qr is None:
-            p = self.p
-            if self.n == 1:
-                squares = {FieldElem(self, (i * i % p,)) for i in range((p + 1) // 2)}
+            p, n, f = self.p, self.n, self.modulus
+            mask = bytearray(self.q)
+            if n == 1:
+                for i in range((p + 1) // 2):
+                    mask[i * i % p] = 1
             else:
-                squares = {self.zero}
-                for t in range(self.n):
-                    top = p ** t
-                    for lead in range(1, (p + 1) // 2):
-                        for low in range(top):
-                            y = self.from_index(lead * top + low)
-                            squares.add(y * y)
-            self._qr = frozenset(squares)
+                mask[0] = 1
+                for t in range(n):
+                    for low in product(range(p), repeat=t):
+                        for lead in range(1, (p + 1) // 2):
+                            y = [*low, lead]
+                            idx = 0
+                            for c in reversed(_pmulmod(y, y, f, p)):
+                                idx = idx * p + c
+                            mask[idx] = 1
+            self._qr = QuadraticResidues(self, mask)
         return self._qr
 
     def minus_one_is_qr(self) -> bool:
-        return (-self.one).legendre() == 1
+        # Euler's criterion on the int p - 1, which represents -1
+        return pow(self.p - 1, (self.q - 1) // 2, self.p) == 1
 
     def tables(self) -> dict:
         """Lazily built index tables: exp/log, traces, QR mask.
@@ -525,6 +535,8 @@ class FieldElem:
         t = spec._tables
         if t is not None:
             return 1 if t["qr"][self.index()] else -1
+        if not any(self.coeffs[1:]):  # prime subfield: Euler's criterion on the int
+            return 1 if pow(self.coeffs[0], (spec.q - 1) // 2, spec.p) == 1 else -1
         e = self ** ((spec.q - 1) // 2)
         return 1 if e == spec.one else -1
 
@@ -564,5 +576,37 @@ class FieldElem:
         return list(self.coeffs)
 
 
-def qr_set(spec: FieldSpec) -> frozenset[FieldElem]:
+class QuadraticResidues(Set):
+    """The squares of one field as a read-only set over a bytearray mask.
+
+    mask[i] is 1 exactly when the element with index i is a square.  The
+    size is counted from the mask once, at construction, and iteration
+    yields the squares in index order.
+    """
+
+    __slots__ = ("spec", "mask", "_len")
+
+    def __init__(self, spec: FieldSpec, mask: bytearray):
+        self.spec = spec
+        self.mask = mask
+        self._len = mask.count(1)
+
+    @classmethod
+    def _from_iterable(cls, it):
+        # results of &, |, - and ^ are plain sets of elements, not views
+        return frozenset(it)
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __contains__(self, x) -> bool:
+        if not isinstance(x, FieldElem) or (x.spec is not self.spec and x.spec != self.spec):
+            return False
+        return self.mask[x.index()] == 1
+
+    def __iter__(self) -> Iterator[FieldElem]:
+        return map(self.spec.from_index, compress(range(len(self.mask)), self.mask))
+
+
+def qr_set(spec: FieldSpec) -> QuadraticResidues:
     return spec.qr_set()

@@ -15,6 +15,7 @@ recursive base-p digit factorization fast path.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from math import comb
 
 from .fields import FieldElem, FieldSpec, is_prime
@@ -34,6 +35,8 @@ def gauss_sum_int(p: int, n: int) -> int:
 
 def qr_diff_count(spec: FieldSpec, c: FieldElem, mode: str = "closed") -> int:
     """|QR intersect (QR + c)| for c != 0: the difference-of-squares count."""
+    if c.spec != spec:
+        raise ValueError("c must live in the field of spec")
     if c.is_zero():
         raise ValueError("c must be nonzero")
     q = spec.q
@@ -42,8 +45,9 @@ def qr_diff_count(spec: FieldSpec, c: FieldElem, mode: str = "closed") -> int:
             return (q + 3) // 4 if c.legendre() == 1 else (q - 1) // 4
         return (q + 1) // 4
     if mode == "enum":
-        qr = spec.qr_set()
-        return sum(1 for x in qr if x + c in qr)
+        # count the squares x whose shift x + c is a square, on the mask
+        mask = spec.qr_set().mask
+        return sum(compress(map(mask.__getitem__, spec.add_map(c.index())), mask))
     raise ValueError(f"unknown mode {mode!r}")
 
 

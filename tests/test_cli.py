@@ -239,7 +239,8 @@ def test_pairs_budget_counts_every_enumerated_pair(capsys):
 @pytest.mark.parametrize("argv", [
     ["sylow", "fsz", "--p", "3", "--q", "177147", "--j", "1"],
     ["sylow", "beta", "--p", "3", "--q", "177147", "--j", "1", "--zparam", "1"],
-], ids=["fsz", "beta"])
+    ["sylow", "beta", "--p", "3", "--q", "177147", "--j", "1"],
+], ids=["fsz", "beta", "beta-every-zparam"])
 def test_fast_route_above_the_table_bound_is_refused(capsys, argv):
     # the superdiagonal histogram runs on field tables, which stop at 2^16
     code, out, err = run(capsys, *argv)

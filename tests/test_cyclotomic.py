@@ -224,6 +224,91 @@ class TestGaussSums:
         assert abs(complex_approx(g) - 1j * math.sqrt(7)) < 1e-9
 
 
+def ref_canonical(p, full):
+    return tuple(c - full[p - 1] for c in full[: p - 1])
+
+
+def ref_mul(p, a, b):
+    """The Fraction convolution on coefficient tuples, folded into the power basis."""
+    full = [Fraction(0)] * p
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            full[(i + j) % p] += x * y
+    return ref_canonical(p, full)
+
+
+def ref_galois(p, a, k):
+    full = [Fraction(0)] * p
+    for i, x in enumerate(a):
+        full[(i * k) % p] += x
+    return ref_canonical(p, full)
+
+
+def ref_pow(p, a, e):
+    out = (Fraction(1),) + (Fraction(0),) * (p - 2)
+    for _ in range(e):
+        out = ref_mul(p, out, a)
+    return out
+
+
+class TestIntegerNumerators:
+    """The int-numerator CycNum against Fraction arithmetic on coefficient tuples."""
+
+    @given(rational_pairs())
+    def test_ring_operations_match_fraction_reference(self, pair):
+        a, b = pair
+        p, ca, cb = a.p, a.coeffs, b.coeffs
+        assert (a * b).coeffs == ref_mul(p, ca, cb)
+        assert (a + b).coeffs == tuple(x + y for x, y in zip(ca, cb))
+        assert (a - b).coeffs == tuple(x - y for x, y in zip(ca, cb))
+        assert (-a).coeffs == tuple(-x for x in ca)
+
+    @given(rational_cycnums(7), st.fractions(max_denominator=9))
+    def test_scalar_operations_match_fraction_reference(self, a, c):
+        scalar = (c,) + (Fraction(0),) * 5
+        assert (a * c).coeffs == (c * a).coeffs == tuple(x * c for x in a.coeffs)
+        assert (a + c).coeffs == (c + a).coeffs == tuple(x + y for x, y in zip(a.coeffs, scalar))
+        assert (c - a).coeffs == tuple(y - x for x, y in zip(a.coeffs, scalar))
+
+    @given(rational_cycnums(5), st.integers(min_value=0, max_value=6))
+    def test_power_matches_fraction_reference(self, a, e):
+        assert (a ** e).coeffs == ref_pow(5, a.coeffs, e)
+
+    @given(rational_pairs(), st.integers(min_value=1, max_value=12))
+    def test_galois_and_norm_match_fraction_reference(self, pair, k):
+        a, _ = pair
+        p = a.p
+        if k % p == 0:
+            k += 1
+        assert a.galois(k).coeffs == ref_galois(p, a.coeffs, k)
+        assert a.norm_sq().coeffs == ref_mul(p, a.coeffs, ref_galois(p, a.coeffs, p - 1))
+
+    @given(rational_cycnums(7))
+    def test_json_is_per_coefficient_reduced_pairs(self, a):
+        assert a.to_json() == {"p": 7, "coeffs": [[c.numerator, c.denominator] for c in a.coeffs]}
+        for num, den in a.to_json()["coeffs"]:
+            assert den > 0 and math.gcd(num, den) == 1
+
+    def test_equal_values_by_different_routes(self):
+        half = CycNum(5, [Fraction(1, 2)] * 4)
+        assert half * 2 == CycNum(5, [1] * 4)
+        assert hash(half * 2) == hash(CycNum(5, [1] * 4))
+        assert (half + half).den == 1
+
+    @given(rational_pairs(), st.fractions(min_value=1, max_value=9, max_denominator=9))
+    def test_equal_values_compare_and_hash_equal(self, pair, c):
+        a, b = pair
+        for x, y in [((a + b) - b, a), (a * c * (1 / c), a), (a * b, b * a)]:
+            assert x == y and hash(x) == hash(y)
+            assert (x.num, x.den) == (y.num, y.den)
+
+    @given(rational_pairs())
+    def test_stored_denominator_is_minimal(self, pair):
+        for x in (pair[0], pair[0] * pair[1], pair[0] + pair[1], pair[0].galois(2)):
+            assert x.den > 0 and math.gcd(x.den, *x.num) == 1
+            assert x.den == math.lcm(*(c.denominator for c in x.coeffs))
+
+
 def test_json_roundtrip():
     x = CycNum(5, [Fraction(1, 2), 0, -3, Fraction(7, 3)])
     doc = x.to_json()

@@ -287,6 +287,25 @@ class TestResidueSets:
             for y in non:
                 assert x * y not in qr
 
+    def test_size_is_counted_from_the_mask_without_tables(self):
+        spec = FieldSpec(65537, 1)
+        assert len(spec.qr_set()) == 32769
+        assert spec._tables is None
+
+    def test_foreign_elements_and_ints_are_not_members(self):
+        qr = FieldSpec(5, 1).qr_set()
+        assert field(5).elem(4) in qr  # another spec of the same field
+        assert field(7).elem(4) not in qr
+        assert field(5, 2).elem(4) not in qr
+        assert 4 not in qr and 0 not in qr
+        assert "4" not in qr
+
+    @pytest.mark.parametrize("p,n", [(3, 1), (11, 1), (3, 2), (5, 2), (3, 3)])
+    def test_iteration_yields_each_square_once_in_index_order(self, p, n):
+        spec = FieldSpec(p, n)
+        indices = [x.index() for x in spec.qr_set()]
+        assert indices == sorted({(y * y).index() for y in spec.elements()})
+
     @pytest.mark.parametrize(
         "p,n,expected",
         [(5, 1, True), (3, 1, False), (3, 2, True), (7, 1, False), (7, 2, True), (13, 1, True)],

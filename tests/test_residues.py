@@ -1,7 +1,14 @@
 import pytest
 
 from fsz_lab.cyclotomic import gauss_sum
-from fsz_lab.fields import FieldElem, FieldSpec, field, field_for_order
+from fsz_lab.fields import (
+    FieldElem,
+    FieldSpec,
+    factorize,
+    field,
+    field_for_order,
+    split_prime_power,
+)
 from fsz_lab.fsz import witness_pair_count
 from fsz_lab.residues import (
     FiberCountQuery,
@@ -33,6 +40,22 @@ class TestQrDiff:
             if c.is_zero():
                 continue
             assert qr_diff_count(spec, c, "closed") == qr_diff_count(spec, c, "enum")
+
+    def test_enum_matches_element_set_count_to_125(self):
+        # the element-level count the mask replaced, kept as the oracle
+        orders = [q for q in range(3, 126, 2) if len(factorize(q)) == 1]
+        for q in orders:
+            spec = FieldSpec(*split_prime_power(q))
+            qr = frozenset(spec.qr_set())
+            for c in spec.elements():
+                if c.is_zero():
+                    continue
+                expected = sum(1 for x in qr if x + c in qr)
+                assert qr_diff_count(spec, c, "enum") == expected, f"q={q}, c={c}"
+
+    def test_shift_from_another_field_rejected(self):
+        with pytest.raises(ValueError):
+            qr_diff_count(field(5), field(7).elem(1), "enum")
 
     def test_closed_equals_enum_sweep_to_400(self):
         from fsz_lab.fields import is_prime

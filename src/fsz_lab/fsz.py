@@ -329,7 +329,11 @@ def _embed(q: int, idx: np.ndarray) -> np.ndarray:
 
 
 def _sym_blocks(q: int, n: int) -> np.ndarray:
-    """All q^(n(n+1)/2) symmetric matrices, embedded, in canonical digit order."""
+    """All q^(n(n+1)/2) symmetric matrices, embedded, in canonical digit order.
+
+    Cached read-only as float64, the scan kernel's type, so every partition of
+    every scan reads the one array and none keeps a converted copy.
+    """
     key = (q, n)
     cached = _SYM_CACHE.get(key)
     if cached is not None:
@@ -341,7 +345,8 @@ def _sym_blocks(q: int, n: int) -> np.ndarray:
         digit = (idx // q ** (k - 1 - pos)) % q
         S[:, i, j] = digit
         S[:, j, i] = digit
-    S = _embed(q, S)
+    S = _embed(q, S).astype(np.float64)
+    S.flags.writeable = False
     _SYM_CACHE[key] = S
     return S
 
@@ -369,8 +374,11 @@ _SCAN_CHUNK = 2048  # symmetric blocks powered at once; bounds a partition's tem
 _EXACT = 2 ** 53  # float64 holds every integer up to 2^53 exactly
 
 
-def _reduce(Y: np.ndarray, p: int) -> np.ndarray:
-    """Y mod p, exactly, for a float64 array of integers in [0, 2^53 - p].
+def _reduce(Y: np.ndarray, p: int, out: np.ndarray) -> np.ndarray:
+    """Y mod p, exactly, written into out, for a float64 array of integers in [0, 2^53 - p].
+
+    out has Y's shape and shares no memory with it, since Y is read again
+    after out is first written; the result is out.
 
     Write Y = k p + r with 0 <= r < p.  The correctly rounded quotient Y / p is
     at least k, a double.  For r > 0 it stays below k + 1: the true quotient
@@ -379,13 +387,15 @@ def _reduce(Y: np.ndarray, p: int) -> np.ndarray:
     p (k + 1) = Y - r + p < 2^53.  So the floor is k, and k p and Y - k p are
     exact.  (The quotient by the rounded reciprocal 1 / p can round up to k + 1.)
     """
-    K = np.divide(Y, p)
-    np.floor(K, out=K)
-    K *= p
-    return np.subtract(Y, K, out=K)
+    np.divide(Y, p, out=out)
+    np.floor(out, out=out)
+    out *= p
+    return np.subtract(Y, out, out=out)
 
 
-def _pow_mod(X: np.ndarray, e: int, p: int, bound: int) -> np.ndarray:
+def _pow_mod(
+    X: np.ndarray, e: int, p: int, bound: int, out: tuple[np.ndarray, np.ndarray]
+) -> np.ndarray:
     """X^e mod p for a float64 batch of m x m integer matrices with entries in [0, bound].
 
     Left-to-right square-and-multiply, e >= 1, with m (p-1)^2 <= 2^53 - p.  A
@@ -394,21 +404,32 @@ def _pow_mod(X: np.ndarray, e: int, p: int, bound: int) -> np.ndarray:
     pass 2^53 - p.  Every product and partial sum is then a non-negative
     integer that float64 holds exactly, whatever the summation order, and the
     closing reduction is exact.
+
+    out is a pair of arrays shaped like X that share no memory with X or with
+    each other.  Each product and reduction is written into the one that does
+    not hold the running power, and the result is one of them; X is only read.
+    A base too large to square exactly (m bound^2 > 2^53 - p, which no scan
+    base reaches) is first reduced into a fresh array, since it stays a factor
+    while both buffers are in use.
     """
     m = X.shape[-1]
     top = _EXACT - p
     if m * bound * bound > top:
-        X, bound = _reduce(X, p), p - 1
+        X, bound = _reduce(X, p, np.empty_like(X)), p - 1
     Y, b = X, bound
+
+    def free() -> np.ndarray:
+        return out[1] if Y is out[0] else out[0]
+
     for bit in bin(e)[3:]:
         if m * b * b > top:
-            Y, b = _reduce(Y, p), p - 1
-        Y, b = Y @ Y, m * b * b
+            Y, b = _reduce(Y, p, free()), p - 1
+        Y, b = np.matmul(Y, Y, out=free()), m * b * b
         if bit == "1":
             if m * b * bound > top:
-                Y, b = _reduce(Y, p), p - 1
-            Y, b = Y @ X, m * b * bound
-    return _reduce(Y, p)
+                Y, b = _reduce(Y, p, free()), p - 1
+            Y, b = np.matmul(Y, X, out=free()), m * b * bound
+    return _reduce(Y, p, free())
 
 
 def _scan_worker(
@@ -424,11 +445,11 @@ def _scan_worker(
 
     Every element is embedded over GF(p) and the power X^(p^j) is computed by
     exact float64 square-and-multiply, _SCAN_CHUNK symmetric blocks at a time,
-    and compared entrywise against each target: once against the identity
-    pattern the targets share off their corner block, then on that f x f block
-    for each d.  The closed characterization is evaluated independently and
-    the masks must coincide.  With u given (already embedded), products X u
-    are powered the same way to count the double condition.
+    into buffers the partition reuses.  Each power is read as a brute code:
+    d mod p if it equals g^d for some unit d, else 0.  The closed
+    characterization gives its own code from A[0,0] and the two must coincide
+    on every element.  With u given (already embedded), X u is powered only on
+    the rows whose code is nonzero, the only rows the double condition reads.
     """
     spec = field_for_order(q)
     p, f = spec.p, spec.n
@@ -439,49 +460,83 @@ def _scan_worker(
     m = 2 * nf
     sigma = (-1) ** (j * (p - 1) // 2)
     # g^d differs from the identity only in the block of entry (n-1, 2n-1)
-    corner = np.s_[:, (n - 1) * f:n * f, m - f:m]
-    corner_targets = {d: _embed(q, np.array([[(sigma * d) % p]])) for d in d_list}
-    eye = np.eye(m)
-    u_f = None if u_int is None else u_int.astype(np.float64)
-    place = p ** np.arange(f)
-    power_counts = {d: 0 for d in d_list}
-    gm_counts = {d: 0 for d in d_list} if u_int is not None else None
+    corner = np.s_[:, (n - 1) * f:nf, m - f:m]
+    # entries lie in [0, p - 1], so the off-diagonal entries outside the
+    # corner block are all 0 exactly when their 0/1-weighted sum is
+    off_weight = 1.0 - np.eye(m)
+    off_weight[corner[1:]] = 0.0
+    off_weight = off_weight.ravel()
+    # the corner of g^d embeds sigma d, whose index is sigma d mod p
+    residue = np.zeros(q, dtype=np.intp)
+    residue[(sigma * np.arange(1, p)) % p] = np.arange(1, p)
+    place = (p ** np.arange(f)).astype(np.float64)
+
+    def codes(R: np.ndarray) -> np.ndarray:
+        """d mod p on the rows where R = g^d for a unit d, else 0."""
+        flat = R.reshape(len(R), m * m)
+        C = R[corner]
+        # column 0 of an embedded element holds its coefficients
+        idx = (C[:, :, 0] @ place).astype(np.intp)
+        ok = flat @ off_weight == 0
+        # one row per diagonal position, so the reduction runs along the chunk
+        diag = np.equal(R.diagonal(axis1=1, axis2=2).T, 1, order="C")
+        ok &= np.logical_and.reduce(diag, axis=0)
+        ok &= (C == _embed(q, idx[:, None, None])).all(axis=(1, 2))
+        return np.where(ok, residue[idx], 0)
+
+    rows = min(_SCAN_CHUNK, count_s)
+    X = np.zeros((rows, m, m))
+    SL = np.empty((rows * nf, nf))
+    A = np.empty((rows, nf, nf))
+    P = np.empty((rows, m, m)), np.empty((rows, m, m))
+    tally = np.zeros(p, dtype=np.int64)
+    if u_int is not None:
+        u_f = u_int.astype(np.float64)
+        XU = np.empty((rows, m, m))
+        gm_tally = np.zeros(p, dtype=np.int64)
     agree = True
-
-    def matches(XP: np.ndarray) -> dict[int, np.ndarray]:
-        off = XP == eye
-        off[corner] = True
-        base = off.all(axis=(1, 2))
-        C = XP[corner]
-        return {d: base & (C == T).all(axis=(1, 2)) for d, T in corner_targets.items()}
-
-    X = np.zeros((min(_SCAN_CHUNK, count_s), m, m))
     for lidx in range(lo, hi):
         L_idx = _decode_unitri(q, n, lidx)
         Linv = _unitri_inv_int(_embed(q, L_idx), p)
         # the embedding of L^T, not the transpose of L's embedding
         X[:, :nf, :nf] = _embed(q, L_idx.T)
         X[:, nf:, nf:] = Linv
+        Linv = Linv.astype(np.float64)
+        # the characterization's code of A[0,0]: d where A[0,0] = d / upsilon
         ups = square_product(spec, [spec.from_index(int(x)) for x in np.diag(L_idx, 1)])
+        char = np.zeros(q, dtype=np.intp)
+        if not ups.is_zero():
+            for d in range(1, p):
+                char[(spec.elem(d) / ups).index()] = d
         for start in range(0, count_s, _SCAN_CHUNK):
-            A = (S[start:start + _SCAN_CHUNK] @ Linv) % p
-            Xc = X[:len(A)]
-            Xc[:, :nf, nf:] = A
-            masks = matches(_pow_mod(Xc, e, p, p - 1))
-            if u_f is not None:
-                umasks = matches(_pow_mod(Xc @ u_f, e, p, m * (p - 1) ** 2))
+            Sc = S[start:start + _SCAN_CHUNK]
+            c = len(Sc)
+            Xc, Ac = X[:c], A[:c]
+            # A = S L^-1 as one 2-D product (entries at most nf (p - 1)^2),
+            # reduced where it is contiguous and then placed
+            np.matmul(Sc.reshape(c * nf, nf), Linv, out=SL[:c * nf])
+            _reduce(SL[:c * nf].reshape(c, nf, nf), p, Ac)
+            Xc[:, :nf, nf:] = Ac
+            code = codes(_pow_mod(Xc, e, p, p - 1, (P[0][:c], P[1][:c])))
             # column 0 of the corner block holds the coefficients of A[0,0]
-            corners = A[:, :f, 0] @ place
-            for d, mask in masks.items():
-                power_counts[d] += int(mask.sum())
-                if ups.is_zero():
-                    cmask = np.zeros(len(A), dtype=bool)
-                else:
-                    cmask = corners == (spec.elem(d) / ups).index()
-                if not np.array_equal(mask, cmask):
-                    agree = False
-                if u_f is not None:
-                    gm_counts[d] += int((mask & umasks[d]).sum())
+            if not np.array_equal(code, char[(Ac[:, :f, 0] @ place).astype(np.intp)]):
+                agree = False
+            tally += np.bincount(code, minlength=p)
+            if u_int is not None:
+                solved = np.flatnonzero(code)
+                k = len(solved)
+                # mode="clip" lets take write into out unbuffered; the rows are valid
+                G = np.take(Xc, solved, axis=0, out=P[0][:k], mode="clip")
+                # one m x m product per row: as a single 2-D product it grows with
+                # the solving rows and can wake BLAS threads that spin against
+                # the other partitions (a third of the (3, 27, 1) scan with u)
+                np.matmul(G, u_f, out=XU[:k])
+                ucode = codes(_pow_mod(XU[:k], e, p, m * (p - 1) ** 2, (P[0][:k], P[1][:k])))
+                d_rows = code[solved]
+                gm_tally += np.bincount(d_rows[ucode == d_rows], minlength=p)
+    # exponents equal mod p share a tally and keep their given keys
+    power_counts = {d: int(tally[d % p]) for d in d_list}
+    gm_counts = None if u_int is None else {d: int(gm_tally[d % p]) for d in d_list}
     return power_counts, agree, gm_counts
 
 
@@ -543,7 +598,8 @@ def gm_count(
 
     The fast mode intersects the closed characterizations for a and a*u, which
     depend only on the corner A[0,0] and the superdiagonal of L, and reads every
-    d from one histogram; the brute mode, the oracle, runs one scan for every d.
+    d from one histogram; the brute mode, the oracle, runs one scan for this u
+    that tallies every d.
     """
     spec = field_for_order_checked(p, q)
     n = (p ** j + 1) // 2

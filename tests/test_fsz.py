@@ -670,6 +670,24 @@ class TestBruteScan:
         assert out["agree"]
         assert out["counts"] == {d: count_solutions(make_target(3, 9, 1, d)) for d in (1, 2)}
 
+    def test_wrong_characterization_is_caught(self, monkeypatch):
+        # the compare runs on every element: doubling upsilon moves every
+        # characterized corner, while the brute counts do not depend on it
+        true_product = fsz.square_product
+        monkeypatch.setattr(fsz, "square_product",
+                            lambda spec, entries: true_product(spec, entries) * spec.elem(2))
+        out = brute_characterization_scan(3, 9, 1, [1, 4, -1])
+        assert out["agree"] is False
+        assert out["counts"] == {d: count_solutions(make_target(3, 9, 1, d)) for d in (1, 4, -1)}
+
+    def test_identity_u_gm_equals_counts(self):
+        # a u = a, so the double condition is the single one: powering a u on
+        # the solving rows only must still find every solution
+        spec = field(3, 2)
+        out = brute_characterization_scan(3, 9, 1, u=SylowElem.identity(spec, 2))
+        assert out["agree"]
+        assert out["gm"] == out["counts"]
+
     @settings(max_examples=8, deadline=None, derandomize=True)
     @given(data=st.data())
     def test_extension_field_gm_matches_fast(self, data):
@@ -744,8 +762,13 @@ class TestPowMod:
         bound = p - 1 if bound_bits == 0 else 2 ** bound_bits + seed % 2 ** bound_bits
         low = bound // 2 if near_bound else 0
         X = np.random.default_rng(seed).integers(low, bound + 1, size=(3, m, m))
-        got = fsz._pow_mod(X.astype(np.float64), e, p, bound)
+        base = X.astype(np.float64)
+        out = np.empty_like(base), np.empty_like(base)
+        got = fsz._pow_mod(base, e, p, bound, out)
         assert np.array_equal(got, _pow_mod_loop(X, e, p))
+        # the power runs in the two buffers and never writes into its base
+        assert any(got is buf for buf in out)
+        assert np.array_equal(base, X)
 
     # the last two are p k - 1 whose floor(y * (1/p)) rounds up to k
     @pytest.mark.parametrize("p,y", [
@@ -753,4 +776,4 @@ class TestPowMod:
         (13, 8_174_545_188_536_778), (5, 8_326_517_379_779_079),
     ])
     def test_reduce_is_exact_below_the_limit(self, p, y):
-        assert fsz._reduce(np.array([float(y)]), p)[0] == y % p
+        assert fsz._reduce(np.array([float(y)]), p, np.empty(1))[0] == y % p

@@ -8,7 +8,6 @@ from .fsz import (
     BetaValue,
     FszReport,
     PthPowerTarget,
-    SolutionSet,
     beta_definitional,
     beta_linear,
     beta_linear_batch,
@@ -16,7 +15,6 @@ from .fsz import (
     brute_characterization_scan,
     characterization_holds,
     count_solutions,
-    enumerate_solutions,
     fsz_test_at,
     gm_count,
     make_target,

@@ -10,6 +10,7 @@ produce byte-identical output regardless of the thread count.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import random
 import sys
@@ -36,22 +37,22 @@ USAGE_ERROR = 2
 MISMATCH_ERROR = 1
 
 
-def _emit(doc: dict, fmt: str, table_key: str | None = None) -> None:
+def _emit(doc: dict, fmt: str) -> None:
     if fmt == "json":
         print(json.dumps(doc, sort_keys=True))
         return
-    rows = doc.get(table_key or "rows", [])
+    rows = doc.get("rows", [])
     if fmt == "csv":
-        if not rows:
-            return
-        header = sorted(rows[0].keys())
-        print(",".join(header))
-        for row in rows:
-            print(",".join(_flat(row.get(h)) for h in header))
+        # a document without rows is one row of its own fields
+        table = rows or [doc]
+        header = sorted(table[0].keys())
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([_flat(row.get(h)) for h in header] for row in table)
         return
     # pretty
     for key, value in sorted(doc.items()):
-        if key == (table_key or "rows"):
+        if key == "rows":
             continue
         print(f"{key}: {_flat(value)}")
     if rows:
@@ -248,11 +249,10 @@ def cmd_sylow_count(args) -> int:
 
 
 def cmd_sylow_fsz(args) -> int:
-    spec = field_for_order(args.q)
-    n = (args.p ** args.j + 1) // 2
+    target = make_target(args.p, args.q, args.j, 1)
     u_set = None
     if args.u:
-        u_set = [_resolve_u(name, spec, n) for name in args.u]
+        u_set = [_resolve_u(name, target.spec, target.n) for name in args.u]
     report = fsz_test_at(
         args.p, args.q, args.j,
         u_set=u_set, mode=args.mode, budget=args.budget, threads=args.threads,
@@ -501,6 +501,9 @@ def main(argv: list[str] | None = None) -> int:
         return USAGE_ERROR
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
+    except OverflowError as exc:  # a j whose n = (p^j + 1)/2 overflows a size
+        print(f"error: instance too large: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except AssertionError as exc:
         print(f"verification mismatch: {exc}", file=sys.stderr)

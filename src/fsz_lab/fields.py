@@ -9,8 +9,7 @@ bytearray mask on element indices, filled by squaring on plain ints without
 the tables, so it can check them.  For fields of at most TABLE_BOUND elements,
 exp/log, trace and quadratic-residue tables on element indices are built
 lazily: the enumeration oracles and the fast fsz route run on these index
-codes, and element products read them once built.  Equality is always
-defined on coefficients.
+codes.  Equality is always defined on coefficients.
 
 Elements of the prime subfield are identified with the integers
 {0, ..., p-1}, and mixed int/element arithmetic uses that identification.
@@ -378,12 +377,6 @@ class FieldSpec:
             out = [r + (digit + ck) % p * w for digit in range(p) for r in out]
         return out
 
-    def mul_idx(self, i: int, j: int) -> int:
-        if i == 0 or j == 0:
-            return 0
-        t = self.tables()
-        return t["exp"][(t["log"][i] + t["log"][j]) % (self.q - 1)]
-
     def trace_idx(self, i: int) -> int:
         return self.tables()["trace"][i]
 
@@ -470,9 +463,6 @@ class FieldElem:
         p = spec.p
         if spec.n == 1:
             return FieldElem(spec, ((self.coeffs[0] * other.coeffs[0]) % p,))
-        t = spec._tables
-        if t is not None:
-            return spec.from_index(spec.mul_idx(self.index(), other.index()))
         prod = _pmulmod(list(self.coeffs), list(other.coeffs), spec.modulus, p)
         prod += [0] * (spec.n - len(prod))
         return FieldElem(spec, tuple(prod))
@@ -515,9 +505,6 @@ class FieldElem:
         spec = self.spec
         if spec.n == 1:
             return self.coeffs[0]
-        t = spec._tables
-        if t is not None:
-            return t["trace"][self.index()]
         acc = self
         frob = self
         for _ in range(spec.n - 1):

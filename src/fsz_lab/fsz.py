@@ -47,7 +47,6 @@ from .sylow import (
     kappa,
     square_product,
     sylow_count,
-    sylow_from_index,
     u_witness,
     upsilon,
 )
@@ -57,9 +56,7 @@ __all__ = [
     "make_target",
     "characterization_holds",
     "solve_pth_power",
-    "SolutionSet",
     "count_solutions",
-    "enumerate_solutions",
     "gm_count",
     "FszReport",
     "FszRow",
@@ -152,8 +149,9 @@ def solve_pth_power(target: PthPowerTarget, x: FieldElem) -> SylowElem:
     """A solution X of X^(p^j) = g^d with prescribed corner A[0,0] = x.
 
     Needs x nonzero with the same residue class as d, since the superdiagonal
-    product d / x must be a nonzero square.  The result is verified against
-    the closed power formula before being returned.
+    product d / x must be a nonzero square, and q <= TABLE_BOUND, since its
+    square root is read from the field's exp/log tables.  The result is
+    verified against the closed power formula before being returned.
     """
     spec, n = target.spec, target.n
     if x.spec != spec:
@@ -165,8 +163,11 @@ def solve_pth_power(target: PthPowerTarget, x: FieldElem) -> SylowElem:
         raise ValueError(
             f"no solution with corner {x}: d/x = {d_elem / x} is not a nonzero square"
         )
-    w = d_elem / x
-    v = next(y for y in spec.elements() if y * y == w)
+    # d/x is a nonzero square, so its log is even and its roots are
+    # +-exp[log(d/x) / 2]; the one of smaller index is the first in index order
+    t = spec.tables()
+    root = spec.from_index(t["exp"][t["log"][(d_elem / x).index()] // 2])
+    v = min(root, -root, key=FieldElem.index)
     entries = []
     for i in range(n):
         for j2 in range(i + 1, n):
@@ -182,7 +183,7 @@ def solve_pth_power(target: PthPowerTarget, x: FieldElem) -> SylowElem:
     return sol
 
 
-# -- solution sets ---------------------------------------------------------------
+# -- solution counts -------------------------------------------------------------
 
 
 def count_solutions(target: PthPowerTarget) -> int:
@@ -237,64 +238,6 @@ def _superdiagonal_histogram(
                 folded[key] = folded.get(key, 0) + count * k
         states = folded
     return states
-
-
-@dataclass(frozen=True)
-class SolutionSet:
-    """The solution set of a target, as a characterization plus exact count."""
-
-    target: PthPowerTarget
-    count: int
-    elements: tuple[SylowElem, ...] | None = None
-
-    def holds(self, x: SylowElem) -> bool:
-        return characterization_holds(x, self.target)
-
-    def verify_sample(self, rng, k: int = 20) -> None:
-        """Spot-check both directions of the characterization on random elements.
-
-        Random constructed solutions must power to g^d; random group elements
-        must satisfy the power equation iff they satisfy the characterization.
-        """
-        t = self.target
-        spec, n = t.spec, t.n
-        for _ in range(k):
-            x = spec.random(rng)
-            while x.is_zero() or x.legendre() != t.d_elem().legendre():
-                x = spec.random(rng)
-            sol = solve_pth_power(t, x)
-            if sol.pow(t.m) != t.g:
-                raise AssertionError("sampled solution failed to power to the target")
-        total = sylow_count(n, spec.q)
-        for _ in range(k):
-            x = sylow_from_index(spec, n, rng.randrange(total))
-            if (x.pow(t.m) == t.g) != self.holds(x):
-                raise AssertionError("characterization mismatch on a random element")
-
-
-def enumerate_solutions(
-    target: PthPowerTarget,
-    budget: int | None = None,
-    materialize: bool = False,
-) -> SolutionSet:
-    """The exact solution count, optionally with the members listed.
-
-    Materializing filters the full group stream through the characterization
-    and therefore requires the whole group to fit in the budget.
-    """
-    count = count_solutions(target)
-    elements = None
-    if materialize:
-        total = sylow_count(target.n, target.spec.q)
-        check_budget(total, budget)
-        elements = tuple(
-            x
-            for x in enumerate_sylow(target.spec, target.n)
-            if characterization_holds(x, target)
-        )
-        if len(elements) != count:
-            raise AssertionError("materialized solution count disagrees with formula")
-    return SolutionSet(target=target, count=count, elements=elements)
 
 
 # -- vectorized brute scans ----------------------------------------------------------
@@ -835,7 +778,6 @@ def beta_definitional(
     m: int,
     z: SylowElem,
     elements: Iterable[SylowElem],
-    chi_name: str = "chi",
 ) -> BetaValue:
     """The double-sum route: ||sum of chi(a) over a^m = z||^2 by enumeration."""
     p = z.spec.p
@@ -843,7 +785,7 @@ def beta_definitional(
     for a in elements:
         if a.pow(m) == z:
             inner = inner + chi(a)
-    return _beta_from_inner(inner, m=m, z=repr(z), chi=chi_name)
+    return _beta_from_inner(inner, m=m, z=repr(z), chi="chi")
 
 
 def beta_via_counts(
@@ -852,7 +794,6 @@ def beta_via_counts(
     z: SylowElem,
     elements: Sequence[SylowElem],
     budget: int | None = 100_000,
-    chi_name: str = "chi",
 ) -> BetaValue:
     """The count-expansion route: sum over u of |G_m(u, z)| chi(u).
 
@@ -870,7 +811,7 @@ def beta_via_counts(
             total = total + chi(u) * count
     rational, rv = total.is_rational()
     return BetaValue(
-        value=total, rational=rational, rational_value=rv, m=m, z=repr(z), chi=chi_name
+        value=total, rational=rational, rational_value=rv, m=m, z=repr(z), chi="chi"
     )
 
 
@@ -985,10 +926,9 @@ def sylow_group_elements(
     return list(enumerate_sylow(spec, n))
 
 
-def center_of(elements: Sequence, mul: Callable = None) -> list:
+def center_of(elements: Sequence) -> list:
     """Brute-force center of a small group given by its element list."""
-    mul = (lambda a, b: a * b) if mul is None else mul
-    return [z for z in elements if all(mul(z, x) == mul(x, z) for x in elements)]
+    return [z for z in elements if all(z * x == x * z for x in elements)]
 
 
 def fsz_brute_small(

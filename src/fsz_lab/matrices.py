@@ -284,16 +284,8 @@ class MatFq:
         self._compat(other)
         if self.ncols != other.nrows:
             raise ValueError(f"dimension mismatch: {self.ncols} vs {other.nrows}")
-        spec = self.spec
-        if spec.n == 1:
-            # codes are residues: kept inline, since small products are most calls
-            p = spec.p
-            a = [[x.coeffs[0] for x in r] for r in self.rows]
-            b = [[x.coeffs[0] for x in c] for c in zip(*other.rows)]
-            return MatFq._wrap(spec, tuple([
-                tuple([FieldElem(spec, (sum(map(mul, r, c)) % p,)) for c in b]) for r in a]))
-        code = _coding(spec, self.ncols)
-        return code.matfq(spec, _mm(code.block(self), code.block(other), code.reduce))
+        code = _coding(self.spec, self.ncols)
+        return code.matfq(self.spec, _mm(code.block(self), code.block(other), code.reduce))
 
     def transpose(self) -> "MatFq":
         return MatFq._wrap(self.spec, tuple(zip(*self.rows)))

@@ -42,7 +42,6 @@ from .cyclotomic import CycNum, e_q
 from .fields import FieldElem, FieldSpec
 from .matrices import (Block, MatFq, UniTriMat, _Coding, _coding, _mm, _mm_add, _neg,
                        _transpose, _tri_inv)
-from .parallel import BudgetExceeded
 
 
 def twisted_sum(L: Block, A: Block, terms: int, red) -> tuple[Block, Block]:
@@ -405,18 +404,12 @@ def enumerate_sylow(
     n: int,
     start: int = 0,
     stop: int | None = None,
-    budget: int | None = None,
 ) -> Iterator[SylowElem]:
-    """Stream the block group in canonical index order over [start, stop).
-
-    When a budget is given, refuses up front if the range exceeds it.
-    """
+    """Stream the block group in canonical index order over [start, stop)."""
     total = sylow_count(n, spec.q)
     if stop is None:
         stop = total
     if not 0 <= start <= stop <= total:
         raise ValueError("bad enumeration range")
-    if budget is not None and stop - start > budget:
-        raise BudgetExceeded(stop - start, budget)
     for idx in range(start, stop):
         yield sylow_from_index(spec, n, idx)

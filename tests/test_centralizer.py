@@ -105,12 +105,12 @@ class TestMembership:
 
 class TestProjection:
     def test_pi_of_g_is_identity_with_plus_one(self, target):
-        image, lam = cz.pi(target.g.to_matrix(), target)
+        image, lam = cz.pi(cz.CentElem(target.g.to_matrix(), target), target)
         assert image == MatFq.identity(target.spec, 4)
         assert lam == 1
 
     def test_pi_of_minus_identity(self, target):
-        image, lam = cz.pi(-MatFq.identity(target.spec, 6), target)
+        image, lam = cz.pi(cz.CentElem(-MatFq.identity(target.spec, 6), target), target)
         assert image == -MatFq.identity(target.spec, 4)
         assert lam == -1
 

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 
 import pytest
@@ -240,9 +242,11 @@ def test_pairs_budget_counts_every_enumerated_pair(capsys):
     ["sylow", "fsz", "--p", "3", "--q", "177147", "--j", "1"],
     ["sylow", "beta", "--p", "3", "--q", "177147", "--j", "1", "--zparam", "1"],
     ["sylow", "beta", "--p", "3", "--q", "177147", "--j", "1"],
-], ids=["fsz", "beta", "beta-every-zparam"])
+    ["sylow", "solve", "--p", "3", "--q", "177147", "--j", "1"],
+], ids=["fsz", "beta", "beta-every-zparam", "solve"])
 def test_fast_route_above_the_table_bound_is_refused(capsys, argv):
-    # the superdiagonal histogram runs on field tables, which stop at 2^16
+    # the superdiagonal histogram, and the square root in solve, run on
+    # field tables, which stop at 2^16
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == "" and err == "error: field too large for tables (q=177147 > 65536)\n"
@@ -334,6 +338,41 @@ def test_csv_format(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "c,closed,enum,match"
     assert len(lines) == 5
+
+
+@pytest.mark.parametrize("argv,header,rows", [
+    (["field", "--p", "3", "--n", "2"], ["claim", "modulus", "n", "p", "q"],
+     [["field-spec", "[1, 0, 1]", "2", "3", "9"]]),
+    (["sylow", "fsz", "--p", "5", "--q", "5", "--j", "1"], ["counts", "u"],
+     [['{"1": 250000, "2": 250000, "3": 250000, "4": 250000}', "identity"],
+      ['{"1": 0, "2": 62500, "3": 62500, "4": 0}', "U"]]),
+], ids=["no-rows", "nested-values"])
+def test_csv_parses_back(capsys, argv, header, rows):
+    # a document without rows is one header and one row; nested values are quoted
+    code, out, _ = run(capsys, "--format", "csv", *argv)
+    assert code == 0
+    assert list(csv.reader(io.StringIO(out))) == [header, *rows]
+
+
+@pytest.mark.parametrize("j", ["-1", "0"])
+def test_sylow_fsz_checks_j_before_u(capsys, j):
+    code, out, err = run(capsys, "sylow", "fsz", "--p", "3", "--q", "3", "--j", j, "--u", "U")
+    assert code == 2
+    assert out == "" and err == "error: j must be >= 1\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["sylow", "solve", "--p", "3", "--q", "3", "--j", "40"],
+    ["sylow", "count", "--p", "3", "--q", "3", "--j", "40"],
+    ["sylow", "fsz", "--p", "3", "--q", "3", "--j", "40"],
+    ["sylow", "gm", "--p", "3", "--q", "3", "--j", "40"],
+    ["sylow", "beta", "--p", "3", "--q", "3", "--j", "40"],
+    ["centralizer", "check", "--p", "3", "--q", "3", "--j", "40"],
+], ids=["solve", "count", "fsz", "gm", "beta", "centralizer"])
+def test_j_too_large_to_index_is_one_line_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == "" and err.startswith("error: instance too large") and err.count("\n") == 1
 
 
 def test_pretty_format(capsys):

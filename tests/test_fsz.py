@@ -27,7 +27,6 @@ from fsz_lab.fsz import (
     center_of,
     characterization_holds,
     count_solutions,
-    enumerate_solutions,
     fsz_brute_small,
     fsz_test_at,
     gm_count,
@@ -127,6 +126,38 @@ class TestSolve:
         sol = solve_pth_power(t, x * x)  # any nonzero square works for d = 1
         assert sol.pow(3) == t.g
 
+    @pytest.mark.parametrize("p,q", [(5, 5), (3, 9), (5, 25)])
+    def test_table_root_is_the_first_root_in_index_order(self, p, q):
+        # the superdiagonal entry is the square root of d/x read from the
+        # exp/log tables; it must be the root an index-order scan finds first
+        for d in range(1, p):
+            t = make_target(p, q, 1, d)
+            spec = t.spec
+            for x in spec.elements():
+                if x.is_zero() or x.legendre() != t.d_elem().legendre():
+                    continue
+                w = t.d_elem() / x
+                first = next(y for y in spec.elements() if y * y == w)
+                assert solve_pth_power(t, x).L.entry(0, 1) == first
+
+
+def verify_sample(t, rng, k):
+    """Spot-check both directions of the characterization on random elements.
+
+    Random constructed solutions must power to g^d; random group elements
+    must satisfy the power equation iff they satisfy the characterization.
+    """
+    spec = t.spec
+    for _ in range(k):
+        x = spec.random(rng)
+        while x.is_zero() or x.legendre() != t.d_elem().legendre():
+            x = spec.random(rng)
+        assert solve_pth_power(t, x).pow(t.m) == t.g
+    total = sylow_count(t.n, spec.q)
+    for _ in range(k):
+        x = sylow_from_index(spec, t.n, rng.randrange(total))
+        assert (x.pow(t.m) == t.g) == characterization_holds(x, t)
+
 
 class TestSolutionCounts:
     def test_worked_count(self):
@@ -138,17 +169,18 @@ class TestSolutionCounts:
 
     def test_materialized_set_on_small_group(self):
         t = make_target(3, 3, 1, 1)
-        sols = enumerate_solutions(t, materialize=True)
-        assert sols.count == count_solutions(t) == len(sols.elements)
-        for x in sols.elements:
+        group = sylow_group_elements(t.spec, 2)
+        sols = [x for x in group if characterization_holds(x, t)]
+        assert count_solutions(t) == len(sols)
+        for x in sols:
             assert x.pow(3) == t.g
         # conversely, nothing outside the set powers to g
-        hit = sum(1 for x in sylow_group_elements(t.spec, 2) if x.pow(3) == t.g)
-        assert hit == sols.count
+        hit = sum(1 for x in group if x.pow(3) == t.g)
+        assert hit == len(sols)
 
     def test_characterization_sample_check(self):
         t = make_target(5, 5, 1, 2)
-        enumerate_solutions(t).verify_sample(random.Random(5), k=15)
+        verify_sample(t, random.Random(5), k=15)
 
     @pytest.mark.parametrize("q", [3, 9])
     @pytest.mark.parametrize("d", [1, 2])
@@ -156,7 +188,7 @@ class TestSolutionCounts:
         # p^j = 9: the characterization powered at j = 2, where the group is
         # too large for the brute scan
         t = make_target(3, q, 2, d)
-        enumerate_solutions(t).verify_sample(random.Random(q * 10 + d), k=20)
+        verify_sample(t, random.Random(q * 10 + d), k=20)
 
     def test_zero_superdiagonal_never_satisfies(self):
         t = make_target(5, 5, 1, 1)

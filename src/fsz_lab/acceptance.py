@@ -4,7 +4,9 @@ Every check pits a closed formula against an independent enumeration (or two
 independent computation routes against each other) and passes only on exact
 agreement.  `run_acceptance` executes them in dependency order, reports one
 line per tier, and fails a tier that overruns its limit; `quick=True` runs
-only the tiers whose limit is at most 30 s (AC1, AC2, AC5 and AC9).
+only the tiers whose limit is at most 30 s (AC1, AC2, AC5 and AC9).  Each
+tier does fixed work, so it takes no element budget: its verdict depends on
+nothing but the code it checks, and the thread count changes only its speed.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from . import centralizer as cz
 from .cyclotomic import CycNum, gauss_sum, gauss_sum_via_prime
 from .fields import FieldSpec, field, field_for_order, is_prime
 from .matrices import UniTriMat
-from .parallel import DEFAULT_BUDGET
 from .residues import (
     FiberCountQuery,
     binom_product_sum_mod,
@@ -203,11 +204,9 @@ def ac7_corner_concentration() -> tuple[bool, str]:
     return True, f"{checked} (L, s, t) triples"
 
 
-def ac8_full_scan(budget: int, threads: int | None) -> tuple[bool, str]:
+def ac8_full_scan(threads: int | None) -> tuple[bool, str]:
     """Power every element of the 5^9 block group; sets must match the closed rule."""
-    out = brute_characterization_scan(
-        5, 5, 1, [1, 2, 3, 4], budget=budget, threads=threads
-    )
+    out = brute_characterization_scan(5, 5, 1, [1, 2, 3, 4], threads=threads)
     if not out["agree"]:
         return False, "brute solution sets differ from the characterization"
     if any(out["counts"][d] != 250_000 for d in (1, 2, 3, 4)):
@@ -233,11 +232,11 @@ def ac9_pair_counts() -> tuple[bool, str]:
     return True, f"{checked} (q, d) pairs"
 
 
-def ac10_headline(budget: int, threads: int | None) -> tuple[bool, str]:
+def ac10_headline(threads: int | None) -> tuple[bool, str]:
     """The desk-scale headline: counting route and character route agree."""
     spec = field(5, 1)
     u = u_witness(spec, 3)
-    scan = brute_characterization_scan(5, 5, 1, [1, 2], u=u, budget=budget, threads=threads)
+    scan = brute_characterization_scan(5, 5, 1, [1, 2], u=u, threads=threads)
     if not scan["agree"]:
         return False, "brute scan disagrees with characterization"
     if scan["gm"][1] != 0 or scan["gm"][2] <= 0:
@@ -297,7 +296,7 @@ QUICK_LIMIT = 30  # seconds; `quick` runs the tiers declared at most this slow
 
 
 def acceptance_tiers(
-    budget: int, threads: int | None
+    threads: int | None,
 ) -> list[tuple[str, str, float, Callable[[], tuple[bool, str]]]]:
     """(key, name, time limit in seconds, runner) per tier, in dependency order."""
     return [
@@ -308,9 +307,9 @@ def acceptance_tiers(
         ("AC5", "congruence identities", 30, ac5_congruence_identities),
         ("AC6", "block power formula", 120, ac6_power_formula),
         ("AC7", "corner concentration", 120, ac7_corner_concentration),
-        ("AC8", "full 5^9 root scan", 600, lambda: ac8_full_scan(budget, threads)),
+        ("AC8", "full 5^9 root scan", 600, lambda: ac8_full_scan(threads)),
         ("AC9", "product pair counts", 30, ac9_pair_counts),
-        ("AC10", "headline non-FSZ instance", 600, lambda: ac10_headline(budget, threads)),
+        ("AC10", "headline non-FSZ instance", 600, lambda: ac10_headline(threads)),
         ("AC11", "count expansion identity", 60, ac11_count_expansion),
         ("AC12", "centralizer structure", 120, ac12_centralizer_structure),
     ]
@@ -318,7 +317,6 @@ def acceptance_tiers(
 
 def run_acceptance(
     quick: bool = False,
-    budget: int | None = None,
     threads: int | None = None,
     only: list[str] | None = None,
     out: Callable[[str], None] = print,
@@ -328,8 +326,7 @@ def run_acceptance(
     A tier passes only when its check passes within its time limit.  A
     selection that leaves no tier to run raises ValueError.
     """
-    budget = DEFAULT_BUDGET if budget is None else budget
-    tiers = acceptance_tiers(budget, threads)
+    tiers = acceptance_tiers(threads)
     if quick:
         tiers = [t for t in tiers if t[2] <= QUICK_LIMIT]
     if only:

@@ -3,8 +3,14 @@
 Exit codes: 0 on success, 1 on a verification mismatch (a closed formula
 disagreeing with its enumeration, or a verdict contradiction), 2 on usage or
 budget errors.  All numeric output is exact -- integers or [numerator,
-denominator] pairs -- never floating point.  Identical (arguments, seed)
-produce byte-identical output regardless of the thread count.
+denominator] pairs -- never floating point.  Identical arguments produce
+byte-identical output regardless of the thread count.
+
+`--budget` is the only element budget.  Each command charges it once, before
+it builds anything: the residue commands charge the field and the squares or
+pairs they walk, the commands that take --j the n^2 entries of their target,
+and the brute modes the q^(n^2) elements they scan.  The library below takes
+no budget, and neither does `verify`, whose tiers do fixed work.
 """
 
 from __future__ import annotations
@@ -43,8 +49,9 @@ def _emit(doc: dict, fmt: str) -> None:
         return
     rows = doc.get("rows", [])
     if fmt == "csv":
-        # a document without rows is one row of its own fields
-        table = rows or [doc]
+        # every top-level field goes on each row; a document without rows is one row
+        fields = {k: v for k, v in doc.items() if k != "rows"}
+        table = [{**fields, **row} for row in rows or [{}]]
         header = sorted(table[0].keys())
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(header)
@@ -83,6 +90,24 @@ def _field_within_budget(p: int, n: int, budget: int | None):
     if n >= 1:
         check_budget(p ** n, budget)
     return field(p, n)
+
+
+def _target_within_budget(args, d: int, brute: bool = False):
+    """make_target for the command's (p, q, j) and d, refused before it builds.
+
+    The target holds n x n blocks with n = (p^j + 1)/2, so it charges n^2
+    entries; a brute scan then charges the q^(n^2) elements it powers.  A j
+    whose p^j cannot size an index is refused without forming p^j.
+    """
+    p, j = args.p, args.j
+    if j >= 1 and p > 1:  # make_target refuses the rest
+        if j >= sys.maxsize.bit_length() or p ** j > sys.maxsize:
+            raise OverflowError(f"{p}^{j} does not fit an index")
+        n = (p ** j + 1) // 2
+        check_budget(n * n, args.budget)
+        if brute:
+            check_budget(sylow_count(n, args.q), args.budget)
+    return make_target(p, args.q, j, d)
 
 
 def cmd_field(args) -> int:
@@ -211,7 +236,7 @@ def _resolve_u(name: str, spec, n: int) -> tuple[str, SylowElem]:
 
 
 def cmd_sylow_solve(args) -> int:
-    target = make_target(args.p, args.q, args.j, args.d)
+    target = _target_within_budget(args, args.d)
     spec = target.spec
     x = _parse_elem(spec, args.x) if args.x is not None else spec.elem(args.d)
     sol = solve_pth_power(target, x)
@@ -228,7 +253,7 @@ def cmd_sylow_solve(args) -> int:
 
 
 def cmd_sylow_count(args) -> int:
-    target = make_target(args.p, args.q, args.j, args.d)
+    target = _target_within_budget(args, args.d, brute=args.mode == "brute")
     doc = {
         "claim": "solution-count",
         "inputs": {"p": args.p, "q": args.q, "j": args.j, "d": args.d,
@@ -240,7 +265,7 @@ def cmd_sylow_count(args) -> int:
         doc["oracle_match"] = True
     else:
         scan = brute_characterization_scan(
-            args.p, args.q, args.j, [args.d], budget=args.budget, threads=args.threads
+            args.p, args.q, args.j, [args.d], threads=args.threads
         )
         doc["count"] = scan["counts"][args.d]
         doc["oracle_match"] = scan["agree"] and scan["counts"][args.d] == count_solutions(target)
@@ -249,14 +274,13 @@ def cmd_sylow_count(args) -> int:
 
 
 def cmd_sylow_fsz(args) -> int:
-    target = make_target(args.p, args.q, args.j, 1)
+    target = _target_within_budget(args, 1, brute=args.mode == "brute")
     u_set = None
     if args.u:
         u_set = [_resolve_u(name, target.spec, target.n) for name in args.u]
     report = fsz_test_at(
         args.p, args.q, args.j,
-        u_set=u_set, mode=args.mode, budget=args.budget, threads=args.threads,
-        with_betas=args.beta,
+        u_set=u_set, mode=args.mode, threads=args.threads, with_betas=args.beta,
     )
     doc = {"claim": "count-equality-test", **report.to_json()}
     _emit(doc, args.format)
@@ -264,7 +288,7 @@ def cmd_sylow_fsz(args) -> int:
 
 
 def cmd_sylow_beta(args) -> int:
-    target = make_target(args.p, args.q, args.j, args.d)
+    target = _target_within_budget(args, args.d)
     spec = target.spec
     spec.tables()  # the fast route reads them: refuse a large q before listing it
     zparams = (
@@ -305,10 +329,10 @@ def cmd_sylow_enumerate(args) -> int:
 
 
 def cmd_sylow_gm(args) -> int:
-    target = make_target(args.p, args.q, args.j, args.d)
+    target = _target_within_budget(args, args.d, brute=args.mode == "brute")
     name, u = _resolve_u(args.u or "U", target.spec, target.n)
     count = gm_count(u, args.p, args.q, args.j, [target.d], mode=args.mode,
-                     budget=args.budget, threads=args.threads)[target.d]
+                     threads=args.threads)[target.d]
     doc = {
         "claim": "double-root-count",
         "inputs": {"p": args.p, "q": args.q, "j": args.j, "d": args.d, "u": name,
@@ -341,11 +365,10 @@ def cmd_pairs(args) -> int:
 
 
 def cmd_centralizer_check(args) -> int:
-    target = make_target(args.p, args.q, args.j, 1)
-    seed = args.check_seed if args.check_seed is not None else args.seed
-    results = cz.property_suites(target, random.Random(seed), args.samples)
+    target = _target_within_budget(args, 1)
+    results = cz.property_suites(target, random.Random(args.seed), args.samples)
     ok = all(v["fail"] == 0 for v in results.values())
-    doc = {"claim": "centralizer-structure", "seed": seed,
+    doc = {"claim": "centralizer-structure", "seed": args.seed,
            "samples": args.samples, "suites": results, "all_pass": ok}
     _emit(doc, args.format)
     return 0 if ok else MISMATCH_ERROR
@@ -353,8 +376,7 @@ def cmd_centralizer_check(args) -> int:
 
 def cmd_verify(args) -> int:
     results = acceptance.run_acceptance(
-        quick=args.scope == "quick", budget=args.budget, threads=args.threads,
-        only=args.only,
+        quick=args.scope == "quick", threads=args.threads, only=args.only
     )
     return 0 if all(r.passed for r in results) else MISMATCH_ERROR
 
@@ -369,7 +391,6 @@ def build_parser() -> argparse.ArgumentParser:
                         default="json", help="output format")
     parser.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                         help="enumeration budget in elements")
-    parser.add_argument("--seed", type=int, default=0, help="sampling seed")
     parser.add_argument("--threads", type=int, default=None,
                         help="worker threads (default: CPU count, at most 8)")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -469,8 +490,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--q", type=int, required=True)
     sp.add_argument("--j", type=int, default=1)
     sp.add_argument("--samples", type=int, default=200)
-    sp.add_argument("--seed", type=int, default=None, dest="check_seed",
-                    help="overrides the global --seed")
+    sp.add_argument("--seed", type=int, default=0, help="sampling seed")
     sp.set_defaults(fn=cmd_centralizer_check)
 
     sp = sub.add_parser("verify", help="run the acceptance tiers")
@@ -502,7 +522,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except OverflowError as exc:  # a j whose n = (p^j + 1)/2 overflows a size
+    except OverflowError as exc:  # a j whose p^j does not fit an index
         print(f"error: instance too large: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except AssertionError as exc:

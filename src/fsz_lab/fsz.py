@@ -40,7 +40,7 @@ import numpy as np
 from .cyclotomic import CycNum
 from .fields import FieldElem, FieldSpec, field_for_order
 from .matrices import MatFq, UniTriMat
-from .parallel import check_budget, run_partitioned
+from .parallel import BudgetExceeded, run_partitioned
 from .sylow import (
     SylowElem,
     enumerate_sylow,
@@ -489,7 +489,6 @@ def brute_characterization_scan(
     j: int,
     d_list: Sequence[int] | None = None,
     u: SylowElem | None = None,
-    budget: int | None = None,
     threads: int | None = None,
 ) -> dict:
     """Power every element of P(Sp_2n(q)) and tally the solutions per d.
@@ -501,7 +500,6 @@ def brute_characterization_scan(
     field_for_order_checked(p, q)
     n = (p ** j + 1) // 2
     d_list = _exponents(p, d_list)
-    check_budget(sylow_count(n, q), budget)
     u_int = None
     if u is not None:
         u_int = _embed(q, np.array([[x.index() for x in r] for r in u.to_matrix().rows]))
@@ -534,7 +532,6 @@ def gm_count(
     j: int,
     d_list: Sequence[int] | None = None,
     mode: str = "fast",
-    budget: int | None = None,
     threads: int | None = None,
 ) -> dict[int, int]:
     """{d: |{a in P : a^(p^j) = (a u)^(p^j) = g^d}|} for d in d_list (default 1..p-1).
@@ -552,7 +549,7 @@ def gm_count(
     if mode == "fast":
         return _gm_count_fast(u, d_list)
     if mode == "brute":
-        out = brute_characterization_scan(p, q, j, d_list, u=u, budget=budget, threads=threads)
+        out = brute_characterization_scan(p, q, j, d_list, u=u, threads=threads)
         if not out["agree"]:
             raise AssertionError("brute scan disagrees with characterization")
         return out["gm"]
@@ -636,7 +633,6 @@ def fsz_test_at(
     j: int,
     u_set: Sequence[tuple[str, SylowElem]] | None = None,
     mode: str = "fast",
-    budget: int | None = None,
     threads: int | None = None,
     with_betas: bool = False,
 ) -> FszReport:
@@ -653,7 +649,7 @@ def fsz_test_at(
             ("U", u_witness(spec, n)),
         ]
     rows = [
-        FszRow(name, u, gm_count(u, p, q, j, mode=mode, budget=budget, threads=threads))
+        FszRow(name, u, gm_count(u, p, q, j, mode=mode, threads=threads))
         for name, u in u_set
     ]
     m = p ** j
@@ -691,34 +687,12 @@ class BetaValue:
     value: CycNum
     rational: bool
     rational_value: Fraction | None
-    m: int
-    z: str
-    chi: str
     zparam: int | list | None = None
 
-    def to_json(self) -> dict:
-        out = {
-            "m": self.m,
-            "z": self.z,
-            "chi": self.chi,
-            "rational": self.rational,
-            "coeffs": self.value.to_json()["coeffs"],
-        }
-        if self.zparam is not None:
-            out["zparam"] = self.zparam
-        if self.rational:
-            out["value"] = [self.rational_value.numerator, self.rational_value.denominator]
-        return out
 
-
-def _beta_from_inner(
-    inner: CycNum, m: int, z: str, chi: str, zparam: int | list | None = None
-) -> BetaValue:
-    value = inner.norm_sq()
+def _beta(value: CycNum, zparam: int | list | None = None) -> BetaValue:
     rational, rv = value.is_rational()
-    return BetaValue(
-        value=value, rational=rational, rational_value=rv, m=m, z=z, chi=chi, zparam=zparam
-    )
+    return BetaValue(value=value, rational=rational, rational_value=rv, zparam=zparam)
 
 
 def _check_central(target: PthPowerTarget) -> None:
@@ -767,9 +741,7 @@ def beta_linear_batch(
         for k, count in corner_logs.items():
             residue_vector[trace[exp[(lz + k) % m]]] += count
         inner = CycNum.from_residue_vector(spec.p, residue_vector)
-        betas.append(_beta_from_inner(
-            inner, target.m, target.describe(), f"xi(zparam={zparam})", zparam.to_json()
-        ))
+        betas.append(_beta(inner.norm_sq(), zparam.to_json()))
     return betas
 
 
@@ -785,7 +757,7 @@ def beta_definitional(
     for a in elements:
         if a.pow(m) == z:
             inner = inner + chi(a)
-    return _beta_from_inner(inner, m=m, z=repr(z), chi="chi")
+    return _beta(inner.norm_sq())
 
 
 def beta_via_counts(
@@ -793,14 +765,12 @@ def beta_via_counts(
     m: int,
     z: SylowElem,
     elements: Sequence[SylowElem],
-    budget: int | None = 100_000,
 ) -> BetaValue:
     """The count-expansion route: sum over u of |G_m(u, z)| chi(u).
 
     Valid for central z and linear chi, where it must equal the definitional
-    double sum exactly.  Needs the full element list, hence the budget.
+    double sum exactly.  Needs the full element list.
     """
-    check_budget(len(elements), budget)
     p = z.spec.p
     powers = [a.pow(m) for a in elements]
     hits = [a for a, am in zip(elements, powers) if am == z]
@@ -809,10 +779,7 @@ def beta_via_counts(
         count = sum(1 for a in hits if (a * u).pow(m) == z)
         if count:
             total = total + chi(u) * count
-    rational, rv = total.is_rational()
-    return BetaValue(
-        value=total, rational=rational, rational_value=rv, m=m, z=repr(z), chi="chi"
-    )
+    return _beta(total)
 
 
 def kappa_character(spec: FieldSpec, n: int, weights: Sequence[int | FieldElem]):
@@ -917,12 +884,14 @@ def _root_of_unity_order(val: CycNum) -> int | None:
 # -- small-group brute machinery ----------------------------------------------------
 
 
-def sylow_group_elements(
-    spec: FieldSpec, n: int, budget: int | None = 200_000
-) -> list[SylowElem]:
-    """Materialize the whole block group; refuses over budget."""
+GROUP_ELEMENTS_LIMIT = 200_000  # elements sylow_group_elements will materialize
+
+
+def sylow_group_elements(spec: FieldSpec, n: int) -> list[SylowElem]:
+    """Materialize the whole block group; refuses past GROUP_ELEMENTS_LIMIT."""
     total = sylow_count(n, spec.q)
-    check_budget(total, budget)
+    if total > GROUP_ELEMENTS_LIMIT:
+        raise BudgetExceeded(total, GROUP_ELEMENTS_LIMIT)
     return list(enumerate_sylow(spec, n))
 
 
@@ -937,7 +906,6 @@ def fsz_brute_small(
     mul: Callable = None,
     identity=None,
     zs: Sequence | None = None,
-    budget: int | None = 1_000,
 ) -> tuple[bool, dict | None]:
     """Exhaustive count-equality test for a small group.
 
@@ -946,7 +914,6 @@ def fsz_brute_small(
     Returns (True, None) when all counts match, else (False, the first
     violation found).
     """
-    check_budget(len(elements), budget)
     mul = (lambda a, b: a * b) if mul is None else mul
 
     def power(a, e):

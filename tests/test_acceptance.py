@@ -8,9 +8,8 @@ import pytest
 
 from fsz_lab import acceptance
 from fsz_lab.acceptance import acceptance_tiers, run_acceptance
-from fsz_lab.parallel import DEFAULT_BUDGET
 
-TIERS = acceptance_tiers(DEFAULT_BUDGET, None)
+TIERS = acceptance_tiers(None)
 
 
 @pytest.mark.parametrize("key,name,limit,fn", TIERS, ids=[t[0] for t in TIERS])
@@ -40,7 +39,7 @@ def test_quick_runs_the_tiers_limited_to_30s():
 
 def test_runner_fails_a_tier_over_its_limit(monkeypatch):
     monkeypatch.setattr(acceptance, "acceptance_tiers",
-                        lambda budget, threads: [("AC0", "instant", 0, lambda: (True, "ok"))])
+                        lambda threads: [("AC0", "instant", 0, lambda: (True, "ok"))])
     lines = []
     (result,) = run_acceptance(out=lines.append)
     assert not result.passed

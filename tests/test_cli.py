@@ -309,8 +309,8 @@ def test_unknown_flag_is_usage_error(capsys):
 
 
 def test_centralizer_check(capsys):
-    code, out, _ = run(capsys, "--seed", "7", "centralizer", "check", "--p", "5",
-                       "--q", "5", "--j", "1", "--samples", "25")
+    code, out, _ = run(capsys, "centralizer", "check", "--p", "5", "--q", "5",
+                       "--j", "1", "--samples", "25", "--seed", "7")
     assert code == 0
     doc = json.loads(out)
     assert doc["all_pass"]
@@ -323,10 +323,10 @@ def test_centralizer_check(capsys):
 
 
 def test_deterministic_output_across_threads(capsys):
-    _, out1, _ = run(capsys, "--seed", "3", "--threads", "1",
+    _, out1, _ = run(capsys, "--threads", "1",
                      "sylow", "count", "--p", "3", "--q", "3", "--j", "1",
                      "--mode", "brute")
-    _, out2, _ = run(capsys, "--seed", "3", "--threads", "2",
+    _, out2, _ = run(capsys, "--threads", "2",
                      "sylow", "count", "--p", "3", "--q", "3", "--j", "1",
                      "--mode", "brute")
     assert out1 == out2
@@ -336,22 +336,37 @@ def test_csv_format(capsys):
     code, out, _ = run(capsys, "--format", "csv", "qrdiff", "--q", "5")
     assert code == 0
     lines = out.strip().splitlines()
-    assert lines[0] == "c,closed,enum,match"
+    assert lines[0] == "c,claim,closed,enum,match,q"
     assert len(lines) == 5
 
 
 @pytest.mark.parametrize("argv,header,rows", [
     (["field", "--p", "3", "--n", "2"], ["claim", "modulus", "n", "p", "q"],
      [["field-spec", "[1, 0, 1]", "2", "3", "9"]]),
-    (["sylow", "fsz", "--p", "5", "--q", "5", "--j", "1"], ["counts", "u"],
-     [['{"1": 250000, "2": 250000, "3": 250000, "4": 250000}', "identity"],
-      ['{"1": 0, "2": 62500, "3": 62500, "4": 0}', "U"]]),
+    (["sylow", "fsz", "--p", "5", "--q", "5", "--j", "1"],
+     ["beta", "claim", "counts", "group", "m", "u", "verdict", "witness", "z"],
+     [["[]", "count-equality-test", '{"1": 250000, "2": 250000, "3": 250000, "4": 250000}',
+       "P(Sp_6(5))", "5", "identity", "non-FSZ_5-at-z", "U", "g1 in P(Sp_6(5))"],
+      ["[]", "count-equality-test", '{"1": 0, "2": 62500, "3": 62500, "4": 0}',
+       "P(Sp_6(5))", "5", "U", "non-FSZ_5-at-z", "U", "g1 in P(Sp_6(5))"]]),
 ], ids=["no-rows", "nested-values"])
 def test_csv_parses_back(capsys, argv, header, rows):
-    # a document without rows is one header and one row; nested values are quoted
+    # a document without rows is one header and one row; each row carries the
+    # document's top-level fields; nested values are quoted
     code, out, _ = run(capsys, "--format", "csv", *argv)
     assert code == 0
     assert list(csv.reader(io.StringIO(out))) == [header, *rows]
+
+
+def test_csv_rows_keep_the_verdict(capsys):
+    code, out, _ = run(capsys, "--format", "csv", "sylow", "fsz", "--p", "5", "--q", "5",
+                       "--j", "1")
+    assert code == 0
+    header, *rows = csv.reader(io.StringIO(out))
+    assert len(rows) == 2
+    for row in rows:
+        record = dict(zip(header, row))
+        assert record["verdict"] == "non-FSZ_5-at-z" and record["witness"] == "U"
 
 
 @pytest.mark.parametrize("j", ["-1", "0"])
@@ -373,6 +388,56 @@ def test_j_too_large_to_index_is_one_line_usage_error(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == "" and err.startswith("error: instance too large") and err.count("\n") == 1
+
+
+TARGET_COMMANDS = {
+    "solve": ["sylow", "solve"],
+    "count": ["sylow", "count"],
+    "fsz": ["sylow", "fsz"],
+    "gm": ["sylow", "gm"],
+    "beta": ["sylow", "beta"],
+    "centralizer": ["centralizer", "check"],
+}
+
+
+@pytest.mark.parametrize("j,first_line", [
+    # n = 29,525: n^2 = 871,725,625 entries, over the default budget
+    ("10", f"budget exceeded: required {29525 ** 2} elements"),
+    # 3^100000000 is never formed
+    ("100000000", "error: instance too large"),
+], ids=["j=10", "j=10^8"])
+@pytest.mark.parametrize("command", TARGET_COMMANDS)
+def test_target_is_sized_before_it_is_built(capsys, monkeypatch, command, j, first_line):
+    def unreachable(*args):
+        raise AssertionError("make_target called")
+
+    monkeypatch.setattr(cli, "make_target", unreachable)
+    code, out, err = run(capsys, *TARGET_COMMANDS[command], "--p", "3", "--q", "3", "--j", j)
+    assert code == 2
+    assert out == "" and err.startswith(first_line) and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["count", "gm", "fsz"])
+def test_brute_mode_is_charged_before_the_scan(capsys, monkeypatch, command):
+    from fsz_lab import fsz
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("brute scan started")
+
+    monkeypatch.setattr(fsz, "brute_characterization_scan", unreachable)
+    monkeypatch.setattr(cli, "brute_characterization_scan", unreachable)
+    code, out, err = run(capsys, "--budget", "1000000", "sylow", command, "--mode", "brute",
+                         "--p", "5", "--q", "5", "--j", "1")
+    assert code == 2
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith("budget exceeded") and f"--budget {5 ** 9}" in err
+
+
+def test_verify_takes_no_budget(capsys):
+    # the 5^9 scan is a fixed tier, not an enumeration the budget may refuse
+    code, out, _ = run(capsys, "--budget", "1000000", "verify", "all", "--only", "AC8")
+    assert code == 0
+    assert out.startswith("AC8") and "PASS" in out
 
 
 def test_pretty_format(capsys):

@@ -9,11 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fsz_lab import fsz
+from fsz_lab import cli, fsz
 from fsz_lab.cyclotomic import CycNum
 from fsz_lab.fields import FieldElem, field, field_for_order
 from fsz_lab.matrices import UniTriMat
-from fsz_lab.parallel import BudgetExceeded
 from fsz_lab.residues import FiberCountQuery, trace_fiber_qr_count
 from fsz_lab.fsz import (
     PthPowerTarget,
@@ -232,19 +231,19 @@ class TestGmCounts:
             with pytest.raises(ValueError):
                 gm_count(u, 3, 3, 1, [1, 3], mode=mode)
 
-    def test_budget_refusal_on_big_brute(self):
-        t = make_target(7, 7, 1, 1)
-        with pytest.raises(BudgetExceeded) as info:
-            gm_count(u_witness(t.spec, t.n), 7, 7, 1, [1], mode="brute", budget=10_000)
-        assert info.value.required == 7 ** 16
+    def test_budget_refusal_on_big_brute(self, capsys):
+        # the CLI charges the 7^16 elements of the scan against --budget
+        code = cli.main(["--budget", "10000", "sylow", "gm", "--mode", "brute",
+                         "--p", "7", "--q", "7", "--j", "1"])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert f"--budget {7 ** 16}" in err and err.count("\n") == 1
 
     def test_fast_equals_brute_over_extension_field(self):
         # the scan over GF(9) by its regular representation: 9^4 = 6561 elements
         spec = field(3, 2)
         u = u_witness(spec, 2)
-        assert gm_count(u, 3, 9, 1, mode="fast") == gm_count(
-            u, 3, 9, 1, mode="brute", budget=10_000
-        )
+        assert gm_count(u, 3, 9, 1, mode="fast") == gm_count(u, 3, 9, 1, mode="brute")
 
 
 class TestFszReport:
@@ -682,9 +681,12 @@ class TestBruteScan:
         assert out["counts"] == {1: count_solutions(make_target(3, 3, 1, 1)),
                                  2: count_solutions(make_target(3, 3, 1, 2))}
 
-    def test_budget_refusal(self):
-        with pytest.raises(BudgetExceeded):
-            brute_characterization_scan(5, 5, 1, [1], budget=100)
+    def test_budget_refusal(self, capsys):
+        code = cli.main(["--budget", "100", "sylow", "fsz", "--mode", "brute",
+                         "--p", "5", "--q", "5", "--j", "1"])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err.startswith("budget exceeded") and f"--budget {5 ** 9}" in err
 
     def test_rejects_exponents_divisible_by_p(self):
         for d_list in ([0, 3, 4], [3]):

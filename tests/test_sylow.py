@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from fsz_lab.cyclotomic import CycNum
 from fsz_lab.fields import field, field_for_order
-from fsz_lab.fsz import sylow_group_elements
+from fsz_lab.fsz import GROUP_ELEMENTS_LIMIT, sylow_group_elements
 from fsz_lab.matrices import MatFq, UniTriMat, is_symplectic
 from fsz_lab.parallel import BudgetExceeded
 from fsz_lab.sylow import (
@@ -462,6 +462,7 @@ class TestEnumeration:
     def test_budget_refusal(self):
         # the stream takes no budget: its materializing caller refuses up front
         spec = field(5)
+        assert GROUP_ELEMENTS_LIMIT < 5 ** 9
         with pytest.raises(BudgetExceeded) as info:
-            sylow_group_elements(spec, 3, budget=1000)
+            sylow_group_elements(spec, 3)
         assert info.value.required == 5 ** 9

@@ -3,13 +3,16 @@
 Exit codes: 0 on success, 1 on a verification mismatch (a closed formula
 disagreeing with its enumeration, or a verdict contradiction), 2 on usage or
 budget errors.  All numeric output is exact -- integers or [numerator,
-denominator] pairs -- never floating point.  Identical arguments produce
+denominator] pairs, whose denominator is always 1 since every cyclotomic value
+is a cyclotomic integer -- never floating point.  Identical arguments produce
 byte-identical output regardless of the thread count.
 
 `--budget` is the only element budget.  Each command charges it once, before
 it builds anything: the residue commands charge the field and the squares or
-pairs they walk, the commands that take --j the n^2 entries of their target,
-and the brute modes the q^(n^2) elements they scan.  The library below takes
+pairs they walk, `field` the p^n candidates of its modulus search, `sylow
+enumerate` and the commands that take --j the q elements of their field and
+the latter the n^2 entries of their target, and the brute modes the q^(n^2)
+elements of each scan.  The library below takes
 no budget, and neither does `verify`, whose tiers do fixed work.
 """
 
@@ -85,33 +88,45 @@ def _parse_elem(spec, text: str):
     return spec.parse(text)
 
 
-def _field_within_budget(p: int, n: int, budget: int | None):
-    """GF(p^n) for a command that enumerates it, refused before the modulus search."""
-    if n >= 1:
-        check_budget(p ** n, budget)
+def _power_over(base: int, exp: int, bound: int) -> bool:
+    """Whether base^exp > bound, decided without forming a power far past bound."""
+    if (base.bit_length() - 1) * exp > bound.bit_length():
+        return True  # base^exp >= 2^((bits - 1) exp) > bound
+    return base ** exp > bound
+
+
+def _field_within_budget(p: int, n: int, budget: int):
+    """GF(p^n) for a command that walks its p^n elements, refused before the modulus search."""
+    if n >= 1 and p > 1 and _power_over(p, n, budget):  # field() refuses the rest
+        raise BudgetExceeded(p ** n, budget)
     return field(p, n)
 
 
-def _target_within_budget(args, d: int, brute: bool = False):
+def _target_within_budget(args, d: int, scans: int = 0):
     """make_target for the command's (p, q, j) and d, refused before it builds.
 
-    The target holds n x n blocks with n = (p^j + 1)/2, so it charges n^2
-    entries; a brute scan then charges the q^(n^2) elements it powers.  A j
-    whose p^j cannot size an index is refused without forming p^j.
+    Building the q-element field charges q.  The target holds n x n blocks
+    with n = (p^j + 1)/2, so it charges n^2 entries; each brute scan then
+    charges the q^(n^2) elements it powers.  A j whose p^j cannot size an
+    index is refused without forming p^j.
     """
     p, j = args.p, args.j
+    check_budget(args.q, args.budget)
     if j >= 1 and p > 1:  # make_target refuses the rest
-        if j >= sys.maxsize.bit_length() or p ** j > sys.maxsize:
+        if _power_over(p, j, sys.maxsize):
             raise OverflowError(f"{p}^{j} does not fit an index")
         n = (p ** j + 1) // 2
         check_budget(n * n, args.budget)
-        if brute:
-            check_budget(sylow_count(n, args.q), args.budget)
+        if scans:
+            check_budget(scans * sylow_count(n, args.q), args.budget)
     return make_target(p, args.q, j, d)
 
 
 def cmd_field(args) -> int:
-    spec = field(args.p, args.n)
+    if args.n >= 2:  # the modulus search may walk all p^n candidates
+        spec = _field_within_budget(args.p, args.n, args.budget)
+    else:
+        spec = field(args.p, args.n)
     doc = {"claim": "field-spec", **spec.to_json(), "q": spec.q}
     _emit(doc, args.format)
     return 0
@@ -169,7 +184,7 @@ def cmd_gauss(args) -> int:
     }
     rational, value = definitional.is_rational()
     if rational:
-        doc["rational_value"] = [value.numerator, value.denominator]
+        doc["rational_value"] = [value, 1]
     _emit(doc, args.format)
     return 0 if match else MISMATCH_ERROR
 
@@ -253,7 +268,7 @@ def cmd_sylow_solve(args) -> int:
 
 
 def cmd_sylow_count(args) -> int:
-    target = _target_within_budget(args, args.d, brute=args.mode == "brute")
+    target = _target_within_budget(args, args.d, scans=int(args.mode == "brute"))
     doc = {
         "claim": "solution-count",
         "inputs": {"p": args.p, "q": args.q, "j": args.j, "d": args.d,
@@ -274,7 +289,9 @@ def cmd_sylow_count(args) -> int:
 
 
 def cmd_sylow_fsz(args) -> int:
-    target = _target_within_budget(args, 1, brute=args.mode == "brute")
+    # one brute scan per u row: the default u-set is identity and U
+    scans = (len(args.u or ()) or 2) if args.mode == "brute" else 0
+    target = _target_within_budget(args, 1, scans=scans)
     u_set = None
     if args.u:
         u_set = [_resolve_u(name, target.spec, target.n) for name in args.u]
@@ -301,8 +318,7 @@ def cmd_sylow_beta(args) -> int:
         row = {"zparam": zp.to_json(), "rational": beta.rational,
                "coeffs": beta.value.to_json()["coeffs"]}
         if beta.rational:
-            row["value"] = [beta.rational_value.numerator,
-                            beta.rational_value.denominator]
+            row["value"] = [beta.rational_value, 1]
         rows.append(row)
     doc = {"claim": "beta-rationality", "m": target.m, "z": target.describe(),
            "rows": rows}
@@ -313,6 +329,7 @@ def cmd_sylow_beta(args) -> int:
 def cmd_sylow_enumerate(args) -> int:
     if args.n < 1:
         raise ValueError(f"--n must be at least 1, got {args.n}")
+    check_budget(args.q, args.budget)
     spec = field_for_order(args.q)
     total = sylow_count(args.n, args.q)
     stop = total if args.stop is None else min(args.stop, total)
@@ -329,7 +346,7 @@ def cmd_sylow_enumerate(args) -> int:
 
 
 def cmd_sylow_gm(args) -> int:
-    target = _target_within_budget(args, args.d, brute=args.mode == "brute")
+    target = _target_within_budget(args, args.d, scans=int(args.mode == "brute"))
     name, u = _resolve_u(args.u or "U", target.spec, target.n)
     count = gm_count(u, args.p, args.q, args.j, [target.d], mode=args.mode,
                      threads=args.threads)[target.d]

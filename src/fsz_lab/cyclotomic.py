@@ -1,34 +1,32 @@
-"""Exact arithmetic in the cyclotomic field Q(zeta_p) for an odd prime p.
+"""Exact arithmetic in the cyclotomic integers Z[zeta_p] for an odd prime p.
 
-Numbers are stored in the power basis {1, zeta, ..., zeta^(p-2)} as integer
-numerators over one positive denominator, reduced by their gcd, so
-rationality is literally a zero-coefficient test and equal numbers have
-equal fields.  The Galois action, complex conjugation, squared modulus, the
-canonical additive character e_q of a finite field, and Gauss sums are all
-computed without any floating point.
+Numbers are stored as their integer coefficients in the power basis
+{1, zeta, ..., zeta^(p-2)}, so rationality is literally a zero-coefficient
+test and equal numbers have equal coefficients.  The Galois action, complex
+conjugation, squared modulus, the canonical additive character e_q of a
+finite field, and Gauss sums are all computed without any floating point.
 
-Every Gauss sum and every beta starts from an integer residue vector, so its
-denominator is 1 throughout.  Sums and products run on Python ints: a product
-is one integer cyclic convolution of the nonzero numerators mod p over the
-product of the denominators.  Fractions appear only at the boundary, in
-``coeffs``, ``is_rational`` and ``to_json``.  Only the public constructor
-and its classmethods validate p and the coefficients; ring operations build
-their results from operands that were checked already.
+Every character sum here, every Gauss sum and every beta is a sum of p-th
+roots of unity with integer multiplicities, so Z[zeta_p] holds them all and
+no denominator ever arises.  Sums and products run on Python ints: a product
+is one integer cyclic convolution of the nonzero coefficients mod p.  ``int``
+is the only scalar.  ``to_json`` writes each coefficient as a
+[numerator, denominator] pair whose denominator is always 1.  Only the public
+constructor and its classmethods validate p and the coefficients; ring
+operations build their results from operands that were checked already.
 
 Numbers attached to different primes never mix: sums live in a single
-Q(zeta_p), matching the needs of the character computations downstream.
+Z[zeta_p], matching the needs of the character computations downstream.
 """
 
 from __future__ import annotations
 
-import math
-from fractions import Fraction
 from typing import Sequence
 
 from .fields import TABLE_BOUND, FieldElem, FieldSpec, field, is_prime
 
 
-def _canonical(p: int, full: Sequence) -> tuple:
+def _canonical(p: int, full: Sequence[int]) -> tuple[int, ...]:
     """Collapse coefficients on {zeta^0..zeta^(p-1)} to the power basis.
 
     Uses 1 + zeta + ... + zeta^(p-1) = 0 to eliminate the zeta^(p-1) slot.
@@ -38,44 +36,27 @@ def _canonical(p: int, full: Sequence) -> tuple:
 
 
 class CycNum:
-    """An element of Q(zeta_p) in the power basis, exact and immutable.
+    """An element of Z[zeta_p]: integer power-basis coefficients, exact and immutable."""
 
-    Stored as integer numerators num over one positive denominator den with
-    gcd(den, *num) = 1, so equal numbers have equal fields.
-    """
+    __slots__ = ("p", "coeffs")
 
-    __slots__ = ("p", "num", "den")
-
-    def __init__(self, p: int, coeffs):
+    def __init__(self, p: int, coeffs: Sequence[int]):
         if not is_prime(p) or p == 2:
             raise ValueError(f"odd prime required, got {p}")
         coeffs = tuple(coeffs)
         if len(coeffs) != p - 1:
             raise ValueError(f"expected {p - 1} coefficients, got {len(coeffs)}")
-        if all(type(c) is int for c in coeffs):
-            num, den = coeffs, 1
-        else:
-            # over the lcm of reduced denominators the numerators share no
-            # factor with it, so the pair is already reduced
-            fracs = [Fraction(c) for c in coeffs]
-            den = math.lcm(*(c.denominator for c in fracs))
-            num = tuple([c.numerator * (den // c.denominator) for c in fracs])
+        if not all(type(c) is int for c in coeffs):
+            raise ValueError("coefficients must be ints")
         self.p = p
-        self.num = num
-        self.den = den
+        self.coeffs = coeffs
 
     @staticmethod
-    def _wrap(p: int, num: tuple[int, ...], den: int = 1) -> "CycNum":
-        """Wrap numerators derived from already-checked operands, reducing by the gcd."""
-        if den != 1:
-            g = math.gcd(den, *num)
-            if g != 1:
-                num = tuple([c // g for c in num])
-                den //= g
+    def _wrap(p: int, coeffs: tuple[int, ...]) -> "CycNum":
+        """Wrap coefficients derived from already-checked operands."""
         x = object.__new__(CycNum)
         x.p = p
-        x.num = num
-        x.den = den
+        x.coeffs = coeffs
         return x
 
     # -- constructors ----------------------------------------------------------
@@ -89,7 +70,7 @@ class CycNum:
         return cls.rational(p, 1)
 
     @classmethod
-    def rational(cls, p: int, value) -> "CycNum":
+    def rational(cls, p: int, value: int) -> "CycNum":
         return cls(p, [value] + [0] * (p - 2))
 
     @classmethod
@@ -101,7 +82,7 @@ class CycNum:
         return cls(p, _canonical(p, full))
 
     @classmethod
-    def from_residue_vector(cls, p: int, full: Sequence) -> "CycNum":
+    def from_residue_vector(cls, p: int, full: Sequence[int]) -> "CycNum":
         """Build sum_i full[i] * zeta^i from a length-p vector indexed by residues."""
         if len(full) != p:
             raise ValueError(f"expected {p} residue slots")
@@ -110,10 +91,8 @@ class CycNum:
     # -- ring operations -------------------------------------------------------
 
     def _check(self, other) -> "CycNum":
-        if isinstance(other, (int, Fraction)):
-            value = Fraction(other)
-            return CycNum._wrap(self.p, (value.numerator,) + (0,) * (self.p - 2),
-                                value.denominator)
+        if type(other) is int:
+            return CycNum._wrap(self.p, (other,) + (0,) * (self.p - 2))
         if not isinstance(other, CycNum):
             raise TypeError(f"cannot combine CycNum with {type(other).__name__}")
         if other.p != self.p:
@@ -121,14 +100,9 @@ class CycNum:
         return other
 
     def _combine(self, other, sign: int) -> "CycNum":
-        """self + sign * other on numerators over the lcm of the denominators."""
+        """self + sign * other, coefficient by coefficient."""
         other = self._check(other)
-        da, db = self.den, other.den
-        if da == db:
-            return CycNum._wrap(self.p, tuple([a + sign * b for a, b in zip(self.num, other.num)]), da)
-        den = math.lcm(da, db)
-        ma, mb = den // da, sign * (den // db)
-        return CycNum._wrap(self.p, tuple([a * ma + b * mb for a, b in zip(self.num, other.num)]), den)
+        return CycNum._wrap(self.p, tuple([a + sign * b for a, b in zip(self.coeffs, other.coeffs)]))
 
     def __add__(self, other):
         return self._combine(other, 1)
@@ -142,23 +116,20 @@ class CycNum:
         return self._check(other) - self
 
     def __neg__(self):
-        return CycNum._wrap(self.p, tuple([-a for a in self.num]), self.den)
+        return CycNum._wrap(self.p, tuple([-a for a in self.coeffs]))
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            value = Fraction(other)
-            k = value.numerator
-            return CycNum._wrap(self.p, tuple([a * k for a in self.num]),
-                                self.den * value.denominator)
+        if type(other) is int:
+            return CycNum._wrap(self.p, tuple([a * other for a in self.coeffs]))
         other = self._check(other)
         p = self.p
-        terms_b = [(j, b) for j, b in enumerate(other.num) if b]
+        terms_b = [(j, b) for j, b in enumerate(other.coeffs) if b]
         full = [0] * p
-        for i, a in enumerate(self.num):
+        for i, a in enumerate(self.coeffs):
             if a:
                 for j, b in terms_b:
                     full[(i + j) % p] += a * b
-        return CycNum._wrap(p, _canonical(p, full), self.den * other.den)
+        return CycNum._wrap(p, _canonical(p, full))
 
     __rmul__ = __mul__
 
@@ -189,9 +160,9 @@ class CycNum:
         if k % p == 0:
             raise ValueError(f"galois exponent must be a unit mod {p}")
         full = [0] * p
-        for i, a in enumerate(self.num):
+        for i, a in enumerate(self.coeffs):
             full[(i * k) % p] += a
-        return CycNum._wrap(p, _canonical(p, full), self.den)
+        return CycNum._wrap(p, _canonical(p, full))
 
     def conj(self) -> "CycNum":
         """Complex conjugation, i.e. the Galois map zeta -> zeta^(p-1)."""
@@ -201,29 +172,23 @@ class CycNum:
         """Squared modulus x * conj(x); always fixed by conjugation."""
         return self * self.conj()
 
-    # -- boundary: Fractions only from here on ----------------------------------
+    # -- comparison and output -------------------------------------------------
 
-    @property
-    def coeffs(self) -> tuple[Fraction, ...]:
-        """The power-basis coefficients as reduced Fractions."""
-        den = self.den
-        return tuple([Fraction(c, den) for c in self.num])
-
-    def is_rational(self) -> tuple[bool, Fraction | None]:
+    def is_rational(self) -> tuple[bool, int | None]:
         """(True, value) when all basis coefficients beyond the constant vanish."""
-        if any(self.num[1:]):
+        if any(self.coeffs[1:]):
             return False, None
-        return True, Fraction(self.num[0], self.den)
+        return True, self.coeffs[0]
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return not any(self.num[1:]) and Fraction(self.num[0], self.den) == other
+        if type(other) is int:
+            return not any(self.coeffs[1:]) and self.coeffs[0] == other
         if isinstance(other, CycNum):
-            return self.p == other.p and self.den == other.den and self.num == other.num
+            return self.p == other.p and self.coeffs == other.coeffs
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.p, self.num, self.den))
+        return hash((self.p, self.coeffs))
 
     def __repr__(self):
         terms = []
@@ -239,10 +204,7 @@ class CycNum:
         return f"CycNum(p={self.p}: {body})"
 
     def to_json(self) -> dict:
-        return {
-            "p": self.p,
-            "coeffs": [[c.numerator, c.denominator] for c in self.coeffs],
-        }
+        return {"p": self.p, "coeffs": [[c, 1] for c in self.coeffs]}
 
 
 def e_q(x: FieldElem) -> CycNum:
@@ -265,10 +227,11 @@ def gauss_sum(spec: FieldSpec) -> CycNum:
         for k, i in enumerate(t["exp"]):
             full[trace[i]] += -1 if k & 1 else 1
     else:
-        for x in spec.elements():
-            s = x.legendre()
-            if s:
-                full[x.trace()] += s
+        # nonzero x is a square exactly when the square mask marks its index
+        mask = spec.qr_set().mask
+        for x, square in zip(spec.elements(), mask):
+            if not x.is_zero():
+                full[x.trace()] += 1 if square else -1
     return CycNum.from_residue_vector(p, full)
 
 

@@ -90,8 +90,9 @@ def split_prime_power(q: int) -> tuple[int, int]:
 # -- dense little-endian polynomial arithmetic over Z_p ----------------------
 #
 # Polynomials are lists of ints in [0, p); the zero polynomial is [].  These
-# helpers only serve modulus construction and irreducibility testing; element
-# arithmetic has its own reduction path.
+# helpers serve modulus construction, irreducibility testing, the table and
+# residue-mask builds and Euler's criterion; FieldElem products have their own
+# path.
 
 def _ptrim(a: list[int]) -> list[int]:
     while a and a[-1] == 0:
@@ -522,10 +523,9 @@ class FieldElem:
         t = spec._tables
         if t is not None:
             return 1 if t["qr"][self.index()] else -1
-        if not any(self.coeffs[1:]):  # prime subfield: Euler's criterion on the int
-            return 1 if pow(self.coeffs[0], (spec.q - 1) // 2, spec.p) == 1 else -1
-        e = self ** ((spec.q - 1) // 2)
-        return 1 if e == spec.one else -1
+        # Euler's criterion on the coefficient list
+        e = _ppowmod(list(self.coeffs), (spec.q - 1) // 2, spec.modulus, spec.p)
+        return 1 if e == [1] else -1
 
     def is_zero(self) -> bool:
         return not any(self.coeffs)

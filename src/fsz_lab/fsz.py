@@ -31,7 +31,6 @@ product is a sum of logs mod q - 1, and x + c is a digit-wise map on indices.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from fractions import Fraction
 from math import gcd
 from typing import Callable, Iterable, Sequence
 
@@ -686,7 +685,7 @@ class BetaValue:
 
     value: CycNum
     rational: bool
-    rational_value: Fraction | None
+    rational_value: int | None
     zparam: int | list | None = None
 
 

@@ -37,8 +37,8 @@ class BudgetExceeded(Exception):
         )
 
 
-def check_budget(required: int, budget: int | None) -> None:
-    if budget is not None and required > budget:
+def check_budget(required: int, budget: int) -> None:
+    if required > budget:
         raise BudgetExceeded(required, budget)
 
 

@@ -287,9 +287,19 @@ def test_residue_budgets_count_every_enumerated_square(capsys, argv, required):
     (["--budget", "100", "qr", "--q", "125"], 125),
     (["--budget", "100", "qrdiff", "--q", "125"], 125),
     (["--budget", "100", "pairs", "--q", "125"], 125),
+    # the modulus search of GF(3^17) alone walks up to 3^17 candidates
+    (["field", "--p", "3", "--n", "17"], 3 ** 17),
+    (["sylow", "count", "--p", "3", "--q", str(3 ** 17), "--j", "1"], 3 ** 17),
+    (["sylow", "enumerate", "--n", "1", "--q", str(3 ** 17), "--stop", "1"], 3 ** 17),
 ], ids=["gauss-3^40", "fibers-3^40", "gauss-125", "fibers-125", "qr-125", "qrdiff-125",
-        "pairs-125"])
-def test_field_enumeration_over_budget_is_refused(capsys, argv, required):
+        "pairs-125", "field-3^17", "count-3^17", "enumerate-3^17"])
+def test_field_enumeration_over_budget_is_refused(capsys, monkeypatch, argv, required):
+    def unreachable(*args):
+        raise AssertionError("field built")
+
+    # refused before any field is built, so before any modulus search
+    for name in ("field", "field_for_order", "make_target"):
+        monkeypatch.setattr(cli, name, unreachable)
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == "" and err.count("\n") == 1
@@ -430,7 +440,26 @@ def test_brute_mode_is_charged_before_the_scan(capsys, monkeypatch, command):
                          "--p", "5", "--q", "5", "--j", "1")
     assert code == 2
     assert out == "" and err.count("\n") == 1
-    assert err.startswith("budget exceeded") and f"--budget {5 ** 9}" in err
+    # fsz scans once per u row, and its default u-set is identity and U
+    scans = 2 if command == "fsz" else 1
+    assert err.startswith("budget exceeded") and f"--budget {scans * 5 ** 9}" in err
+
+
+@pytest.mark.parametrize("u,scans", [([], 2), (["identity", "U", "U"], 3)],
+                         ids=["default", "three-u"])
+def test_brute_fsz_is_charged_once_per_u_row(capsys, monkeypatch, u, scans):
+    from fsz_lab import fsz
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("brute scan started")
+
+    monkeypatch.setattr(fsz, "brute_characterization_scan", unreachable)
+    # 3,000,000 covers one scan of the 5^9 elements but not two
+    code, out, err = run(capsys, "--budget", "3000000", "sylow", "fsz", "--mode", "brute",
+                         "--p", "5", "--q", "5", "--j", "1", *(["--u", *u] if u else []))
+    assert code == 2
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith("budget exceeded") and f"--budget {scans * 5 ** 9}" in err
 
 
 def test_verify_takes_no_budget(capsys):

@@ -62,6 +62,11 @@ GOLDEN = [
     # nonzero L entries over GF(27): packed block products and inverses with f = 3
     ("sylow enumerate --n 3 --q 27 --start 5000000000000 --stop 5000000000004",
      "7089a3d17a4d844b8b795a28e7e44ccea4ca4e4b2f1157c780d02c29edc2c938"),
+    # the [numerator, denominator] pairs of CycNum values through csv and pretty
+    ("--format csv gauss --p 5 --n 2",
+     "bbac90312dfbb2b3ff781e21d5eee48ee92aee6ad27d4f5519ab64fc6eb6f626"),
+    ("--format pretty sylow beta --p 3 --q 9 --j 1",
+     "fe38db32163de991344d0ed296b98e44cb74d8d2ec2feb453a5ca91e61413654"),
 ]
 
 

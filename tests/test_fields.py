@@ -251,6 +251,19 @@ class TestLegendre:
     def test_multiplicative_extension(self, a, b):
         assert (a * b).legendre() == a.legendre() * b.legendre()
 
+    @pytest.mark.parametrize("p,n", [(5, 3), (3, 4), (7, 1)])
+    def test_off_table_symbol_matches_the_square_mask(self, monkeypatch, p, n):
+        def unreachable(*args):
+            raise AssertionError("FieldElem product taken")
+
+        # Euler's criterion runs on coefficient lists, not FieldElem products
+        monkeypatch.setattr(FieldElem, "__mul__", unreachable)
+        spec = FieldSpec(p, n)  # fresh: no tables
+        qr = spec.qr_set()
+        for x in spec.elements():
+            assert x.legendre() == (0 if x.is_zero() else 1 if x in qr else -1)
+        assert spec._tables is None
+
 
 class TestResidueSets:
     @pytest.mark.parametrize(

@@ -686,7 +686,8 @@ class TestBruteScan:
                          "--p", "5", "--q", "5", "--j", "1"])
         out, err = capsys.readouterr()
         assert code == 2 and out == ""
-        assert err.startswith("budget exceeded") and f"--budget {5 ** 9}" in err
+        # the default u-set, identity and U, is two scans
+        assert err.startswith("budget exceeded") and f"--budget {2 * 5 ** 9}" in err
 
     def test_rejects_exponents_divisible_by_p(self):
         for d_list in ([0, 3, 4], [3]):

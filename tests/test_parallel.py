@@ -35,7 +35,6 @@ def test_run_partitioned_single_thread_equivalence():
 
 
 def test_check_budget():
-    check_budget(10, None)
     check_budget(10, 10)
     with pytest.raises(BudgetExceeded) as info:
         check_budget(11, 10)

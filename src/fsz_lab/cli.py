@@ -21,8 +21,10 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import random
 import sys
+from typing import Callable
 
 from . import acceptance
 from . import centralizer as cz
@@ -38,7 +40,7 @@ from .fsz import (
     witness_pair_count,
     solve_pth_power,
 )
-from .parallel import DEFAULT_BUDGET, BudgetExceeded, check_budget, count_text
+from .parallel import DEFAULT_BUDGET, BudgetExceeded, about_text, check_budget, count_text
 from .residues import FiberCountQuery, binom_product_sum_mod, qr_diff_count, trace_fiber_qr_count
 from .sylow import SylowElem, enumerate_sylow, sylow_count, u_witness
 
@@ -95,10 +97,21 @@ def _power_over(base: int, exp: int, bound: int) -> bool:
     return base ** exp > bound
 
 
+def _refusal(log10_required: float, required: Callable[[], int], budget: int) -> BudgetExceeded:
+    """The refusal of a count already known to pass budget.
+
+    str() prints at most 4300 digits; a longer count reads "about 10^k", so
+    its k is taken from log10_required and the count itself is never formed.
+    """
+    if log10_required < 4300:
+        return BudgetExceeded(required(), budget)
+    return BudgetExceeded(about_text(log10_required), budget)
+
+
 def _field_within_budget(p: int, n: int, budget: int):
     """GF(p^n) for a command that walks its p^n elements, refused before the modulus search."""
     if n >= 1 and p > 1 and _power_over(p, n, budget):  # field() refuses the rest
-        raise BudgetExceeded(p ** n, budget)
+        raise _refusal(n * math.log10(p), lambda: p ** n, budget)
     return field(p, n)
 
 
@@ -213,16 +226,28 @@ def cmd_fibers(args) -> int:
     return 0 if ok else MISMATCH_ERROR
 
 
+def _binom_terms(p: int, j: int, every_pair: bool) -> int:
+    """The terms the direct binom oracle sums: p^j per pair k <= l <= (p^j - 1)/2.
+
+    Over every pair that is about p^(3j)/8.
+    """
+    size = p ** j
+    bound = (size - 1) // 2
+    return (bound + 1) * (bound + 2) // 2 * size if every_pair else size
+
+
 def cmd_binom(args) -> int:
     if args.l is not None and args.k is None:
         raise ValueError("--l needs --k")
-    if args.j < 1:  # p ** j would be a fraction
-        raise ValueError(f"j must be >= 1, got {args.j}")
-    size = args.p ** args.j
-    bound = (size - 1) // 2
-    # the direct oracle sums p^j terms for each pair (k <= l)
-    n_pairs = 1 if args.k is not None else (bound + 1) * (bound + 2) // 2
-    check_budget(n_pairs * size, args.budget)
+    p, j, every_pair = args.p, args.j, args.k is None
+    if j < 1:  # p ** j would be a fraction
+        raise ValueError(f"j must be >= 1, got {j}")
+    if p > 1 and _power_over(p, j, args.budget):  # one pair's p^j terms already pass it
+        log10_size = j * math.log10(p)
+        log10_required = 3 * log10_size - math.log10(8) if every_pair else log10_size
+        raise _refusal(log10_required, lambda: _binom_terms(p, j, every_pair), args.budget)
+    check_budget(_binom_terms(p, j, every_pair), args.budget)
+    bound = (p ** j - 1) // 2
     if args.k is not None:
         pairs = [(args.k, args.l if args.l is not None else args.k)]
     else:

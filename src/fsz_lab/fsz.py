@@ -34,8 +34,6 @@ from dataclasses import dataclass, field as dc_field
 from math import gcd
 from typing import Callable, Iterable, Sequence
 
-import numpy as np
-
 from .cyclotomic import CycNum
 from .fields import FieldElem, FieldSpec, field_for_order
 from .matrices import MatFq, UniTriMat
@@ -240,6 +238,12 @@ def _superdiagonal_histogram(
 
 
 # -- vectorized brute scans ----------------------------------------------------------
+#
+# numpy is imported inside each function below, not at the top of the module:
+# only a brute scan needs it, and loading it would cost every other process
+# (the fast route, the residue and oracle commands, `verify quick`) about
+# 13 MiB and 0.07 s.  The np.ndarray annotations are never evaluated, since
+# the module postpones them (from __future__ import annotations).
 
 _REGULAR_CACHE: dict[int, np.ndarray] = {}
 _SYM_CACHE: dict[tuple[int, int], np.ndarray] = {}
@@ -253,6 +257,8 @@ def _embed(q: int, idx: np.ndarray) -> np.ndarray:
     powering commutes with it and one kernel over GF(p) serves every field;
     for f = 1 it is the identity.
     """
+    import numpy as np
+
     table = _REGULAR_CACHE.get(q)
     if table is None:
         spec = field_for_order(q)
@@ -276,6 +282,8 @@ def _sym_blocks(q: int, n: int) -> np.ndarray:
     Cached read-only as float64, the scan kernel's type, so every partition of
     every scan reads the one array and none keeps a converted copy.
     """
+    import numpy as np
+
     key = (q, n)
     cached = _SYM_CACHE.get(key)
     if cached is not None:
@@ -294,6 +302,8 @@ def _sym_blocks(q: int, n: int) -> np.ndarray:
 
 
 def _decode_unitri(q: int, n: int, lidx: int) -> np.ndarray:
+    import numpy as np
+
     k = n * (n - 1) // 2
     L = np.eye(n, dtype=np.int64)
     for pos, (i, j) in enumerate(zip(*np.triu_indices(n, 1))):
@@ -302,6 +312,8 @@ def _decode_unitri(q: int, n: int, lidx: int) -> np.ndarray:
 
 
 def _unitri_inv_int(L: np.ndarray, p: int) -> np.ndarray:
+    import numpy as np
+
     n = L.shape[0]
     N = (L - np.eye(n, dtype=np.int64)) % p
     inv = np.eye(n, dtype=np.int64)
@@ -329,6 +341,8 @@ def _reduce(Y: np.ndarray, p: int, out: np.ndarray) -> np.ndarray:
     p (k + 1) = Y - r + p < 2^53.  So the floor is k, and k p and Y - k p are
     exact.  (The quotient by the rounded reciprocal 1 / p can round up to k + 1.)
     """
+    import numpy as np
+
     np.divide(Y, p, out=out)
     np.floor(out, out=out)
     out *= p
@@ -354,6 +368,8 @@ def _pow_mod(
     base reaches) is first reduced into a fresh array, since it stays a factor
     while both buffers are in use.
     """
+    import numpy as np
+
     m = X.shape[-1]
     top = _EXACT - p
     if m * bound * bound > top:
@@ -393,6 +409,8 @@ def _scan_worker(
     on every element.  With u given (already embedded), X u is powered only on
     the rows whose code is nonzero, the only rows the double condition reads.
     """
+    import numpy as np
+
     spec = field_for_order(q)
     p, f = spec.p, spec.n
     S = _sym_blocks(q, n)
@@ -496,6 +514,8 @@ def brute_characterization_scan(
     where "agree" asserts that the brute solution sets coincide with the
     closed characterization on every element scanned.
     """
+    import numpy as np
+
     field_for_order_checked(p, q)
     n = (p ** j + 1) // 2
     d_list = _exponents(p, d_list)

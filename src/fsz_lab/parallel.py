@@ -17,18 +17,31 @@ T = TypeVar("T")
 DEFAULT_BUDGET = 4_000_000
 
 
-def count_text(count: int) -> str:
-    """count in decimal, or "about 10^k" when it has more digits than str() prints."""
+def about_text(log10_count: float) -> str:
+    """The text of a count known by its decimal logarithm."""
+    return f"about 10^{round(log10_count)}"
+
+
+def count_text(count: int | str) -> str:
+    """count in decimal, or "about 10^k" when it has more digits than str() prints.
+
+    A str is the text of a count too large to form, and is returned as it is.
+    """
+    if isinstance(count, str):
+        return count
     try:
         return str(count)
     except ValueError:
-        return f"about 10^{round(math.log10(count))}"
+        return about_text(math.log10(count))
 
 
 class BudgetExceeded(Exception):
-    """Raised when an enumeration would exceed its element budget."""
+    """Raised when an enumeration would exceed its element budget.
 
-    def __init__(self, required: int, budget: int):
+    required is the count, or its "about 10^k" text when it is too large to form.
+    """
+
+    def __init__(self, required: int | str, budget: int):
         self.required = required
         self.budget = budget
         super().__init__(

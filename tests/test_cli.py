@@ -1,10 +1,24 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import fsz_lab
 from fsz_lab import cli
+
+SRC = str(Path(fsz_lab.__file__).resolve().parents[1])
+
+
+def run_python(args, timeout):
+    """A fresh interpreter that imports fsz_lab from the same tree as this test."""
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=timeout)
 
 
 def run(capsys, *argv):
@@ -304,6 +318,41 @@ def test_field_enumeration_over_budget_is_refused(capsys, monkeypatch, argv, req
     assert code == 2
     assert out == "" and err.count("\n") == 1
     assert err.startswith("budget exceeded") and f"--budget {required}" in err
+
+
+@pytest.mark.parametrize("argv,required", [
+    (["field", "--p", "3", "--n", "30000000"], "about 10^14313638"),
+    (["field", "--p", "3", "--n", "3000000"], "about 10^1431364"),
+    (["binom", "--p", "3", "--j", "3000000"], "about 10^4294090"),
+    (["binom", "--p", "3", "--j", "3000000", "--k", "1"], "about 10^1431364"),
+], ids=["field-3^30000000", "field-3^3000000", "binom-every-pair", "binom-one-pair"])
+def test_refusal_of_a_count_too_long_to_print_forms_no_power(argv, required):
+    # forming 3^30000000 alone takes about 20 s; the refusal is decided by bit
+    # lengths and its size read from logarithms
+    out = run_python(["-m", "fsz_lab.cli", *argv], timeout=10)
+    assert out.returncode == 2 and out.stdout == ""
+    assert out.stderr.count("\n") == 1
+    assert out.stderr.startswith(f"budget exceeded: required {required} elements")
+
+
+NO_NUMPY_BEFORE_A_SCAN = """
+import sys
+import fsz_lab
+import fsz_lab.cli
+from fsz_lab import cli
+assert cli.main(["sylow", "fsz", "--p", "5", "--q", "5", "--j", "1"]) == 0
+assert cli.main(["sylow", "beta", "--p", "3", "--q", "9", "--j", "1"]) == 0
+assert "numpy" not in sys.modules, "numpy loaded without a brute scan"
+from fsz_lab.fsz import brute_characterization_scan
+scan = brute_characterization_scan(3, 3, 1)
+assert scan["counts"] == {1: 18, 2: 18} and scan["agree"], scan
+"""
+
+
+def test_numpy_is_loaded_only_by_a_brute_scan():
+    out = run_python(["-c", NO_NUMPY_BEFORE_A_SCAN], timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stderr == ""
 
 
 @pytest.mark.parametrize("n", ["0", "-1"])

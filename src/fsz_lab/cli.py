@@ -2,10 +2,10 @@
 
 Exit codes: 0 on success, 1 on a verification mismatch (a closed formula
 disagreeing with its enumeration, or a verdict contradiction), 2 on usage or
-budget errors.  All numeric output is exact -- integers or [numerator,
-denominator] pairs, whose denominator is always 1 since every cyclotomic value
-is a cyclotomic integer -- never floating point.  Identical arguments produce
-byte-identical output regardless of the thread count.
+budget errors.  All numeric output is exact -- integers of any length or
+[numerator, denominator] pairs, whose denominator is always 1 since every
+cyclotomic value is a cyclotomic integer -- never floating point.  Identical
+arguments produce byte-identical output regardless of the thread count.
 
 `--budget` is the only element budget.  Each command charges it once, before
 it builds anything: the residue commands charge the field and the squares or
@@ -19,6 +19,7 @@ no budget, and neither does `verify`, whose tiers do fixed work.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
@@ -29,7 +30,7 @@ from typing import Callable
 from . import acceptance
 from . import centralizer as cz
 from .cyclotomic import gauss_sum, gauss_sum_via_prime
-from .fields import field, field_for_order
+from .fields import field, field_for_order, is_prime
 from .fsz import (
     beta_linear_batch,
     brute_characterization_scan,
@@ -40,7 +41,8 @@ from .fsz import (
     witness_pair_count,
     solve_pth_power,
 )
-from .parallel import DEFAULT_BUDGET, BudgetExceeded, about_text, check_budget, count_text
+from .parallel import (COUNT_DIGITS, DEFAULT_BUDGET, BudgetExceeded, about_text, check_budget,
+                       count_text)
 from .residues import FiberCountQuery, binom_product_sum_mod, qr_diff_count, trace_fiber_qr_count
 from .sylow import SylowElem, enumerate_sylow, sylow_count, u_witness
 
@@ -90,6 +92,20 @@ def _parse_elem(spec, text: str):
     return spec.parse(text)
 
 
+@contextlib.contextmanager
+def _ints_of_any_length():
+    """Lift the digit limit of int/str conversion (Python 3.10.7 on) while a command runs."""
+    if not hasattr(sys, "set_int_max_str_digits"):  # earlier versions have no limit
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def _power_over(base: int, exp: int, bound: int) -> bool:
     """Whether base^exp > bound, decided without forming a power far past bound."""
     if (base.bit_length() - 1) * exp > bound.bit_length():
@@ -100,12 +116,28 @@ def _power_over(base: int, exp: int, bound: int) -> bool:
 def _refusal(log10_required: float, required: Callable[[], int], budget: int) -> BudgetExceeded:
     """The refusal of a count already known to pass budget.
 
-    str() prints at most 4300 digits; a longer count reads "about 10^k", so
-    its k is taken from log10_required and the count itself is never formed.
+    A count of more than COUNT_DIGITS digits reads "about 10^k", so its k is
+    taken from log10_required and the count itself is never formed.
     """
-    if log10_required < 4300:
+    if log10_required < COUNT_DIGITS:
         return BudgetExceeded(required(), budget)
     return BudgetExceeded(about_text(log10_required), budget)
+
+
+def _oracle_rows(fn: Callable, modes: tuple[str, str], cases) -> list[dict]:
+    """One row per (columns, args) case: the case's columns, fn(*args, mode)
+    under each of the two modes, and whether the two agree."""
+    rows = []
+    for columns, args in cases:
+        first, second = (fn(*args, mode) for mode in modes)
+        rows.append({**columns, modes[0]: first, modes[1]: second, "match": first == second})
+    return rows
+
+
+def _emit_rows(doc: dict, fmt: str) -> int:
+    """Print a document of oracle rows; exit 1 unless every row matches."""
+    _emit(doc, fmt)
+    return 0 if all(row["match"] for row in doc["rows"]) else MISMATCH_ERROR
 
 
 def _field_within_budget(p: int, n: int, budget: int):
@@ -121,7 +153,8 @@ def _target_within_budget(args, d: int, scans: int = 0):
     Building the q-element field charges q.  The target holds n x n blocks
     with n = (p^j + 1)/2, so it charges n^2 entries; each brute scan then
     charges the q^(n^2) elements it powers.  A j whose p^j cannot size an
-    index is refused without forming p^j.
+    index is refused without forming p^j, and scans past the budget without
+    forming q^(n^2).
     """
     p, j = args.p, args.j
     check_budget(args.q, args.budget)
@@ -130,8 +163,10 @@ def _target_within_budget(args, d: int, scans: int = 0):
             raise OverflowError(f"{p}^{j} does not fit an index")
         n = (p ** j + 1) // 2
         check_budget(n * n, args.budget)
-        if scans:
-            check_budget(scans * sylow_count(n, args.q), args.budget)
+        # scans q^(n^2) > budget exactly when q^(n^2) > budget // scans
+        if scans and args.q > 1 and _power_over(args.q, n * n, args.budget // scans):
+            raise _refusal(math.log10(scans) + n * n * math.log10(args.q),
+                           lambda: scans * sylow_count(n, args.q), args.budget)
     return make_target(p, args.q, j, d)
 
 
@@ -169,17 +204,10 @@ def cmd_qrdiff(args) -> int:
     ]
     # each c walks the (q+1)/2 squares
     check_budget(len(cs) * (args.q + 1) // 2, args.budget)
-    rows = []
-    ok = True
-    for c in cs:
-        closed = qr_diff_count(spec, c, "closed")
-        enum = qr_diff_count(spec, c, "enum")
-        ok = ok and closed == enum
-        rows.append({"c": c.to_json(), "closed": closed, "enum": enum,
-                     "match": closed == enum})
-    doc = {"claim": "qr-difference-count", "q": args.q, "rows": rows}
-    _emit(doc, args.format)
-    return 0 if ok else MISMATCH_ERROR
+    rows = _oracle_rows(qr_diff_count, ("closed", "enum"),
+                        (({"c": c.to_json()}, (spec, c)) for c in cs))
+    return _emit_rows({"claim": "qr-difference-count", "q": args.q, "rows": rows},
+                      args.format)
 
 
 def cmd_gauss(args) -> int:
@@ -211,19 +239,11 @@ def cmd_fibers(args) -> int:
     ys = [args.y] if args.y is not None else list(range(args.p))
     # each (z, y) walks the (q+1)/2 squares
     check_budget(len(zs) * len(ys) * (spec.q + 1) // 2, args.budget)
-    rows = []
-    ok = True
-    for z in zs:
-        for y in ys:
-            query = FiberCountQuery(spec, z, y)
-            closed = trace_fiber_qr_count(query, "closed")
-            enum = trace_fiber_qr_count(query, "enum")
-            ok = ok and closed == enum
-            rows.append({"z": z.to_json(), "y": y, "closed": closed,
-                         "enum": enum, "match": closed == enum})
-    doc = {"claim": "trace-fiber-count", "p": args.p, "n": args.n, "rows": rows}
-    _emit(doc, args.format)
-    return 0 if ok else MISMATCH_ERROR
+    rows = _oracle_rows(trace_fiber_qr_count, ("closed", "enum"),
+                        (({"z": z.to_json(), "y": y}, (FiberCountQuery(spec, z, y),))
+                         for z in zs for y in ys))
+    return _emit_rows({"claim": "trace-fiber-count", "p": args.p, "n": args.n, "rows": rows},
+                      args.format)
 
 
 def _binom_terms(p: int, j: int, every_pair: bool) -> int:
@@ -240,9 +260,11 @@ def cmd_binom(args) -> int:
     if args.l is not None and args.k is None:
         raise ValueError("--l needs --k")
     p, j, every_pair = args.p, args.j, args.k is None
+    if p == 2 or not is_prime(p):  # a p below 2 lists no pairs to refuse
+        raise ValueError(f"p must be an odd prime, got {p}")
     if j < 1:  # p ** j would be a fraction
         raise ValueError(f"j must be >= 1, got {j}")
-    if p > 1 and _power_over(p, j, args.budget):  # one pair's p^j terms already pass it
+    if _power_over(p, j, args.budget):  # one pair's p^j terms already pass it
         log10_size = j * math.log10(p)
         log10_required = 3 * log10_size - math.log10(8) if every_pair else log10_size
         raise _refusal(log10_required, lambda: _binom_terms(p, j, every_pair), args.budget)
@@ -252,17 +274,10 @@ def cmd_binom(args) -> int:
         pairs = [(args.k, args.l if args.l is not None else args.k)]
     else:
         pairs = [(k, l) for k in range(bound + 1) for l in range(k, bound + 1)]
-    rows = []
-    ok = True
-    for k, l in pairs:
-        direct = binom_product_sum_mod(args.p, args.j, k, l, "direct")
-        lucas = binom_product_sum_mod(args.p, args.j, k, l, "lucas")
-        ok = ok and direct == lucas
-        rows.append({"k": k, "l": l, "direct": direct, "lucas": lucas,
-                     "match": direct == lucas})
-    doc = {"claim": "binomial-product-sum", "p": args.p, "j": args.j, "rows": rows}
-    _emit(doc, args.format)
-    return 0 if ok else MISMATCH_ERROR
+    rows = _oracle_rows(binom_product_sum_mod, ("direct", "lucas"),
+                        (({"k": k, "l": l}, (p, j, k, l)) for k, l in pairs))
+    return _emit_rows({"claim": "binomial-product-sum", "p": p, "j": j, "rows": rows},
+                      args.format)
 
 
 def _resolve_u(name: str, spec, n: int) -> tuple[str, SylowElem]:
@@ -393,17 +408,9 @@ def cmd_pairs(args) -> int:
     ]
     # each d walks all q^2 pairs (a, b)
     check_budget(len(ds) * args.q ** 2, args.budget)
-    rows = []
-    ok = True
-    for d in ds:
-        closed = witness_pair_count(spec, d, "closed")
-        enum = witness_pair_count(spec, d, "enum")
-        ok = ok and closed == enum
-        rows.append({"d": d.to_json(), "closed": closed, "enum": enum,
-                     "match": closed == enum})
-    doc = {"claim": "pair-count", "q": args.q, "rows": rows}
-    _emit(doc, args.format)
-    return 0 if ok else MISMATCH_ERROR
+    rows = _oracle_rows(witness_pair_count, ("closed", "enum"),
+                        (({"d": d.to_json()}, (spec, d)) for d in ds))
+    return _emit_rows({"claim": "pair-count", "q": args.q, "rows": rows}, args.format)
 
 
 def cmd_centralizer_check(args) -> int:
@@ -421,6 +428,14 @@ def cmd_verify(args) -> int:
         quick=args.scope == "quick", threads=args.threads, only=args.only
     )
     return 0 if all(r.passed for r in results) else MISMATCH_ERROR
+
+
+def _instance_flags(sp: argparse.ArgumentParser, with_d: bool = True) -> None:
+    """The (p, q, j) instance flags, all required, and the exponent --d (default 1)."""
+    for flag in ("--p", "--q", "--j"):
+        sp.add_argument(flag, type=int, required=True)
+    if with_d:
+        sp.add_argument("--d", type=int, default=1)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -479,23 +494,17 @@ def build_parser() -> argparse.ArgumentParser:
     ssub = sylow.add_subparsers(dest="sylow_command", required=True)
 
     sp = ssub.add_parser("solve", help="solve X^(p^j) = g^d with a given corner")
-    for flag, required, default in (("--p", True, None), ("--q", True, None),
-                                    ("--j", True, None), ("--d", False, 1)):
-        sp.add_argument(flag, type=int, required=required, default=default)
+    _instance_flags(sp)
     sp.add_argument("--x", type=str, default=None, help="corner value A[0,0]")
     sp.set_defaults(fn=cmd_sylow_solve)
 
     sp = ssub.add_parser("count", help="count solutions of X^(p^j) = g^d")
-    for flag, required, default in (("--p", True, None), ("--q", True, None),
-                                    ("--j", True, None), ("--d", False, 1)):
-        sp.add_argument(flag, type=int, required=required, default=default)
+    _instance_flags(sp)
     sp.add_argument("--mode", choices=("fast", "brute"), default="fast")
     sp.set_defaults(fn=cmd_sylow_count)
 
     sp = ssub.add_parser("fsz", help="count-equality table and verdict at g")
-    for flag, required, default in (("--p", True, None), ("--q", True, None),
-                                    ("--j", True, None)):
-        sp.add_argument(flag, type=int, required=required, default=default)
+    _instance_flags(sp, with_d=False)
     sp.add_argument("--u", nargs="*", default=None,
                     help="u elements: identity, U, or a JSON file path")
     sp.add_argument("--mode", choices=("fast", "brute"), default="fast")
@@ -504,17 +513,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_sylow_fsz)
 
     sp = ssub.add_parser("gm", help="|{a : a^m = (au)^m = g^d}| for one u")
-    for flag, required, default in (("--p", True, None), ("--q", True, None),
-                                    ("--j", True, None), ("--d", False, 1)):
-        sp.add_argument(flag, type=int, required=required, default=default)
+    _instance_flags(sp)
     sp.add_argument("--u", type=str, default="U")
     sp.add_argument("--mode", choices=("fast", "brute"), default="fast")
     sp.set_defaults(fn=cmd_sylow_gm)
 
     sp = ssub.add_parser("beta", help="exact beta values for corner characters")
-    for flag, required, default in (("--p", True, None), ("--q", True, None),
-                                    ("--j", True, None), ("--d", False, 1)):
-        sp.add_argument(flag, type=int, required=required, default=default)
+    _instance_flags(sp)
     sp.add_argument("--zparam", type=str, default=None)
     sp.set_defaults(fn=cmd_sylow_beta)
 
@@ -554,7 +559,8 @@ def main(argv: list[str] | None = None) -> int:
         print("error: --threads must be at least 1", file=sys.stderr)
         return USAGE_ERROR
     try:
-        return args.fn(args)
+        with _ints_of_any_length():
+            return args.fn(args)
     except BudgetExceeded as exc:
         required = count_text(exc.required)
         print(f"budget exceeded: required {required} elements "

@@ -8,8 +8,10 @@ unipotent g = I + sigma * d * E[n-1, 2n-1]:
   across exponents d coprime to p, in a fast closed-characterization mode and
   a brute full-enumeration mode that must agree (one pass per u serves all d);
 * characters: the exact squared modulus beta of the character sum over the
-  p^j-th roots of g, rational precisely when the counts cannot distinguish
-  the exponents.
+  p^j-th roots of g.  For central g and a linear character it expands as the
+  sum over u of |G_m(u, g)| chi(u) (`beta_via_counts`, which AC11 checks
+  against the double sum); AC10 checks that every nontrivial corner
+  character of P(Sp_6(5)) gives an irrational beta.
 
 The closed characterization is A[0,0] * upsilon(L, j) = d; the brute route
 powers every group element directly and doubles as the verification that the
@@ -26,6 +28,10 @@ with every x_i nonzero.  The double count sums the states with
 corner values d/a behind the betas.  The tuples are counted, not assumed.
 The route runs on the field's exp/log tables: states are discrete logs, a
 product is a sum of logs mod q - 1, and x + c is a digit-wise map on indices.
+
+The fast count and `beta_linear_batch` share `_superdiagonal_histogram` and
+the field tables, so the character route does not check the fold.  The brute
+scan shares neither: it reaches none of the fast route's functions.
 """
 
 from __future__ import annotations
@@ -44,6 +50,7 @@ from .sylow import (
     kappa,
     square_product,
     sylow_count,
+    sylow_from_index,
     u_witness,
     upsilon,
 )
@@ -301,27 +308,11 @@ def _sym_blocks(q: int, n: int) -> np.ndarray:
     return S
 
 
-def _decode_unitri(q: int, n: int, lidx: int) -> np.ndarray:
+def _embed_matrix(M: MatFq) -> np.ndarray:
+    """_embed of a matrix over GF(q), read off its entries' indices."""
     import numpy as np
 
-    k = n * (n - 1) // 2
-    L = np.eye(n, dtype=np.int64)
-    for pos, (i, j) in enumerate(zip(*np.triu_indices(n, 1))):
-        L[i, j] = lidx // q ** (k - 1 - pos) % q
-    return L
-
-
-def _unitri_inv_int(L: np.ndarray, p: int) -> np.ndarray:
-    import numpy as np
-
-    n = L.shape[0]
-    N = (L - np.eye(n, dtype=np.int64)) % p
-    inv = np.eye(n, dtype=np.int64)
-    term = np.eye(n, dtype=np.int64)
-    for _ in range(n - 1):
-        term = (-(term @ N)) % p
-        inv = (inv + term) % p
-    return inv
+    return _embed(M.spec.q, np.array([[x.index() for x in r] for r in M.rows]))
 
 
 _SCAN_CHUNK = 2048  # symmetric blocks powered at once; bounds a partition's temporaries
@@ -445,7 +436,7 @@ def _scan_worker(
         return np.where(ok, residue[idx], 0)
 
     rows = min(_SCAN_CHUNK, count_s)
-    X = np.zeros((rows, m, m))
+    X = np.empty((rows, m, m))
     SL = np.empty((rows * nf, nf))
     A = np.empty((rows, nf, nf))
     P = np.empty((rows, m, m)), np.empty((rows, m, m))
@@ -456,14 +447,15 @@ def _scan_worker(
         gm_tally = np.zeros(p, dtype=np.int64)
     agree = True
     for lidx in range(lo, hi):
-        L_idx = _decode_unitri(q, n, lidx)
-        Linv = _unitri_inv_int(_embed(q, L_idx), p)
-        # the embedding of L^T, not the transpose of L's embedding
-        X[:, :nf, :nf] = _embed(q, L_idx.T)
-        X[:, nf:, nf:] = Linv
-        Linv = Linv.astype(np.float64)
-        # the characterization's code of A[0,0]: d where A[0,0] = d / upsilon
-        ups = square_product(spec, [spec.from_index(int(x)) for x in np.diag(L_idx, 1)])
+        # the element with this L and S = 0 is [[L^T, 0], [0, L^-1]]; each chunk
+        # fills in its A blocks
+        M = sylow_from_index(spec, n, lidx * count_s).to_matrix()
+        E = _embed_matrix(M).astype(np.float64)
+        X[:] = E
+        Linv = E[nf:, nf:]
+        # the characterization's code of A[0,0]: d where A[0,0] = d / upsilon,
+        # with L's superdiagonal read below the diagonal of L^T
+        ups = square_product(spec, [M.rows[i + 1][i] for i in range(n - 1)])
         char = np.zeros(q, dtype=np.intp)
         if not ups.is_zero():
             for d in range(1, p):
@@ -514,14 +506,12 @@ def brute_characterization_scan(
     where "agree" asserts that the brute solution sets coincide with the
     closed characterization on every element scanned.
     """
-    import numpy as np
-
     field_for_order_checked(p, q)
     n = (p ** j + 1) // 2
     d_list = _exponents(p, d_list)
     u_int = None
     if u is not None:
-        u_int = _embed(q, np.array([[x.index() for x in r] for r in u.to_matrix().rows]))
+        u_int = _embed_matrix(u.to_matrix())
     n_l = q ** (n * (n - 1) // 2)
     results = run_partitioned(
         lambda lo, hi: _scan_worker(q, n, j, d_list, u_int, lo, hi),

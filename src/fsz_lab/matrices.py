@@ -177,6 +177,15 @@ def _tri_inv(L: Block, code: _Coding) -> Block:
     return tuple(map(tuple, X))
 
 
+def _p_power_order(x, identity, p: int) -> int:
+    """The order of x in a p-group: the least p^k with x^(p^k) = identity."""
+    order = 1
+    while x != identity:
+        x = x.pow(p)
+        order *= p
+    return order
+
+
 class MatFq:
     """An immutable r x c matrix of FieldElem sharing one FieldSpec."""
 
@@ -486,14 +495,7 @@ class UniTriMat:
 
     def order(self) -> int:
         """Element order, found along the p-power tower."""
-        p = self.spec.p
-        acc = self
-        order = 1
-        ident = UniTriMat.identity(self.spec, self.n)
-        while acc != ident:
-            acc = acc.pow(p)
-            order *= p
-        return order
+        return _p_power_order(self, UniTriMat.identity(self.spec, self.n), self.spec.p)
 
     def __eq__(self, other):
         if isinstance(other, UniTriMat):

@@ -15,6 +15,7 @@ from typing import Callable, TypeVar
 T = TypeVar("T")
 
 DEFAULT_BUDGET = 4_000_000
+COUNT_DIGITS = 4300  # longer counts read "about 10^k"; str()'s default digit limit
 
 
 def about_text(log10_count: float) -> str:
@@ -23,16 +24,17 @@ def about_text(log10_count: float) -> str:
 
 
 def count_text(count: int | str) -> str:
-    """count in decimal, or "about 10^k" when it has more digits than str() prints.
+    """count in decimal, or "about 10^k" when it has more than COUNT_DIGITS digits.
 
     A str is the text of a count too large to form, and is returned as it is.
+    The cut is by size alone, so the text does not depend on str()'s digit
+    limit, which differs between Python versions and may be lifted.
     """
     if isinstance(count, str):
         return count
-    try:
+    if count < 10 ** COUNT_DIGITS:
         return str(count)
-    except ValueError:
-        return about_text(math.log10(count))
+    return about_text(math.log10(count))
 
 
 class BudgetExceeded(Exception):

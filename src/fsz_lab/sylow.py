@@ -41,7 +41,7 @@ from typing import Iterable, Iterator
 from .cyclotomic import CycNum, e_q
 from .fields import FieldElem, FieldSpec
 from .matrices import (Block, MatFq, UniTriMat, _Coding, _coding, _mm, _mm_add, _neg,
-                       _transpose, _tri_inv)
+                       _p_power_order, _transpose, _tri_inv)
 
 
 def twisted_sum(L: Block, A: Block, terms: int, red) -> tuple[Block, Block]:
@@ -188,14 +188,7 @@ class SylowElem:
 
     def order(self) -> int:
         """Element order along the p-power tower."""
-        p = self.spec.p
-        ident = SylowElem.identity(self.spec, self.n)
-        acc = self
-        order = 1
-        while acc != ident:
-            acc = acc.pow(p)
-            order *= p
-        return order
+        return _p_power_order(self, SylowElem.identity(self.spec, self.n), self.spec.p)
 
     def __eq__(self, other):
         if isinstance(other, SylowElem):

@@ -110,13 +110,19 @@ def test_binom_bad_input_is_usage_error(capsys):
         assert len(err.strip().splitlines()) == 1
 
 
-@pytest.mark.parametrize("extra", [[], ["--k", "1"]], ids=["all-pairs", "one-pair"])
-def test_binom_negative_j_is_one_line_usage_error(capsys, extra):
-    # p ** j is a fraction for j < 0; both paths refuse j before using it
-    code, out, err = run(capsys, "binom", "--p", "3", "--j", "-1", *extra)
+@pytest.mark.parametrize("argv,error", [
+    (["--p", "3", "--j", "-1"], "j must be >= 1, got -1"),
+    (["--p", "3", "--j", "-1", "--k", "1"], "j must be >= 1, got -1"),
+    (["--p", "-3", "--j", "15"], "p must be an odd prime, got -3"),
+    (["--p", "0", "--j", "3"], "p must be an odd prime, got 0"),
+], ids=["all-pairs", "one-pair", "p=-3", "p=0"])
+def test_binom_negative_j_is_one_line_usage_error(capsys, argv, error):
+    # p ** j is a fraction for j < 0, and a p below 2 lists no pairs, so no
+    # pair would ever refuse it: both paths refuse p and j before using them
+    code, out, err = run(capsys, "binom", *argv)
     assert code == 2
     assert out == ""
-    assert err == "error: j must be >= 1, got -1\n"
+    assert err == f"error: {error}\n"
 
 
 def test_binom_l_without_k_is_usage_error(capsys):
@@ -325,7 +331,11 @@ def test_field_enumeration_over_budget_is_refused(capsys, monkeypatch, argv, req
     (["field", "--p", "3", "--n", "3000000"], "about 10^1431364"),
     (["binom", "--p", "3", "--j", "3000000"], "about 10^4294090"),
     (["binom", "--p", "3", "--j", "3000000", "--k", "1"], "about 10^1431364"),
-], ids=["field-3^30000000", "field-3^3000000", "binom-every-pair", "binom-one-pair"])
+    # n = 9,842, so the n^2 entries pass the budget but the 3^(n^2) scanned elements do not
+    (["--budget", "100000000", "sylow", "count", "--p", "3", "--q", "3", "--j", "9",
+      "--mode", "brute"], "about 10^46216333"),
+], ids=["field-3^30000000", "field-3^3000000", "binom-every-pair", "binom-one-pair",
+        "count-brute-3^(9842^2)"])
 def test_refusal_of_a_count_too_long_to_print_forms_no_power(argv, required):
     # forming 3^30000000 alone takes about 20 s; the refusal is decided by bit
     # lengths and its size read from logarithms
@@ -547,13 +557,15 @@ def test_verify_empty_selection_is_usage_error(capsys):
     assert out == "" and "AC6" in err and err.count("\n") == 1
 
 
-def test_mismatch_exit_code_on_corrupted_formula(capsys, monkeypatch):
-    from fsz_lab import cli as cli_mod
-
-    monkeypatch.setattr(
-        cli_mod, "qr_diff_count",
-        lambda spec, c, mode="closed": 0 if mode == "closed" else 1,
-    )
-    code, out, _ = run(capsys, "qrdiff", "--q", "5", "--c", "1")
+@pytest.mark.parametrize("name,argv", [
+    ("qr_diff_count", ["qrdiff", "--q", "5", "--c", "1"]),
+    ("trace_fiber_qr_count", ["fibers", "--p", "5", "--n", "1", "--z", "1", "--y", "0"]),
+    ("witness_pair_count", ["pairs", "--q", "5", "--d", "1"]),
+    ("binom_product_sum_mod", ["binom", "--p", "5", "--j", "1", "--k", "1"]),
+], ids=["qrdiff", "fibers", "pairs", "binom"])
+def test_mismatch_exit_code_on_corrupted_formula(capsys, monkeypatch, name, argv):
+    # the stub answers 1 for the closed formula (lucas for binom) and 0 for its oracle
+    monkeypatch.setattr(cli, name, lambda *args: int(args[-1] in ("closed", "lucas")))
+    code, out, _ = run(capsys, *argv)
     assert code == 1
-    assert not json.loads(out)["rows"][0]["match"]
+    assert json.loads(out)["rows"][0]["match"] is False

@@ -39,6 +39,10 @@ GOLDEN = [
      "1e3d999281d2f69920e990bc59d46c5915b064427fdb4c3aaae5b41b71f1f8ae"),
     ("sylow fsz --p 13 --q 13 --j 1",
      "9633f070bb906103fdc4888a2195d7b5da2c6ea479c711143473b84ded3a8b76"),
+    # the paper's hypothesis at j = 2: non-FSZ_169-at-z, witness U, counts of
+    # 8,045 digits, past str()'s default limit
+    ("sylow fsz --p 13 --q 13 --j 2",
+     "c6065462b999ade81773bfa8c6479833da5042993fb600e05f81da29d72a688c"),
     ("sylow fsz --p 3 --q 9 --j 1 --mode brute",
      "50301f913e1cefd1c39be9df0450fbe45f0372391e2e979a41c93f7a1c7007ab"),
     ("sylow fsz --p 5 --q 5 --j 1 --beta",

@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 import time
 import tracemalloc
 from collections import Counter
@@ -715,6 +716,40 @@ class TestBruteScan:
         assert out["agree"] is False
         assert out["counts"] == {d: count_solutions(make_target(3, 9, 1, d)) for d in (1, 4, -1)}
 
+    def test_scan_reaches_no_fast_route_function(self):
+        # the scan is the fast route's oracle, so it must not run the fold, the
+        # tables or the closed block powers that route is built on
+        fast_only = {
+            ("fsz_lab.fsz", "_superdiagonal_histogram"),
+            ("fsz_lab.fsz", "_gm_count_fast"),
+            ("fsz_lab.fields", "FieldSpec.tables"),
+            ("fsz_lab.fields", "FieldSpec._build_tables"),
+            ("fsz_lab.fields", "FieldSpec.add_map"),
+            ("fsz_lab.sylow", "SylowElem.superdiagonal"),
+            ("fsz_lab.sylow", "SylowElem.corner"),
+            ("fsz_lab.sylow", "SylowElem.pow"),
+            ("fsz_lab.sylow", "twisted_sum"),
+        }
+        u = u_witness(field(3, 2), 2)
+        called = set()
+
+        def record(frame, event, arg):
+            module = frame.f_globals.get("__name__", "")
+            if event == "call" and module.startswith("fsz_lab"):
+                code = frame.f_code
+                called.add((module, getattr(code, "co_qualname", code.co_name)))
+
+        # threads=1 keeps the scan on this thread, the one the profile watches
+        previous = sys.getprofile()
+        sys.setprofile(record)
+        try:
+            out = brute_characterization_scan(3, 9, 1, u=u, threads=1)
+        finally:
+            sys.setprofile(previous)
+        assert out["agree"]
+        assert ("fsz_lab.fsz", "_scan_worker") in called
+        assert called.isdisjoint(fast_only), sorted(called & fast_only)
+
     def test_identity_u_gm_equals_counts(self):
         # a u = a, so the double condition is the single one: powering a u on
         # the solving rows only must still find every solution
@@ -760,7 +795,7 @@ class TestBruteScan:
         # P(Sp_4(27)) at two threads: L-indices [0, 14) of 27 form one partition
         spec = field(3, 3)
         u = sylow_from_index(spec, 2, 59_298)
-        u_int = fsz._embed(27, np.array([[x.index() for x in r] for r in u.to_matrix().rows]))
+        u_int = fsz._embed_matrix(u.to_matrix())
         fsz._scan_worker(27, 2, 1, [1, 2], u_int, 0, 1)
         tracemalloc.start()
         try:

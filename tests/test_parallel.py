@@ -7,6 +7,7 @@ from fsz_lab import parallel
 from fsz_lab.parallel import (
     BudgetExceeded,
     check_budget,
+    count_text,
     default_threads,
     run_partitioned,
     split_range,
@@ -40,6 +41,17 @@ def test_check_budget():
         check_budget(11, 10)
     assert info.value.required == 11
     assert "11" in str(info.value)
+
+
+def test_count_text_cuts_by_size_whatever_the_str_limit():
+    # the CLI lifts str()'s digit limit while a command runs; a refusal's text
+    # must read the same with the limit lifted
+    from fsz_lab import cli
+
+    with cli._ints_of_any_length():
+        assert count_text(10 ** 4300 - 1) == "9" * 4300
+        assert count_text(10 ** 4300) == "about 10^4300"
+        assert count_text(3 ** 40000) == "about 10^19085"
 
 
 def test_default_threads_is_cpu_count_capped_at_8(monkeypatch):

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .fields import TABLE_BOUND, FieldElem, FieldSpec, field, is_prime
+from .fields import FieldElem, FieldSpec, field, is_prime
 
 
 def _canonical(p: int, full: Sequence[int]) -> tuple[int, ...]:
@@ -215,23 +215,15 @@ def e_q(x: FieldElem) -> CycNum:
 def gauss_sum(spec: FieldSpec) -> CycNum:
     """Definitional Gauss sum over GF(q): sum of legendre(x) * e_q(x).
 
-    Accumulates integer counts per trace residue before building the exact
-    cyclotomic value, so the summation itself stays in plain integers.
+    One loop over element indices at every q, with no exp/log table and no
+    FieldElem: the sign is read off the square mask of ``spec.qr_set()``, the
+    trace off ``spec.traces()``, and counts per trace residue stay plain ints.
     """
     p = spec.p
     full = [0] * p
-    if spec.q <= TABLE_BOUND:
-        # x = exp[k] is a square exactly when k is even
-        t = spec.tables()
-        trace = t["trace"]
-        for k, i in enumerate(t["exp"]):
-            full[trace[i]] += -1 if k & 1 else 1
-    else:
-        # nonzero x is a square exactly when the square mask marks its index
-        mask = spec.qr_set().mask
-        for x, square in zip(spec.elements(), mask):
-            if not x.is_zero():
-                full[x.trace()] += 1 if square else -1
+    for t, square in zip(spec.traces(), spec.qr_set().mask):
+        full[t] += 1 if square else -1
+    full[0] -= 1  # index 0 is zero, which the mask marks though legendre(0) = 0
     return CycNum.from_residue_vector(p, full)
 
 

@@ -6,10 +6,11 @@ right degree), so identical (p, n) always produce identical serializations.
 The module provides the trace map onto the prime subfield, Legendre symbols,
 and quadratic-residue sets.  A residue set is a read-only set view over a
 bytearray mask on element indices, filled by squaring on plain ints without
-the tables, so it can check them.  For fields of at most TABLE_BOUND elements,
-exp/log, trace and quadratic-residue tables on element indices are built
-lazily: the enumeration oracles and the fast fsz route run on these index
-codes.  Equality is always defined on coefficients.
+the tables, so it can check them.  ``FieldSpec.traces()`` lists the traces by
+index at every q for the tables and ``cyclotomic.gauss_sum``.  For fields of
+at most TABLE_BOUND elements, exp/log, trace and quadratic-residue tables on
+element indices are built lazily: the enumeration oracles and the fast fsz
+route run on these index codes.  Equality is always defined on coefficients.
 
 Elements of the prime subfield are identified with the integers
 {0, ..., p-1}, and mixed int/element arithmetic uses that identification.
@@ -351,6 +352,15 @@ class FieldSpec:
                 exp[k] = idx
                 log[idx] = k
                 acc = _pmulmod(acc, gen, f, p)
+        qr = bytearray(q)
+        qr[0] = 1
+        for k in range(0, q - 1, 2):
+            qr[exp[k]] = 1
+        return {"exp": exp, "log": log, "trace": self.traces(), "qr": qr}
+
+    def traces(self) -> list[int]:
+        """Traces of all elements by index, at every q: read by the tables and gauss_sum."""
+        p, f = self.p, self.modulus
         # the trace is GF(p)-linear and index digits are coefficients, so
         # tr(i) = sum_k c_k tr(x^k); tr(x^k) = sum_i x^(k p^i) lies in GF(p),
         # so it is the sum of the constant coefficients of its n terms
@@ -359,11 +369,7 @@ class FieldSpec:
             tk = sum((_ppowmod([0] * k + [1], p ** i, f, p) or [0])[0]
                      for i in range(self.n)) % p
             trace = [(t + c * tk) % p for c in range(p) for t in trace]
-        qr = bytearray(q)
-        qr[0] = 1
-        for k in range(0, q - 1, 2):
-            qr[exp[k]] = 1
-        return {"exp": exp, "log": log, "trace": trace, "qr": qr}
+        return trace
 
     def add_map(self, c: int) -> list[int]:
         """The index of x + c for every index x, as a list of q ints.

@@ -1,7 +1,8 @@
 """The acceptance gate: every criterion runs at its stated tolerance.
 
-Each test executes one tier, prints its pass/fail line, and asserts both the
-exact result and the tier's wall-clock budget.
+Each test runs one tier through ``run_acceptance``, the runner behind
+``fsz-lab verify``, which prints its pass/fail line and fails a tier whose
+result is wrong or whose wall-clock time exceeds its limit.
 """
 
 import pytest
@@ -9,20 +10,14 @@ import pytest
 from fsz_lab import acceptance
 from fsz_lab.acceptance import acceptance_tiers, run_acceptance
 
-TIERS = acceptance_tiers(None)
+KEYS = [key for key, _, _, _ in acceptance_tiers(None)]
 
 
-@pytest.mark.parametrize("key,name,limit,fn", TIERS, ids=[t[0] for t in TIERS])
-def test_acceptance_tier(key, name, limit, fn):
-    import time
-
-    start = time.perf_counter()
-    passed, detail = fn()
-    elapsed = time.perf_counter() - start
-    status = "PASS" if passed else "FAIL"
-    print(f"{key} {name}: {status} ({elapsed:.1f}s / limit {limit:.0f}s) {detail}")
-    assert passed, f"{key} {name}: {detail}"
-    assert elapsed < limit, f"{key} exceeded its {limit:.0f}s budget ({elapsed:.1f}s)"
+@pytest.mark.parametrize("key", KEYS)
+def test_acceptance_tier(key):
+    (result,) = run_acceptance(only=[key], out=print)
+    assert result.key == key
+    assert result.passed, result.line()
 
 
 def test_runner_quick_subset():

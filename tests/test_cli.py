@@ -10,6 +10,7 @@ import pytest
 
 import fsz_lab
 from fsz_lab import cli
+from fsz_lab.sylow import SylowElem
 
 SRC = str(Path(fsz_lab.__file__).resolve().parents[1])
 
@@ -85,6 +86,31 @@ def test_sylow_solve(capsys):
     doc = json.loads(out)
     assert doc["oracle_match"]
     assert doc["solution"]["L_upper"] == [1, 0, 1]
+
+
+def test_sylow_solve_powers_its_solution_once(capsys, monkeypatch):
+    # solve_pth_power verifies sol^m = g^d itself; the CLI does not repeat it
+    calls = []
+    pow_ = SylowElem.pow
+
+    def counted(self, j):
+        calls.append(j)
+        return pow_(self, j)
+
+    monkeypatch.setattr(SylowElem, "pow", counted)
+    code, out, _ = run(capsys, "sylow", "solve", "--p", "5", "--q", "5", "--j", "1",
+                       "--d", "1", "--x", "1")
+    assert code == 0 and json.loads(out)["oracle_match"] is True
+    assert len(calls) == 1
+
+
+def test_sylow_solve_corrupted_construction_is_a_mismatch(capsys, monkeypatch):
+    monkeypatch.setattr(SylowElem, "from_symmetric",
+                        classmethod(lambda cls, L, S: cls.identity(L.spec, L.n)))
+    code, out, err = run(capsys, "sylow", "solve", "--p", "5", "--q", "5", "--j", "1",
+                         "--d", "1", "--x", "1")
+    assert code == 1 and out == ""
+    assert err.startswith("verification mismatch") and len(err.splitlines()) == 1
 
 
 def test_sylow_count_fast(capsys):

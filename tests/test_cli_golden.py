@@ -23,6 +23,9 @@ GOLDEN = [
      "fb83342cb890aaac0e8cf9c7bd053ccd2eb62890dbca46d570959a44f670c5a3"),
     ("gauss --p 3 --n 5",
      "3b29f1f79f9fa7613ee5fa862920bd2c63ce02749cd0dcd93afec154b25461cf"),
+    # q = 3^11, the first power of 3 above the table bound
+    ("gauss --p 3 --n 11",
+     "abce282a35eaf19e3a3ccb7cfe9fc9de5e19ae4710379f81636536d3e3bbf202"),
     ("field --p 3 --n 6",
      "90c830fd81f960d5694e73b8dcd2268ab4feca69c9287db16d30725e6308f2b6"),
     ("fibers --p 5 --n 2",

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fsz_lab import cyclotomic
 from fsz_lab.cyclotomic import (
     CycNum,
     e_q,
@@ -208,12 +207,17 @@ class TestGaussSums:
     def test_power_identity(self, p, n):
         assert gauss_sum(field(p, n)) == gauss_sum_via_prime(p, n)
 
-    @pytest.mark.parametrize("p,n", [(7, 1), (3, 3), (5, 2)])
-    def test_off_table_sum_matches_the_table_sum(self, monkeypatch, p, n):
-        # above the table bound the signs come from the square mask
-        expected = gauss_sum(field(p, n))
-        monkeypatch.setattr(cyclotomic, "TABLE_BOUND", 0)
-        assert gauss_sum(FieldSpec(p, n)) == expected
+    @pytest.mark.parametrize("p,n", [(7, 1), (3, 3), (5, 2), (3, 4)])
+    def test_sum_matches_the_per_element_reference(self, p, n):
+        # Euler's criterion and Frobenius traces: no mask, trace list or tables
+        spec = FieldSpec(p, n)
+        expected = CycNum.zero(p)
+        for x in spec.elements():
+            if not x.is_zero():
+                expected = expected + e_q(x) * x.legendre()
+        assert spec._tables is None
+        assert gauss_sum(spec) == expected
+        assert spec._tables is None
 
     @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
     def test_twisted_sum_evaluation(self, p):

@@ -237,8 +237,9 @@ def cmd_fibers(args) -> int:
     else:
         zs = [z for z in spec.elements() if not z.is_zero()]
     ys = [args.y] if args.y is not None else list(range(args.p))
-    # each (z, y) walks the (q+1)/2 squares
-    check_budget(len(zs) * len(ys) * (spec.q + 1) // 2, args.budget)
+    # each (z, y) reads one count of the field's trace tally, which the q
+    # charged for the field pays for
+    check_budget(len(zs) * len(ys), args.budget)
     rows = _oracle_rows(trace_fiber_qr_count, ("closed", "enum"),
                         (({"z": z.to_json(), "y": y}, (FiberCountQuery(spec, z, y),))
                          for z in zs for y in ys))

@@ -9,8 +9,9 @@ bytearray mask on element indices, filled by squaring on plain ints without
 the tables, so it can check them.  ``FieldSpec.traces()`` lists the traces by
 index at every q for the tables and ``cyclotomic.gauss_sum``.  For fields of
 at most TABLE_BOUND elements, exp/log, trace and quadratic-residue tables on
-element indices are built lazily: the enumeration oracles and the fast fsz
-route run on these index codes.  Equality is always defined on coefficients.
+element indices, with a tally of each square class's traces, are built
+lazily: the enumeration oracles and the fast fsz route run on these index
+codes.  Equality is always defined on coefficients.
 
 Elements of the prime subfield are identified with the integers
 {0, ..., p-1}, and mixed int/element arithmetic uses that identification.
@@ -21,6 +22,7 @@ elements of different fields is a hard error rather than a coercion.
 from __future__ import annotations
 
 import threading
+from collections import Counter
 from collections.abc import Set
 from itertools import compress, product
 from typing import Iterator, Sequence
@@ -284,23 +286,33 @@ class FieldSpec:
         y and -y have the same square, so only 0 and the y whose highest
         nonzero coefficient lies in 1..(p-1)/2 are squared, on plain ints;
         the tables are never read, so the set can serve as their oracle.
+        Such a y is h + c, with c its constant coefficient and h its high
+        part.  h = 0 gives the squares of the prime subfield.  Otherwise one
+        list product gives h^2, and y^2 = h^2 + 2c*h + c^2 gives the p
+        squares along c: 2c*h adds c times 2h's digit to each digit above
+        the constant one, and c^2 adds to the constant digit alone.
         """
         if self._qr is None:
             p, n, f = self.p, self.n, self.modulus
             mask = bytearray(self.q)
-            if n == 1:
-                for i in range((p + 1) // 2):
-                    mask[i * i % p] = 1
-            else:
-                mask[0] = 1
-                for t in range(n):
-                    for low in product(range(p), repeat=t):
-                        for lead in range(1, (p + 1) // 2):
-                            y = [*low, lead]
-                            idx = 0
-                            for c in reversed(_pmulmod(y, y, f, p)):
-                                idx = idx * p + c
-                            mask[idx] = 1
+            for i in range((p + 1) // 2):  # h = 0
+                mask[i * i % p] = 1
+            for t in range(1, n):
+                for mid in product(range(p), repeat=t - 1):
+                    for lead in range(1, (p + 1) // 2):
+                        h = [0, *mid, lead]
+                        hh = _pmulmod(h, h, f, p)
+                        hh += [0] * (n - len(hh))
+                        h += [0] * (n - len(h))
+                        # the indices of (h + c)^2 for c = 0..p-1, digit by digit
+                        idx = [(hh[0] + c * c) % p for c in range(p)]
+                        w = 1
+                        for k in range(1, n):
+                            w *= p
+                            a, b = hh[k], 2 * h[k]
+                            idx = [i + (a + b * c) % p * w for c, i in enumerate(idx)]
+                        for i in idx:
+                            mask[i] = 1
             self._qr = QuadraticResidues(self, mask)
         return self._qr
 
@@ -309,7 +321,11 @@ class FieldSpec:
         return pow(self.p - 1, (self.q - 1) // 2, self.p) == 1
 
     def tables(self) -> dict:
-        """Lazily built index tables: exp/log, traces, QR mask.
+        """Lazily built index tables: exp/log, traces, QR mask, fiber tally.
+
+        ``fiber[r][y]`` counts the exponents k of parity r with
+        tr(exp[k]) = y: the nonzero squares (r = 0) and the non-squares
+        (r = 1) on each trace fiber.
 
         Published once under a lock; requires q <= TABLE_BOUND.
         """
@@ -356,7 +372,12 @@ class FieldSpec:
         qr[0] = 1
         for k in range(0, q - 1, 2):
             qr[exp[k]] = 1
-        return {"exp": exp, "log": log, "trace": self.traces(), "qr": qr}
+        trace = self.traces()
+        fiber = []
+        for r in (0, 1):
+            counts = Counter(map(trace.__getitem__, exp[r::2]))
+            fiber.append([counts[y] for y in range(p)])
+        return {"exp": exp, "log": log, "trace": trace, "qr": qr, "fiber": fiber}
 
     def traces(self) -> list[int]:
         """Traces of all elements by index, at every q: read by the tables and gauss_sum."""

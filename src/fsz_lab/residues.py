@@ -73,19 +73,17 @@ class FiberCountQuery:
 def trace_fiber_qr_count(query: FiberCountQuery, mode: str = "closed") -> int:
     """Number of squares x with tr(z*x) = y, by case formula or enumeration.
 
-    The enumeration walks the (q+1)/2 squares on the field's index tables, so
-    it needs q <= TABLE_BOUND.
+    The enumeration reads the field's tally of each square class's traces,
+    counted once per field over the exp table, so it needs q <= TABLE_BOUND.
     """
     spec, z, y = query.spec, query.z, query.y
     p, n, q = spec.p, spec.n, spec.q
     if mode == "enum":
         # the squares are 0, of trace 0, and exp[k] for even k, each with
-        # z * exp[k] = exp[log z + k]
+        # z * exp[k] = exp[log z + k]; q - 1 is even, so these exponents are
+        # exactly those of log z's parity, whose traces the tables tally
         t = spec.tables()
-        exp, trace = t["exp"], t["trace"]
-        lz, m = t["log"][z.index()], q - 1
-        zero = 1 if y == 0 else 0
-        return zero + sum(1 for k in range(0, m, 2) if trace[exp[(lz + k) % m]] == y)
+        return (y == 0) + t["fiber"][t["log"][z.index()] & 1][y]
     if mode != "closed":
         raise ValueError(f"unknown mode {mode!r}")
     sz = z.legendre()

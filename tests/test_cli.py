@@ -308,15 +308,17 @@ def test_pairs_above_the_table_bound_is_refused(capsys):
 @pytest.mark.parametrize("argv,required", [
     (["--budget", "1000", "qrdiff", "--q", "125"], 124 * 63),
     (["--budget", "1000", "qrdiff", "--q", "125", "--c", "1"], None),
-    (["--budget", "1000", "fibers", "--p", "5", "--n", "3"], 124 * 5 * 63),
-    (["--budget", "300", "fibers", "--p", "5", "--n", "3", "--z", "1"], 5 * 63),
+    # fibers: one unit per (z, y) row, apart from the q of the field
+    (["--budget", "619", "fibers", "--p", "5", "--n", "3"], 124 * 5),
+    (["--budget", "125", "fibers", "--p", "5", "--n", "3", "--z", "1"], None),
+    (["--budget", "620", "fibers", "--p", "5", "--n", "3"], None),
     # binom: the p^j terms of the direct oracle for each pair k <= l <= (p^j - 1)/2
     (["--budget", "10", "binom", "--p", "3", "--j", "5"], 122 * 123 // 2 * 3 ** 5),
     (["binom", "--p", "5", "--j", "6"], 7813 * 7814 // 2 * 5 ** 6),
     (["--budget", "242", "binom", "--p", "3", "--j", "5", "--k", "1"], 3 ** 5),
     (["--budget", "243", "binom", "--p", "3", "--j", "5", "--k", "1"], None),
-], ids=["qrdiff-all", "qrdiff-one", "fibers-all", "fibers-one-z", "binom-all",
-        "binom-5^6", "binom-one-over", "binom-one"])
+], ids=["qrdiff-all", "qrdiff-one", "fibers-all", "fibers-one-z", "fibers-all-at-budget",
+        "binom-all", "binom-5^6", "binom-one-over", "binom-one"])
 def test_residue_budgets_count_every_enumerated_square(capsys, argv, required):
     code, out, err = run(capsys, *argv)
     if required is None:

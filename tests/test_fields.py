@@ -287,6 +287,14 @@ class TestResidueSets:
             spec = FieldSpec(p, n)  # fresh: no cached set, no tables
             assert spec.qr_set() == frozenset(y * y for y in spec.elements()), spec
 
+    @pytest.mark.parametrize("p,n", [(3, 6), (3, 7), (5, 4), (7, 3), (11, 3)])
+    def test_stepped_mask_matches_the_generator_walk(self, p, n):
+        # the tables mark exp[k] for even k, walked by powers of a generator
+        spec = FieldSpec(p, n)
+        mask = spec.qr_set().mask
+        assert spec._tables is None
+        assert mask == spec.tables()["qr"]
+
     def test_closure_under_product(self):
         spec = field(5, 2)
         qr = spec.qr_set()

@@ -126,6 +126,26 @@ class TestTraceFibers:
                 total += closed
             assert total == (spec.q + 1) // 2
 
+    @pytest.mark.parametrize("p,n", [(3, 2), (5, 2), (3, 3), (7, 2)])
+    def test_enum_matches_the_definition(self, p, n):
+        # the reference squares each w and traces z*x by FieldElem products
+        # and Frobenius powers, on a spec whose tables and mask stay unbuilt
+        spec, direct = FieldSpec(p, n), FieldSpec(p, n)
+        squares = {w * w for w in direct.elements()}
+        for zi in range(1, spec.q):
+            z = direct.from_index(zi)
+            traces = [(z * x).trace() for x in squares]
+            for y in range(p):
+                query = FiberCountQuery(spec, spec.from_index(zi), y)
+                assert trace_fiber_qr_count(query, "enum") == traces.count(y), (zi, y)
+        assert direct._tables is None and direct._qr is None
+
+    def test_tally_belongs_to_one_spec(self):
+        spec, other = FieldSpec(5, 2), FieldSpec(5, 2)
+        trace_fiber_qr_count(FiberCountQuery(spec, spec.elem([1, 1]), 2), "enum")
+        assert spec._tables is not None
+        assert other._tables is None
+
 
 class TestIndexCodedOracles:
     def test_enumerations_make_no_object_products(self, monkeypatch):

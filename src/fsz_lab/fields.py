@@ -24,7 +24,7 @@ from __future__ import annotations
 import threading
 from collections import Counter
 from collections.abc import Set
-from itertools import compress, product
+from itertools import chain, compress, product
 from typing import Iterator, Sequence
 
 TABLE_BOUND = 1 << 16
@@ -286,34 +286,50 @@ class FieldSpec:
         y and -y have the same square, so only 0 and the y whose highest
         nonzero coefficient lies in 1..(p-1)/2 are squared, on plain ints;
         the tables are never read, so the set can serve as their oracle.
-        Such a y is h + c, with c its constant coefficient and h its high
-        part.  h = 0 gives the squares of the prime subfield.  Otherwise one
-        list product gives h^2, and y^2 = h^2 + 2c*h + c^2 gives the p
-        squares along c: 2c*h adds c times 2h's digit to each digit above
-        the constant one, and c^2 adds to the constant digit alone.
+        Such a y is g + b*x + c: c its constant coefficient, b its x
+        coefficient and g the rest.  g = b = 0 gives the squares of the prime
+        subfield.  Otherwise one list product gives g^2 (g = 0 needs none),
+        and h = g + b*x has h^2 = g^2 + 2b*(x g) + b^2*x^2, where x g is g's
+        digits shifted up one place with the top one folded back through the
+        modulus.  Then y^2 = h^2 + 2c*h + c^2 gives the p squares along c:
+        2c*h adds c times 2h's digit to each digit above the constant one,
+        and c^2 adds to the constant digit alone.
         """
-        if self._qr is None:
-            p, n, f = self.p, self.n, self.modulus
-            mask = bytearray(self.q)
-            for i in range((p + 1) // 2):  # h = 0
-                mask[i * i % p] = 1
-            for t in range(1, n):
-                for mid in product(range(p), repeat=t - 1):
-                    for lead in range(1, (p + 1) // 2):
-                        h = [0, *mid, lead]
-                        hh = _pmulmod(h, h, f, p)
-                        hh += [0] * (n - len(hh))
-                        h += [0] * (n - len(h))
-                        # the indices of (h + c)^2 for c = 0..p-1, digit by digit
-                        idx = [(hh[0] + c * c) % p for c in range(p)]
-                        w = 1
-                        for k in range(1, n):
-                            w *= p
-                            a, b = hh[k], 2 * h[k]
-                            idx = [i + (a + b * c) % p * w for c, i in enumerate(idx)]
-                        for i in idx:
-                            mask[i] = 1
-            self._qr = QuadraticResidues(self, mask)
+        if self._qr is not None:
+            return self._qr
+        p, n, f = self.p, self.n, self.modulus
+        mask = bytearray(self.q)
+        for i in range((p + 1) // 2):  # g = b = 0
+            mask[i * i % p] = 1
+        if n > 1:
+            half = range(1, (p + 1) // 2)
+            xx = _pmulmod([0, 1], [0, 1], f, p)
+            xx += [0] * (n - len(xx))
+            # g = 0 leaves b as the leading coefficient; a nonzero g, of
+            # degree t >= 2, leads, and b runs over all of GF(p)
+            highs = chain([([0] * n, half)], (
+                ([0, 0, *mid, lead] + [0] * (n - 1 - t), range(p))
+                for t in range(2, n)
+                for mid in product(range(p), repeat=t - 2)
+                for lead in half
+            ))
+            for g, b_range in highs:
+                gg = _pmulmod(g, g, f, p)
+                gg += [0] * (n - len(gg))
+                top = g[-1]
+                xg = [-top * f[0]] + [g[k - 1] - top * f[k] for k in range(1, n)]
+                for b in b_range:
+                    hh = [(gg[k] + 2 * b * xg[k] + b * b * xx[k]) % p for k in range(n)]
+                    # the indices of (h + c)^2 for c = 0..p-1, digit by digit
+                    idx = [(hh[0] + c * c) % p for c in range(p)]
+                    w = 1
+                    for k in range(1, n):
+                        w *= p
+                        a, d = hh[k], 2 * (b if k == 1 else g[k])
+                        idx = [i + (a + d * c) % p * w for c, i in enumerate(idx)]
+                    for i in idx:
+                        mask[i] = 1
+        self._qr = QuadraticResidues(self, mask)
         return self._qr
 
     def minus_one_is_qr(self) -> bool:

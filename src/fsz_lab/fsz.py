@@ -17,7 +17,8 @@ The closed characterization is A[0,0] * upsilon(L, j) = d; the brute route
 powers every group element directly and doubles as the verification that the
 characterization is exact.  It is vectorized over every GF(p^f): entries enter
 one kernel over GF(p) through the regular representation of GF(p^f), which
-powers fixed-size chunks of elements by exact float64 square-and-multiply.
+powers chunks of a fixed number of matrix entries by exact float32
+square-and-multiply.
 
 The fast route never lists the q^(n-1) superdiagonals of L.  Both power
 conditions see a superdiagonal x only through a = prod x_i^2 and
@@ -286,7 +287,7 @@ def _embed(q: int, idx: np.ndarray) -> np.ndarray:
 def _sym_blocks(q: int, n: int) -> np.ndarray:
     """All q^(n(n+1)/2) symmetric matrices, embedded, in canonical digit order.
 
-    Cached read-only as float64, the scan kernel's type, so every partition of
+    Cached read-only as float32, the scan kernel's type, so every partition of
     every scan reads the one array and none keeps a converted copy.
     """
     import numpy as np
@@ -302,7 +303,7 @@ def _sym_blocks(q: int, n: int) -> np.ndarray:
         digit = (idx // q ** (k - 1 - pos)) % q
         S[:, i, j] = digit
         S[:, j, i] = digit
-    S = _embed(q, S).astype(np.float64)
+    S = _embed(q, S).astype(_SCAN_DTYPE)
     S.flags.writeable = False
     _SYM_CACHE[key] = S
     return S
@@ -315,21 +316,46 @@ def _embed_matrix(M: MatFq) -> np.ndarray:
     return _embed(M.spec.q, np.array([[x.index() for x in r] for r in M.rows]))
 
 
-_SCAN_CHUNK = 2048  # symmetric blocks powered at once; bounds a partition's temporaries
-_EXACT = 2 ** 53  # float64 holds every integer up to 2^53 exactly
+_SCAN_DTYPE = "float32"  # the scan kernel's type
+_SCAN_ENTRIES = 4096 * 36  # matrix entries powered at once: bounds every buffer and BLAS call
+
+
+def _exact_limit(dtype) -> int:
+    """2^(nmant + 1): the float type holds every integer up to it exactly (2^24 for float32)."""
+    import numpy as np
+
+    return 2 ** (np.finfo(dtype).nmant + 1)
+
+
+def _check_scan_exact(p: int, f: int, n: int) -> None:
+    """Refuse a scan whose float32 kernel would meet an integer it cannot hold exactly.
+
+    With q = p^f and m = 2 n f, the kernel needs m (p-1)^2 <= 2^24 - p, the
+    bound of a product of two reduced m x m factors (X X, X u, and S L^-1,
+    whose n f (p-1)^2 is smaller), and q < 2^24 for an element index read
+    off its coefficients.
+    """
+    top = _exact_limit(_SCAN_DTYPE)
+    q, m = p ** f, 2 * n * f
+    if m * (p - 1) ** 2 > top - p or q >= top:
+        raise ValueError(
+            f"the brute scan of P(Sp_{2 * n}({q})) has products past "
+            f"2^{top.bit_length() - 1}, which the float32 kernel does not hold exactly"
+        )
 
 
 def _reduce(Y: np.ndarray, p: int, out: np.ndarray) -> np.ndarray:
-    """Y mod p, exactly, written into out, for a float64 array of integers in [0, 2^53 - p].
+    """Y mod p, exactly, written into out, for a float array of integers in [0, T - p].
 
-    out has Y's shape and shares no memory with it, since Y is read again
-    after out is first written; the result is out.
+    T = 2^(nmant + 1) is the exactness limit of Y's type (2^24 for float32).
+    out has Y's shape and type and shares no memory with it, since Y is read
+    again after out is first written; the result is out.
 
     Write Y = k p + r with 0 <= r < p.  The correctly rounded quotient Y / p is
-    at least k, a double.  For r > 0 it stays below k + 1: the true quotient
+    at least k, a float.  For r > 0 it stays below k + 1: the true quotient
     lies (p - r) / p >= 1 / p under k + 1, more than half the spacing of
-    doubles below k + 1, which is at most (k + 1) 2^-53 < 1 / p because
-    p (k + 1) = Y - r + p < 2^53.  So the floor is k, and k p and Y - k p are
+    floats below k + 1, which is at most (k + 1) / T < 1 / p because
+    p (k + 1) = Y - r + p < T.  So the floor is k, and k p and Y - k p are
     exact.  (The quotient by the rounded reciprocal 1 / p can round up to k + 1.)
     """
     import numpy as np
@@ -343,26 +369,28 @@ def _reduce(Y: np.ndarray, p: int, out: np.ndarray) -> np.ndarray:
 def _pow_mod(
     X: np.ndarray, e: int, p: int, bound: int, out: tuple[np.ndarray, np.ndarray]
 ) -> np.ndarray:
-    """X^e mod p for a float64 batch of m x m integer matrices with entries in [0, bound].
+    """X^e mod p for a float batch of m x m integer matrices with entries in [0, bound].
 
-    Left-to-right square-and-multiply, e >= 1, with m (p-1)^2 <= 2^53 - p.  A
-    product of factors whose entries are bounded by b1 and b2 has entries
+    Left-to-right square-and-multiply, e >= 1, with m (p-1)^2 <= T - p, where
+    T = 2^(nmant + 1) is the exactness limit of X's type (2^24 for float32).
+    A product of factors whose entries are bounded by b1 and b2 has entries
     bounded by m b1 b2; a factor is reduced mod p only when that bound would
-    pass 2^53 - p.  Every product and partial sum is then a non-negative
-    integer that float64 holds exactly, whatever the summation order, and the
+    pass T - p.  Every product and partial sum is then a non-negative integer
+    that the type holds exactly, whatever the summation order, and the
     closing reduction is exact.
 
-    out is a pair of arrays shaped like X that share no memory with X or with
-    each other.  Each product and reduction is written into the one that does
-    not hold the running power, and the result is one of them; X is only read.
-    A base too large to square exactly (m bound^2 > 2^53 - p, which no scan
-    base reaches) is first reduced into a fresh array, since it stays a factor
+    out is a pair of arrays shaped and typed like X that share no memory with
+    X or with each other.  Each product and reduction is written into the one
+    that does not hold the running power, and the result is one of them; X is
+    only read.  A base too large to square exactly (m bound^2 > T - p, which
+    in a scan only X u reaches, and only in groups of more than 10^37
+    elements) is first reduced into a fresh array, since it stays a factor
     while both buffers are in use.
     """
     import numpy as np
 
     m = X.shape[-1]
-    top = _EXACT - p
+    top = _exact_limit(X.dtype) - p
     if m * bound * bound > top:
         X, bound = _reduce(X, p, np.empty_like(X)), p - 1
     Y, b = X, bound
@@ -393,8 +421,11 @@ def _scan_worker(
     """Scan all elements whose L-index lies in [lo, hi).
 
     Every element is embedded over GF(p) and the power X^(p^j) is computed by
-    exact float64 square-and-multiply, _SCAN_CHUNK symmetric blocks at a time,
-    into buffers the partition reuses.  Each power is read as a brute code:
+    exact float32 square-and-multiply, _SCAN_ENTRIES // m^2 symmetric blocks
+    at a time, into buffers the partition reuses.  Sizing chunks by entries
+    keeps every buffer and every BLAS call below the same size for any m:
+    past OpenBLAS's threading threshold a call wakes BLAS threads that spin
+    against the other partitions.  Each power is read as a brute code:
     d mod p if it equals g^d for some unit d, else 0.  The closed
     characterization gives its own code from A[0,0] and the two must coincide
     on every element.  With u given (already embedded), X u is powered only on
@@ -414,13 +445,13 @@ def _scan_worker(
     corner = np.s_[:, (n - 1) * f:nf, m - f:m]
     # entries lie in [0, p - 1], so the off-diagonal entries outside the
     # corner block are all 0 exactly when their 0/1-weighted sum is
-    off_weight = 1.0 - np.eye(m)
-    off_weight[corner[1:]] = 0.0
+    off_weight = 1 - np.eye(m, dtype=_SCAN_DTYPE)
+    off_weight[corner[1:]] = 0
     off_weight = off_weight.ravel()
     # the corner of g^d embeds sigma d, whose index is sigma d mod p
     residue = np.zeros(q, dtype=np.intp)
     residue[(sigma * np.arange(1, p)) % p] = np.arange(1, p)
-    place = (p ** np.arange(f)).astype(np.float64)
+    place = (p ** np.arange(f)).astype(_SCAN_DTYPE)
 
     def codes(R: np.ndarray) -> np.ndarray:
         """d mod p on the rows where R = g^d for a unit d, else 0."""
@@ -435,22 +466,23 @@ def _scan_worker(
         ok &= (C == _embed(q, idx[:, None, None])).all(axis=(1, 2))
         return np.where(ok, residue[idx], 0)
 
-    rows = min(_SCAN_CHUNK, count_s)
-    X = np.empty((rows, m, m))
-    SL = np.empty((rows * nf, nf))
-    A = np.empty((rows, nf, nf))
-    P = np.empty((rows, m, m)), np.empty((rows, m, m))
+    chunk = max(1, _SCAN_ENTRIES // (m * m))
+    rows = min(chunk, count_s)
+    X = np.empty((rows, m, m), dtype=_SCAN_DTYPE)
+    SL = np.empty((rows * nf, nf), dtype=_SCAN_DTYPE)
+    A = np.empty((rows, nf, nf), dtype=_SCAN_DTYPE)
+    P = tuple(np.empty((rows, m, m), dtype=_SCAN_DTYPE) for _ in range(2))
     tally = np.zeros(p, dtype=np.int64)
     if u_int is not None:
-        u_f = u_int.astype(np.float64)
-        XU = np.empty((rows, m, m))
+        u_f = u_int.astype(_SCAN_DTYPE)
+        XU = np.empty((rows, m, m), dtype=_SCAN_DTYPE)
         gm_tally = np.zeros(p, dtype=np.int64)
     agree = True
     for lidx in range(lo, hi):
         # the element with this L and S = 0 is [[L^T, 0], [0, L^-1]]; each chunk
         # fills in its A blocks
         M = sylow_from_index(spec, n, lidx * count_s).to_matrix()
-        E = _embed_matrix(M).astype(np.float64)
+        E = _embed_matrix(M).astype(_SCAN_DTYPE)
         X[:] = E
         Linv = E[nf:, nf:]
         # the characterization's code of A[0,0]: d where A[0,0] = d / upsilon,
@@ -460,8 +492,8 @@ def _scan_worker(
         if not ups.is_zero():
             for d in range(1, p):
                 char[(spec.elem(d) / ups).index()] = d
-        for start in range(0, count_s, _SCAN_CHUNK):
-            Sc = S[start:start + _SCAN_CHUNK]
+        for start in range(0, count_s, chunk):
+            Sc = S[start:start + chunk]
             c = len(Sc)
             Xc, Ac = X[:c], A[:c]
             # A = S L^-1 as one 2-D product (entries at most nf (p - 1)^2),
@@ -480,8 +512,7 @@ def _scan_worker(
                 # mode="clip" lets take write into out unbuffered; the rows are valid
                 G = np.take(Xc, solved, axis=0, out=P[0][:k], mode="clip")
                 # one m x m product per row: as a single 2-D product it grows with
-                # the solving rows and can wake BLAS threads that spin against
-                # the other partitions (a third of the (3, 27, 1) scan with u)
+                # the solving rows and can wake BLAS threads (see the docstring)
                 np.matmul(G, u_f, out=XU[:k])
                 ucode = codes(_pow_mod(XU[:k], e, p, m * (p - 1) ** 2, (P[0][:k], P[1][:k])))
                 d_rows = code[solved]
@@ -504,10 +535,13 @@ def brute_characterization_scan(
 
     Returns {"counts": {d: |solutions|}, "agree": bool, "gm": {d: count} | None}
     where "agree" asserts that the brute solution sets coincide with the
-    closed characterization on every element scanned.
+    closed characterization on every element scanned.  Raises ValueError
+    before any work when the float32 kernel could not hold the scan's
+    products exactly (`_check_scan_exact`).
     """
-    field_for_order_checked(p, q)
+    spec = field_for_order_checked(p, q)
     n = (p ** j + 1) // 2
+    _check_scan_exact(p, spec.n, n)
     d_list = _exponents(p, d_list)
     u_int = None
     if u is not None:

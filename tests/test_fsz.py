@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import sys
 import time
@@ -783,12 +784,20 @@ class TestBruteScan:
         one, two = (brute_characterization_scan(3, 9, 1, u=u, threads=k) for k in (1, 2))
         assert one == two
 
+    def test_cubic_extension_scan_independent_of_threads(self):
+        # 1,024 blocks of 12 x 12 per chunk: the u rows of one partition span chunks
+        spec = field(3, 3)
+        u = sylow_from_index(spec, 2, 59_298)
+        one, two = (brute_characterization_scan(3, 27, 1, u=u, threads=k) for k in (1, 2))
+        assert one == two
+
     def test_partial_last_chunk_changes_nothing(self, monkeypatch):
-        # 9^3 = 729 symmetric blocks: chunks of 7 leave a last chunk of one
+        # 9^3 = 729 symmetric blocks of 8 x 8: a budget of 7 matrices leaves
+        # 104 chunks of 7 and a last chunk of one
         spec = field(3, 2)
         u = sylow_from_index(spec, 2, 4321)
         want = brute_characterization_scan(3, 9, 1, u=u)
-        monkeypatch.setattr(fsz, "_SCAN_CHUNK", 7)
+        monkeypatch.setattr(fsz, "_SCAN_ENTRIES", 7 * 8 * 8)
         assert brute_characterization_scan(3, 9, 1, u=u) == want
 
     def test_partition_memory_is_bounded_by_the_chunk(self):
@@ -803,7 +812,35 @@ class TestBruteScan:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 48 * 2 ** 20
+        # about 2.8 MiB: five 1,024 x 12 x 12 float32 buffers and their temporaries
+        assert peak < 4 * 2 ** 20
+
+    def test_kernel_limits_are_checked(self):
+        # the float32 kernel holds integers up to 2^24 exactly; every scan a
+        # budget admits lies far inside, so the limits are checked directly
+        for p, f, n in [(5, 1, 3), (3, 3, 2), (3, 4, 2), (3, 2, 5), (3, 15, 2),
+                        (3, 1, 2_097_151)]:  # 4 m = 2^24 - 8
+            fsz._check_scan_exact(p, f, n)
+        for p, f, n in [(257, 1, 129),  # m (p-1)^2 = 258 * 256^2 > 2^24
+                        (3, 1, 2_097_152),  # 4 m = 2^24
+                        (3, 16, 2)]:  # q = 3^16 > 2^24
+            with pytest.raises(ValueError, match="float32"):
+                fsz._check_scan_exact(p, f, n)
+
+    def test_scan_past_the_kernel_limits_is_refused_before_any_work(self, monkeypatch, capsys):
+        def no_scan(*args):
+            raise AssertionError("the scan started")
+
+        monkeypatch.setattr(fsz, "run_partitioned", no_scan)
+        with pytest.raises(ValueError, match="float32"):
+            brute_characterization_scan(257, 257, 1)
+        # the CLI's budget refuses every such group first, so a lowered limit
+        # stands in for one past it
+        monkeypatch.setattr(fsz, "_exact_limit", lambda dtype: 64)
+        code = cli.main(["sylow", "count", "--mode", "brute", "--p", "5", "--q", "5", "--j", "1"])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and "float32" in err
 
 
 def _pow_mod_loop(X, e, p):
@@ -816,29 +853,42 @@ def _pow_mod_loop(X, e, p):
 
 
 class TestPowMod:
-    @settings(max_examples=300, deadline=None, derandomize=True)
+    @settings(max_examples=400, deadline=None, derandomize=True)
     @given(
         p=st.sampled_from([3, 5, 7, 11, 13]),
         e_of_p=st.sampled_from([lambda p: p, lambda p: p * p, lambda p: 2, lambda p: 3]),
         m=st.integers(1, 12),
-        bound_bits=st.integers(0, 52),
+        dtype=st.sampled_from([np.float32, np.float64]),
+        data=st.data(),
         near_bound=st.booleans(),
         seed=st.integers(0, 2 ** 32 - 1),
     )
-    def test_matches_int64_loop(self, p, e_of_p, m, bound_bits, near_bound, seed):
+    def test_matches_int64_loop(self, p, e_of_p, m, dtype, data, near_bound, seed):
         # entries near a large bound make the products' true sizes reach the
-        # tracked bounds, so each reduction the kernel makes is one it needs
+        # tracked bounds, so each reduction the kernel makes is one it needs;
+        # every bound stays below 2^(nmant + 1), so the base is exact in dtype
         e = e_of_p(p)
+        bound_bits = data.draw(st.integers(0, np.finfo(dtype).nmant), label="bound_bits")
         bound = p - 1 if bound_bits == 0 else 2 ** bound_bits + seed % 2 ** bound_bits
         low = bound // 2 if near_bound else 0
         X = np.random.default_rng(seed).integers(low, bound + 1, size=(3, m, m))
-        base = X.astype(np.float64)
+        base = X.astype(dtype)
         out = np.empty_like(base), np.empty_like(base)
         got = fsz._pow_mod(base, e, p, bound, out)
         assert np.array_equal(got, _pow_mod_loop(X, e, p))
         # the power runs in the two buffers and never writes into its base
         assert any(got is buf for buf in out)
         assert np.array_equal(base, X)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_base_squared_past_the_limit_is_reduced_first(self, dtype):
+        # b odd with b^2 just past T = 2^(nmant + 1) has no exact square in
+        # dtype: the kernel must reduce b first, at the tracked bound itself
+        T = 2 ** (np.finfo(dtype).nmant + 1)
+        for b in range(math.isqrt(T) + 1, math.isqrt(T) + 40, 2):
+            X = np.full((1, 1, 1), b, dtype=dtype)
+            out = np.empty_like(X), np.empty_like(X)
+            assert fsz._pow_mod(X, 2, 3, b, out)[0, 0, 0] == b * b % 3
 
     # the last two are p k - 1 whose floor(y * (1/p)) rounds up to k
     @pytest.mark.parametrize("p,y", [
@@ -847,3 +897,14 @@ class TestPowMod:
     ])
     def test_reduce_is_exact_below_the_limit(self, p, y):
         assert fsz._reduce(np.array([float(y)]), p, np.empty(1))[0] == y % p
+
+    # the scan kernel's type: the limit is 2^24, and the last two are p k - 1
+    # whose floor(y * (1/p)) rounds up to k in float32
+    @pytest.mark.parametrize("p,y", [
+        (13, 0), (13, 1), (13, 2 ** 23), (13, 2 ** 24 - 13), (13, 2 ** 24 - 14),
+        (13, 13_631_500), (3, 12_582_914),
+    ])
+    def test_reduce_is_exact_below_the_float32_limit(self, p, y):
+        Y = np.array([y], dtype=np.float32)
+        got = fsz._reduce(Y, p, np.empty_like(Y))
+        assert got.dtype == np.float32 and got[0] == y % p

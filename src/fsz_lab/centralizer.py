@@ -14,6 +14,8 @@ both in closed form and directly.
 
 Membership is checked once, when the section or the kernel parametrization
 builds a CentElem; products are trusted, since the centralizer is a group.
+g's 2n x 2n embedding is built once per target (`PthPowerTarget.g_matrix`)
+and read by every commutation test.
 Random symplectic matrices are products of transvections, each applied as
 a rank-one update on the int codes of `matrices`.
 
@@ -35,14 +37,15 @@ from .matrices import MatFq, _coding, _neg, is_symplectic
 class CentElem:
     """An element of the centralizer of the target's g in Sp_2n(q).
 
-    The constructor checks that mat is symplectic and commutes with g;
-    products are trusted, since the centralizer is a group.
+    The constructor checks that mat is symplectic and commutes with g, whose
+    embedding is built once per target; products are trusted, since the
+    centralizer is a group.
     """
 
     __slots__ = ("mat", "target")
 
     def __init__(self, mat: MatFq, target: PthPowerTarget):
-        g = target.g.to_matrix()
+        g = target.g_matrix
         if not is_symplectic(mat):
             raise ValueError("centralizer elements must be symplectic")
         if mat @ g != g @ mat:
@@ -98,7 +101,7 @@ def is_in_centralizer(M: MatFq, target: PthPowerTarget, method: str = "both") ->
     """Centralizer membership for a symplectic M, by either or both predicates."""
     if not is_symplectic(M):
         raise ValueError("membership is only defined for symplectic matrices")
-    g = target.g.to_matrix()
+    g = target.g_matrix
     if method == "commute":
         return M @ g == g @ M
     if method == "pattern":

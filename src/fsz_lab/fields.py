@@ -189,13 +189,15 @@ def canonical_modulus(p: int, n: int) -> tuple[int, ...]:
     """Lexicographically least monic irreducible of degree n over Z_p.
 
     Tuples (c_0, ..., c_{n-1}) of low-order coefficients are compared left to
-    right, which keeps the choice deterministic without external tables.
+    right, which keeps the choice deterministic without external tables.  For
+    n >= 2 every candidate with c_0 = 0 is divisible by x, so the walk skips
+    those p^(n-1) tuples and starts at c_0 = 1.
     """
     if n == 1:
         return (0, 1)
     count = p ** n
     weights = [p ** (n - 1 - i) for i in range(n)]
-    for k in range(count):
+    for k in range(weights[0], count):
         coeffs = [(k // w) % p for w in weights]
         f = coeffs + [1]
         if poly_is_irreducible(f, p):

@@ -38,6 +38,7 @@ scan shares neither: it reaches none of the fast route's functions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 from math import gcd
 from typing import Callable, Iterable, Sequence
 
@@ -104,6 +105,11 @@ class PthPowerTarget:
     @property
     def m(self) -> int:
         return self.spec.p ** self.j
+
+    @cached_property
+    def g_matrix(self) -> MatFq:
+        """g's 2n x 2n embedding, built on first use and kept with the target."""
+        return self.g.to_matrix()
 
     def d_elem(self) -> FieldElem:
         return self.spec.elem(self.d)
@@ -812,14 +818,21 @@ def beta_via_counts(
     """The count-expansion route: sum over u of |G_m(u, z)| chi(u).
 
     Valid for central z and linear chi, where it must equal the definitional
-    double sum exactly.  Needs the full element list.
+    double sum exactly; the identity needs the full element list, the
+    computation does not.  Each listed element is powered once, and the m-th
+    power of a u is read from that table; a product outside the list is
+    powered directly, so any list gives the sum it defines.
     """
     p = z.spec.p
-    powers = [a.pow(m) for a in elements]
-    hits = [a for a, am in zip(elements, powers) if am == z]
+    power = {a: a.pow(m) for a in elements}
+    hits = [a for a in elements if power[a] == z]
     total = CycNum.zero(p)
     for u in elements:
-        count = sum(1 for a in hits if (a * u).pow(m) == z)
+        count = 0
+        for a in hits:
+            au = a * u
+            if (power.get(au) or au.pow(m)) == z:
+                count += 1
         if count:
             total = total + chi(u) * count
     return _beta(total)

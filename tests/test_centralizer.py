@@ -8,6 +8,7 @@ from fsz_lab import centralizer as cz
 from fsz_lab.fields import field
 from fsz_lab.fsz import make_target
 from fsz_lab.matrices import MatFq, is_symplectic
+from fsz_lab.sylow import SylowElem
 
 # sha256 of the sorted-key JSON of five seeded samples each (seed 41, drawn in
 # this order): random_symplectic in dimensions 4 and 6, then
@@ -303,3 +304,27 @@ class TestPropertySuites:
     def test_no_samples_rejected(self, target, samples):
         with pytest.raises(ValueError):
             cz.property_suites(target, random.Random(37), samples)
+
+    def test_g_embedding_built_once_per_target(self, monkeypatch):
+        fresh = make_target(5, 5, 1, 1)
+        embeddings, predicates = [], []
+        to_matrix, membership = SylowElem.to_matrix, cz.is_in_centralizer
+
+        def counting_to_matrix(x):
+            if x is fresh.g:
+                embeddings.append(x)
+            return to_matrix(x)
+
+        def counting_membership(M, target, method="both"):
+            predicates.append(method)
+            return membership(M, target, method)
+
+        monkeypatch.setattr(SylowElem, "to_matrix", counting_to_matrix)
+        monkeypatch.setattr(cz, "is_in_centralizer", counting_membership)
+        results = cz.property_suites(fresh, random.Random(61), 3)
+        assert len(embeddings) == 1
+        assert sorted(predicates) == ["commute"] * 3 + ["pattern"] * 3
+        assert all(r == {"pass": 3, "fail": 0} for r in results.values())
+        # the cached embedding is invisible to the frozen dataclass's eq, hash and repr
+        other = make_target(5, 5, 1, 1)
+        assert fresh == other and hash(fresh) == hash(other) and repr(fresh) == repr(other)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fsz_lab import fields
 from fsz_lab.fields import (
     FieldElem,
     FieldSpec,
@@ -77,7 +78,8 @@ class TestConstruction:
 # canonical_modulus(p, n) for every extension field the tests, the CLI
 # examples and the benchmark's residue census (q <= 2000) build, plus (3, 7)
 # through (3, 11).  Recorded from the Rabin-test implementation; any other
-# irreducibility test must pick the same polynomials.
+# irreducibility test must pick the same polynomials.  (3, 16) was recorded
+# from the walk over every candidate, c_0 = 0 included, which took about 22 s.
 PINNED_MODULI = {
     (3, 2): (1, 0, 1),
     (3, 3): (1, 0, 2, 1),
@@ -89,6 +91,7 @@ PINNED_MODULI = {
     (3, 9): (1, 0, 0, 0, 0, 0, 2, 1, 0, 1),
     (3, 10): (1, 0, 0, 0, 0, 0, 0, 0, 2, 0, 1),
     (3, 11): (1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 2, 1),
+    (3, 16): (1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 0, 1),
     (5, 2): (1, 1, 1),
     (5, 3): (1, 0, 1, 1),
     (5, 4): (1, 0, 1, 1, 1),
@@ -146,6 +149,19 @@ class TestIrreducibility:
     def test_non_monic_rejected(self):
         with pytest.raises(ValueError):
             poly_is_irreducible([1, 2], 3)
+
+    @pytest.mark.parametrize("p,n", [(3, 2), (3, 5), (5, 3), (7, 2)])
+    def test_no_candidate_divisible_by_x_is_tested(self, p, n, monkeypatch):
+        tested = []
+
+        def recording(f, prime):
+            tested.append(tuple(f))
+            return poly_is_irreducible(f, prime)
+
+        monkeypatch.setattr(fields, "poly_is_irreducible", recording)
+        assert canonical_modulus(p, n) == PINNED_MODULI[(p, n)]
+        assert tested and all(f[0] != 0 for f in tested)
+        assert tested[0] == (1,) + (0,) * (n - 1) + (1,)
 
 
 class TestArithmetic:

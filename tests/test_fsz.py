@@ -590,6 +590,43 @@ class TestBeta:
         assert beta_via_counts(chi, 3, z, elements).value == CycNum.zero(3)
         assert beta_definitional(chi, 3, z, elements).value == CycNum.zero(3)
 
+    def test_via_counts_powers_each_listed_element_once(self, monkeypatch):
+        spec = field(3)
+        elements = sylow_group_elements(spec, 2)
+        z = make_target(3, 3, 1, 1).g
+        chi = kappa_character(spec, 2, (1, 2))
+        expected = beta_definitional(chi, 3, z, elements).value
+        calls = []
+        original = SylowElem.pow
+
+        def counting(x, j):
+            calls.append(j)
+            return original(x, j)
+
+        monkeypatch.setattr(SylowElem, "pow", counting)
+        assert beta_via_counts(chi, 3, z, elements).value == expected
+        # every a u is listed, so its power is read, never recomputed
+        assert len(elements) == 81 and calls == [3] * 81
+
+    def test_via_counts_on_a_list_not_closed_under_products(self):
+        spec = field(3)
+        group = sylow_group_elements(spec, 2)
+        unlisted_products = 0
+        for elements in (group[:40], group[1::2]):
+            listed = set(elements)
+            for d in (1, 2):
+                z = make_target(3, 3, 1, d).g
+                hits = [a for a in elements if a.pow(3) == z]
+                unlisted_products += sum(a * u not in listed for a in hits for u in elements)
+                for weights in ((0, 0), (1, 2)):
+                    chi = kappa_character(spec, 2, weights)
+                    reference = CycNum.zero(3)
+                    for u in elements:
+                        count = sum(1 for a in hits if (a * u).pow(3) == z)
+                        reference = reference + chi(u) * count
+                    assert beta_via_counts(chi, 3, z, elements).value == reference
+        assert unlisted_products
+
     def test_even_power_balance_surrogate(self):
         assert qr_fiber_balance(field(5, 2), field(5, 2).elem(1))
         assert not qr_fiber_balance(field(5), field(5).elem(1))

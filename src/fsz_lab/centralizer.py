@@ -185,23 +185,32 @@ def kernel_element(
     return CentElem(MatFq(spec, rows), target)
 
 
+def _identity_and_step(K: CentElem) -> tuple[MatFq, MatFq]:
+    """(I, K - I), the two terms of the closed powers K^s = I + s (K - I)."""
+    I = MatFq.identity(K.target.spec, 2 * K.target.n)
+    return I, K.mat - I
+
+
 def kernel_power_closed(K: CentElem, s: int) -> MatFq:
     """Closed form K^s = I + s (K - I): each entry of K - I is linear in the
     free blocks, so this is kernel_element(s x, s a_col, s a_corner)."""
-    spec = K.target.spec
-    I = MatFq.identity(spec, 2 * K.target.n)
-    return I + (K.mat - I) * spec.elem(s)
+    I, step = _identity_and_step(K)
+    return I + step * K.target.spec.elem(s)
 
 
 def kernel_order_check(K: CentElem) -> bool:
-    """K^s matches the closed form for s <= p, and K^p = I."""
-    p = K.target.spec.p
+    """K^s matches the closed form for s <= p, and K^p = I.
+
+    I and K - I are formed once; the closed side makes no matrix product.
+    """
+    spec = K.target.spec
+    I, step = _identity_and_step(K)
     acc = K.mat
-    for s in range(2, p + 1):
+    for s in range(2, spec.p + 1):
         acc = acc @ K.mat
-        if acc != kernel_power_closed(K, s):
+        if acc != I + step * spec.elem(s):
             return False
-    return acc == MatFq.identity(K.target.spec, 2 * K.target.n)
+    return acc == I
 
 
 def random_symplectic(spec: FieldSpec, dim: int, rng) -> MatFq:

@@ -337,9 +337,9 @@ def _check_scan_exact(p: int, f: int, n: int) -> None:
     """Refuse a scan whose float32 kernel would meet an integer it cannot hold exactly.
 
     With q = p^f and m = 2 n f, the kernel needs m (p-1)^2 <= 2^24 - p, the
-    bound of a product of two reduced m x m factors (X X, X u, and S L^-1,
-    whose n f (p-1)^2 is smaller), and q < 2^24 for an element index read
-    off its coefficients.
+    bound of a product of reduced factors over m terms (X X, E u, and a u's
+    top-right block; S L^-1 and A' L' sum n f terms), and q < 2^24 for an
+    element index read off its coefficients.
     """
     top = _exact_limit(_SCAN_DTYPE)
     q, m = p ** f, 2 * n * f
@@ -389,9 +389,8 @@ def _pow_mod(
     X or with each other.  Each product and reduction is written into the one
     that does not hold the running power, and the result is one of them; X is
     only read.  A base too large to square exactly (m bound^2 > T - p, which
-    in a scan only X u reaches, and only in groups of more than 10^37
-    elements) is first reduced into a fresh array, since it stays a factor
-    while both buffers are in use.
+    no scan's reduced base reaches) is first reduced into a fresh array,
+    since it stays a factor while both buffers are in use.
     """
     import numpy as np
 
@@ -415,6 +414,56 @@ def _pow_mod(
     return _reduce(Y, p, free())
 
 
+def _index_reader(n: int, f: int, p: int, entries: list[tuple[int, int]]) -> np.ndarray:
+    """W such that R.reshape(-1, (n f)^2) @ W holds the GF(q) indices of R's listed entries.
+
+    R holds embedded n x n matrices: column 0 of an entry's block holds its coefficients.
+    """
+    import numpy as np
+
+    W = np.zeros((n * f, n * f, len(entries)), dtype=_SCAN_DTYPE)
+    for col, (i, j) in enumerate(entries):
+        W[i * f:(i + 1) * f, j * f, col] = p ** np.arange(f)
+    return W.reshape(-1, len(entries))
+
+
+def _block_order(q: int, n: int, u_int: np.ndarray | None) -> tuple[np.ndarray | None, int]:
+    """The L-indices in the scan's order for u, and the size r of u's orbits.
+
+    a u has L-block L_u L_a: u permutes the L-blocks by L -> L_u L, whose
+    orbits, the cosets <L_u> L, all have r = ord(L_u) blocks.  Each is listed
+    from its least L-index along the map.  Without u: index order (None), r = 1.
+    """
+    import numpy as np
+
+    if u_int is None:
+        return None, 1
+    spec = field_for_order(q)
+    p, f = spec.p, spec.n
+    k = n * (n - 1) // 2
+    weights = q ** np.arange(k - 1, -1, -1)
+    rows, cols = np.triu_indices(n, 1)  # L's free entries, row-major
+    ident = np.arange(q ** k)
+    Lt = np.zeros((len(ident), n, n), dtype=np.intp)
+    Lt[:, range(n), range(n)] = 1  # the index of 1
+    Lt[:, cols, rows] = ident[:, None] // weights % q
+    # (L_u L)^T = L^T L_u^T
+    image = (_embed(q, Lt) @ u_int[:n * f, :n * f] % p).reshape(len(ident), -1)
+    step = (image @ _index_reader(n, f, p, list(zip(cols, rows))) @ weights).astype(np.intp)
+    walk = [ident]
+    while not np.array_equal(nxt := step[walk[-1]], ident):
+        walk.append(nxt)
+    orbits = np.stack(walk, axis=1)  # row i: i and its images along the map
+    return orbits[orbits.min(axis=1) == ident].ravel(), len(walk)
+
+
+def _join(target: np.ndarray, d: np.ndarray, block_codes: np.ndarray, p: int) -> np.ndarray:
+    """The tally by d of the a whose a u, row target of the next block, has a's code d."""
+    import numpy as np
+
+    return np.bincount(d[block_codes[target] == d], minlength=p)
+
+
 def _scan_worker(
     q: int,
     n: int,
@@ -424,7 +473,7 @@ def _scan_worker(
     lo: int,
     hi: int,
 ) -> tuple[dict[int, int], bool, dict[int, int] | None]:
-    """Scan all elements whose L-index lies in [lo, hi).
+    """Scan all elements of the L-blocks at positions [lo, hi) of `_block_order`.
 
     Every element is embedded over GF(p) and the power X^(p^j) is computed by
     exact float32 square-and-multiply, _SCAN_ENTRIES // m^2 symmetric blocks
@@ -434,8 +483,15 @@ def _scan_worker(
     against the other partitions.  Each power is read as a brute code:
     d mod p if it equals g^d for some unit d, else 0.  The closed
     characterization gives its own code from A[0,0] and the two must coincide
-    on every element.  With u given (already embedded), X u is powered only on
-    the rows whose code is nonzero, the only rows the double condition reads.
+    on every element.
+
+    With u (embedded), a u's code is read where a u itself is scanned, so
+    each element is powered once.  [lo, hi) holds whole orbits, walked in
+    order: a u lies in the next block (the orbit's first, after its last).
+    X u's top-right block L^T u_TR + A u_BR is A', and S' = A' L' must be
+    symmetric, with a u's S-index in its digits; outside that block X u is E u
+    (E: A = 0), which must equal the next block's E.  A block's solving a
+    wait as (S-index of a u, d) pairs for the next block's codes (`_join`).
     """
     import numpy as np
 
@@ -447,6 +503,9 @@ def _scan_worker(
     nf = n * f
     m = 2 * nf
     sigma = (-1) ** (j * (p - 1) // 2)
+    order, r = _block_order(q, n, u_int)
+    if lo % r or hi % r:
+        raise ValueError(f"[{lo}, {hi}) splits an orbit of {r} L-blocks")
     # g^d differs from the identity only in the block of entry (n-1, 2n-1)
     corner = np.s_[:, (n - 1) * f:nf, m - f:m]
     # entries lie in [0, p - 1], so the off-diagonal entries outside the
@@ -472,25 +531,13 @@ def _scan_worker(
         ok &= (C == _embed(q, idx[:, None, None])).all(axis=(1, 2))
         return np.where(ok, residue[idx], 0)
 
-    chunk = max(1, _SCAN_ENTRIES // (m * m))
-    rows = min(chunk, count_s)
-    X = np.empty((rows, m, m), dtype=_SCAN_DTYPE)
-    SL = np.empty((rows * nf, nf), dtype=_SCAN_DTYPE)
-    A = np.empty((rows, nf, nf), dtype=_SCAN_DTYPE)
-    P = tuple(np.empty((rows, m, m), dtype=_SCAN_DTYPE) for _ in range(2))
-    tally = np.zeros(p, dtype=np.int64)
-    if u_int is not None:
-        u_f = u_int.astype(_SCAN_DTYPE)
-        XU = np.empty((rows, m, m), dtype=_SCAN_DTYPE)
-        gm_tally = np.zeros(p, dtype=np.int64)
-    agree = True
-    for lidx in range(lo, hi):
+    def block(pos: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """E, the embedded L and the characterization's codes of the block at pos."""
+        lidx = pos if order is None else int(order[pos])
         # the element with this L and S = 0 is [[L^T, 0], [0, L^-1]]; each chunk
         # fills in its A blocks
         M = sylow_from_index(spec, n, lidx * count_s).to_matrix()
-        E = _embed_matrix(M).astype(_SCAN_DTYPE)
-        X[:] = E
-        Linv = E[nf:, nf:]
+        idx = np.array([[x.index() for x in row] for row in M.rows])
         # the characterization's code of A[0,0]: d where A[0,0] = d / upsilon,
         # with L's superdiagonal read below the diagonal of L^T
         ups = square_product(spec, [M.rows[i + 1][i] for i in range(n - 1)])
@@ -498,31 +545,88 @@ def _scan_worker(
         if not ups.is_zero():
             for d in range(1, p):
                 char[(spec.elem(d) / ups).index()] = d
-        for start in range(0, count_s, chunk):
-            Sc = S[start:start + chunk]
-            c = len(Sc)
-            Xc, Ac = X[:c], A[:c]
-            # A = S L^-1 as one 2-D product (entries at most nf (p - 1)^2),
-            # reduced where it is contiguous and then placed
-            np.matmul(Sc.reshape(c * nf, nf), Linv, out=SL[:c * nf])
-            _reduce(SL[:c * nf].reshape(c, nf, nf), p, Ac)
-            Xc[:, :nf, nf:] = Ac
-            code = codes(_pow_mod(Xc, e, p, p - 1, (P[0][:c], P[1][:c])))
-            # column 0 of the corner block holds the coefficients of A[0,0]
-            if not np.array_equal(code, char[(Ac[:, :f, 0] @ place).astype(np.intp)]):
-                agree = False
-            tally += np.bincount(code, minlength=p)
+        E, L = (_embed(q, x).astype(_SCAN_DTYPE, order="C") for x in (idx, idx[:n, :n].T))
+        return E, L, char
+
+    chunk = max(1, _SCAN_ENTRIES // (m * m))
+    rows = min(chunk, count_s)
+    X = np.empty((rows, m, m), dtype=_SCAN_DTYPE)
+    SL = np.empty((rows * nf, nf), dtype=_SCAN_DTYPE)
+    A = np.empty((rows, nf, nf), dtype=_SCAN_DTYPE)
+    P = tuple(np.empty((rows, m, m), dtype=_SCAN_DTYPE) for _ in range(2))
+    tally = np.zeros(p, dtype=np.int64)
+    # codes d < p fit uint8, since _check_scan_exact admits no p past 251
+    first_codes = np.empty(count_s, dtype=np.uint8)
+    if u_int is not None:
+        u_f = u_int.astype(_SCAN_DTYPE)
+        top = np.s_[:nf, nf:]
+        rest = np.ones((m, m), dtype=bool)
+        rest[top] = False
+        tile = np.empty((rows, nf, nf), dtype=_SCAN_DTYPE)
+        later_codes = np.empty(count_s, dtype=np.uint8) if r > 1 else first_codes
+        # one float32 product reads the indices of S''s entries above and on the
+        # diagonal, the S-index's digits, and then of those below it
+        free = list(zip(*np.triu_indices(n)))
+        above = [(i, k) for i, k in free if i < k]
+        digits = above + [(i, i) for i in range(n)]
+        read = _index_reader(n, f, p, digits + [(k, i) for i, k in above]).T
+        # S-indices fit int32: _sym_blocks could not hold 2^31 matrices
+        s_weights = np.array([q ** (len(free) - 1 - free.index(x)) for x in digits], np.int32)
+        gm_tally = np.zeros(p, dtype=np.int64)
+    agree = True
+    for orbit in range(lo, hi, r):
+        first = nxt = block(orbit)
+        pending = None
+        for step in range(r):
+            (E, _, char), block_codes = nxt, later_codes if step else first_codes
             if u_int is not None:
-                solved = np.flatnonzero(code)
-                k = len(solved)
-                # mode="clip" lets take write into out unbuffered; the rows are valid
-                G = np.take(Xc, solved, axis=0, out=P[0][:k], mode="clip")
-                # one m x m product per row: as a single 2-D product it grows with
-                # the solving rows and can wake BLAS threads (see the docstring)
-                np.matmul(G, u_f, out=XU[:k])
-                ucode = codes(_pow_mod(XU[:k], e, p, m * (p - 1) ** 2, (P[0][:k], P[1][:k])))
-                d_rows = code[solved]
-                gm_tally += np.bincount(d_rows[ucode == d_rows], minlength=p)
+                nxt = block(orbit + step + 1) if step < r - 1 else first
+                Eu = _reduce(E @ u_f, p, np.empty_like(E))
+                if not np.array_equal(Eu[rest], nxt[0][rest]):
+                    agree = False
+                tile[:] = Eu[top]  # L^T u_TR on every row of a chunk
+            X[:] = E
+            Linv = E[nf:, nf:]
+            pairs = []
+            for start in range(0, count_s, chunk):
+                Sc = S[start:start + chunk]
+                c = len(Sc)
+                Xc, Ac = X[:c], A[:c]
+                # A = S L^-1 as one 2-D product (entries at most nf (p - 1)^2),
+                # reduced where it is contiguous and then placed
+                np.matmul(Sc.reshape(c * nf, nf), Linv, out=SL[:c * nf])
+                _reduce(SL[:c * nf].reshape(c, nf, nf), p, Ac)
+                Xc[:, :nf, nf:] = Ac
+                code = codes(_pow_mod(Xc, e, p, p - 1, (P[0][:c], P[1][:c])))
+                # column 0 of the corner block holds the coefficients of A[0,0]
+                if not np.array_equal(code, char[(Ac[:, :f, 0] @ place).astype(np.intp)]):
+                    agree = False
+                tally += np.bincount(code, minlength=p)
+                block_codes[start:start + c] = code
+                if u_int is not None:
+                    # for the solving a: A' = L^T u_TR + A u_BR (entries at most
+                    # m (p - 1)^2), then S' = A' L', in buffers free once code is read
+                    solved = np.flatnonzero(code)
+                    k = len(solved)
+                    G, T = (B.reshape(-1)[:k * nf * nf].reshape(k * nf, nf) for B in P)
+                    # mode="clip" lets take write into out unbuffered; the rows are valid
+                    np.take(Ac, solved, axis=0, out=G.reshape(k, nf, nf), mode="clip")
+                    Y = SL[:k * nf]
+                    np.matmul(G, u_f[nf:, nf:], out=Y)
+                    Y += tile[:k].reshape(k * nf, nf)
+                    np.matmul(_reduce(Y, p, T), nxt[1], out=Y)
+                    # one row per entry, so each runs along the chunk
+                    index = read @ _reduce(Y, p, T).reshape(k, nf * nf).T
+                    if not np.array_equal(index[:len(above)], index[len(free):]):
+                        agree = False
+                    pairs.append((s_weights @ index[:len(free)].astype(np.int32),
+                                  code[solved].astype(np.uint8)))
+            if u_int is not None:
+                if pending is not None:
+                    gm_tally += _join(*pending, block_codes, p)
+                pending = tuple(map(np.concatenate, zip(*pairs)))
+        if pending is not None:
+            gm_tally += _join(*pending, first_codes, p)
     # exponents equal mod p share a tally and keep their given keys
     power_counts = {d: int(tally[d % p]) for d in d_list}
     gm_counts = None if u_int is None else {d: int(gm_tally[d % p]) for d in d_list}
@@ -543,7 +647,8 @@ def brute_characterization_scan(
     where "agree" asserts that the brute solution sets coincide with the
     closed characterization on every element scanned.  Raises ValueError
     before any work when the float32 kernel could not hold the scan's
-    products exactly (`_check_scan_exact`).
+    products exactly (`_check_scan_exact`).  Partitions hold whole orbits of
+    L-blocks under u (`_block_order`), so each resolves its own a u.
     """
     spec = field_for_order_checked(p, q)
     n = (p ** j + 1) // 2
@@ -552,11 +657,11 @@ def brute_characterization_scan(
     u_int = None
     if u is not None:
         u_int = _embed_matrix(u.to_matrix())
-    n_l = q ** (n * (n - 1) // 2)
+    r = _block_order(q, n, u_int)[1]
     results = run_partitioned(
-        lambda lo, hi: _scan_worker(q, n, j, d_list, u_int, lo, hi),
+        lambda lo, hi: _scan_worker(q, n, j, d_list, u_int, lo * r, hi * r),
         0,
-        n_l,
+        q ** (n * (n - 1) // 2) // r,
         threads,
     )
     counts = {d: 0 for d in d_list}

@@ -767,6 +767,8 @@ class TestBruteScan:
             ("fsz_lab.sylow", "SylowElem.corner"),
             ("fsz_lab.sylow", "SylowElem.pow"),
             ("fsz_lab.sylow", "twisted_sum"),
+            # a u is identified by the matrix product X u, not by the group law
+            ("fsz_lab.sylow", "SylowElem.__mul__"),
         }
         u = u_witness(field(3, 2), 2)
         called = set()
@@ -789,8 +791,8 @@ class TestBruteScan:
         assert called.isdisjoint(fast_only), sorted(called & fast_only)
 
     def test_identity_u_gm_equals_counts(self):
-        # a u = a, so the double condition is the single one: powering a u on
-        # the solving rows only must still find every solution
+        # a u = a, so the double condition is the single one: reading a u's
+        # code in a's own block must still find every solution
         spec = field(3, 2)
         out = brute_characterization_scan(3, 9, 1, u=SylowElem.identity(spec, 2))
         assert out["agree"]
@@ -816,17 +818,21 @@ class TestBruteScan:
         assert out["gm"][1] > 0
 
     def test_extension_field_scan_independent_of_threads(self):
+        # u's 3 orbits of 3 L-blocks: an odd count, split unevenly at 2 threads
         spec = field(3, 2)
         u = sylow_from_index(spec, 2, 4321)
-        one, two = (brute_characterization_scan(3, 9, 1, u=u, threads=k) for k in (1, 2))
-        assert one == two
+        order, r = fsz._block_order(9, 2, fsz._embed_matrix(u.to_matrix()))
+        assert (len(order) // r, r) == (3, 3)
+        one, two, three = (brute_characterization_scan(3, 9, 1, u=u, threads=k) for k in (1, 2, 3))
+        assert one == two == three
 
     def test_cubic_extension_scan_independent_of_threads(self):
-        # 1,024 blocks of 12 x 12 per chunk: the u rows of one partition span chunks
+        # 1,024 blocks of 12 x 12 per chunk, so an L-block spans 20 chunks; u's
+        # 9 orbits of 3 L-blocks split 5 + 4 at 2 threads
         spec = field(3, 3)
         u = sylow_from_index(spec, 2, 59_298)
-        one, two = (brute_characterization_scan(3, 27, 1, u=u, threads=k) for k in (1, 2))
-        assert one == two
+        runs = [brute_characterization_scan(3, 27, 1, u=u, threads=k) for k in (1, 2, 3)]
+        assert runs[0] == runs[1] == runs[2]
 
     def test_partial_last_chunk_changes_nothing(self, monkeypatch):
         # 9^3 = 729 symmetric blocks of 8 x 8: a budget of 7 matrices leaves
@@ -838,19 +844,96 @@ class TestBruteScan:
         assert brute_characterization_scan(3, 9, 1, u=u) == want
 
     def test_partition_memory_is_bounded_by_the_chunk(self):
-        # P(Sp_4(27)) at two threads: L-indices [0, 14) of 27 form one partition
+        # P(Sp_4(27)) at two threads: u's 9 orbits of 3 L-blocks split as
+        # positions [0, 15) and [15, 27)
         spec = field(3, 3)
         u = sylow_from_index(spec, 2, 59_298)
         u_int = fsz._embed_matrix(u.to_matrix())
-        fsz._scan_worker(27, 2, 1, [1, 2], u_int, 0, 1)
+        assert fsz._block_order(27, 2, u_int)[1] == 3
+        fsz._scan_worker(27, 2, 1, [1, 2], u_int, 0, 3)
         tracemalloc.start()
         try:
-            fsz._scan_worker(27, 2, 1, [1, 2], u_int, 0, 14)
+            fsz._scan_worker(27, 2, 1, [1, 2], u_int, 0, 15)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # about 2.8 MiB: five 1,024 x 12 x 12 float32 buffers and their temporaries
+        # about 2.5 MiB: three 1,024 x 12 x 12 float32 buffers, three a quarter
+        # of that size, and their temporaries
         assert peak < 4 * 2 ** 20
+
+    def test_partition_must_hold_whole_orbits(self):
+        spec = field(3, 2)
+        u_int = fsz._embed_matrix(u_witness(spec, 2).to_matrix())
+        with pytest.raises(ValueError, match="orbit"):
+            fsz._scan_worker(9, 2, 1, [1, 2], u_int, 0, 2)
+
+    @pytest.mark.parametrize("p,q", [(3, 9), (3, 27)])
+    def test_join_matches_fast_whether_u_moves_l_or_not(self, p, q):
+        # S-index 1 and q^2 + 5 with L = I: orbits of one block, a u in a's own
+        # block; L-index 4: orbits of p blocks
+        spec, count_s = field_for_order(q), q ** 3
+        for idx, r in [(1, 1), (q * q + 5, 1), (4 * count_s + q * q + 7, p)]:
+            u = sylow_from_index(spec, 2, idx)
+            assert fsz._block_order(q, 2, fsz._embed_matrix(u.to_matrix()))[1] == r
+            out = brute_characterization_scan(p, q, 1, u=u)
+            assert out["agree"]
+            assert out["gm"] == gm_count(u, p, q, 1, mode="fast")
+
+    @pytest.mark.parametrize("p,q", [(5, 5), (3, 9)])
+    def test_join_reads_the_index_of_the_matrix_product(self, p, q, monkeypatch):
+        # every power made g, so every a solves and hands the next block the
+        # S-index of a u; the element there must be the matrix product a u
+        spec, n = field_for_order(q), (p + 1) // 2
+        count_s = q ** (n * (n + 1) // 2)
+        rng = random.Random(q)
+        u = sylow_from_index(spec, n, rng.randrange(sylow_count(n, q)))
+        u_int = fsz._embed_matrix(u.to_matrix())
+        order, r = fsz._block_order(q, n, u_int)
+        assert r == p
+        g = fsz._embed_matrix(make_target(p, q, 1, 1).g_matrix).astype(np.float32)
+        monkeypatch.setattr(fsz, "_pow_mod", lambda X, *args: np.broadcast_to(g, X.shape))
+        handed = []
+        join = fsz._join
+
+        def record(target, d, block_codes, p):
+            handed.append(target)
+            return join(target, d, block_codes, p)
+
+        monkeypatch.setattr(fsz, "_join", record)
+        fsz._scan_worker(q, n, 1, [1], u_int, 0, len(order))
+        assert [len(t) for t in handed] == [count_s] * len(order)
+        for pos in rng.sample(range(len(order)), 8):
+            nxt = pos + 1 if (pos + 1) % r else pos + 1 - r
+            for s in rng.sample(range(count_s), 8):
+                a = sylow_from_index(spec, n, int(order[pos]) * count_s + s)
+                au = sylow_from_index(spec, n, int(order[nxt]) * count_s + int(handed[pos][s]))
+                assert au.to_matrix() == a.to_matrix() @ u.to_matrix()
+
+    def test_a_block_order_off_the_orbits_is_caught(self, monkeypatch):
+        # each orbit walked backwards: a u no longer lies in the next block
+        block_order = fsz._block_order
+
+        def backwards(q, n, u_int):
+            order, r = block_order(q, n, u_int)
+            return order.reshape(-1, r)[:, ::-1].ravel(), r
+
+        monkeypatch.setattr(fsz, "_block_order", backwards)
+        u = sylow_from_index(field(3, 2), 2, 4 * 729 + 88)
+        assert brute_characterization_scan(3, 9, 1, u=u)["agree"] is False
+
+    def test_u_adds_no_power(self, monkeypatch):
+        # a u is read where it is scanned as an element: one power per chunk either way
+        calls = Counter()
+        pow_mod = fsz._pow_mod
+
+        def counted(X, *args):
+            calls[key] += 1
+            return pow_mod(X, *args)
+
+        monkeypatch.setattr(fsz, "_pow_mod", counted)
+        for key, u in (("u", u_witness(field(3, 2), 2)), ("none", None)):
+            brute_characterization_scan(3, 9, 1, u=u, threads=1)
+        assert calls["u"] == calls["none"] > 0
 
     def test_kernel_limits_are_checked(self):
         # the float32 kernel holds integers up to 2^24 exactly; every scan a

@@ -347,7 +347,6 @@ def cmd_sylow_fsz(args) -> int:
 def cmd_sylow_beta(args) -> int:
     target = _target_within_budget(args, args.d)
     spec = target.spec
-    spec.tables()  # the fast route reads them: refuse a large q before listing it
     zparams = (
         [_parse_elem(spec, args.zparam)]
         if args.zparam is not None

@@ -8,10 +8,12 @@ unipotent g = I + sigma * d * E[n-1, 2n-1]:
   across exponents d coprime to p, in a fast closed-characterization mode and
   a brute full-enumeration mode that must agree (one pass per u serves all d);
 * characters: the exact squared modulus beta of the character sum over the
-  p^j-th roots of g.  For central g and a linear character it expands as the
-  sum over u of |G_m(u, g)| chi(u) (`beta_via_counts`, which AC11 checks
-  against the double sum); AC10 checks that every nontrivial corner
-  character of P(Sp_6(5)) gives an irrational beta.
+  p^j-th roots of g.  For a corner character zeta^tr(z A[0,0]) it is
+  q^(2F) (q-1)^(2n-4) |eta(z d) G(q) - 1|^2, with F = `_free_exponent(n)`, eta
+  the quadratic character and G(q) the quadratic Gauss sum.  G(q)^2 =
+  eta(-1) q, so every corner beta is irrational exactly when p = 1 mod 4 and
+  q is an odd power of p.  For a linear character beta also expands as the
+  sum over u of |G_m(u, g)| chi(u) (`beta_via_counts`).
 
 The closed characterization is A[0,0] * upsilon(L, j) = d; the brute route
 powers every group element directly and doubles as the verification that the
@@ -20,19 +22,16 @@ one kernel over GF(p) through the regular representation of GF(p^f), which
 powers chunks of a fixed number of matrix entries by exact float32
 square-and-multiply.
 
-The fast route never lists the q^(n-1) superdiagonals of L.  Both power
+The fast count never lists the q^(n-1) superdiagonals of L.  Both power
 conditions see a superdiagonal x only through a = prod x_i^2 and
 b = prod (x_i + y_i)^2, where y is the superdiagonal of u, so a dynamic
-program folds the n-1 slots one at a time into a histogram of (a, b) values
-with every x_i nonzero.  The double count sums the states with
-(d/a + A_u[0,0]) * b = d for each d; with y = 0 the same histogram gives the
-corner values d/a behind the betas.  The tuples are counted, not assumed.
-The route runs on the field's exp/log tables: states are discrete logs, a
-product is a sum of logs mod q - 1, and x + c is a digit-wise map on indices.
+program folds the n-1 slots one at a time, on the field's exp/log tables,
+into a histogram of (a, b) values with every x_i nonzero; the double count
+sums the states with (d/a + A_u[0,0]) * b = d for each d.
 
-The fast count and `beta_linear_batch` share `_superdiagonal_histogram` and
-the field tables, so the character route does not check the fold.  The brute
-scan shares neither: it reaches none of the fast route's functions.
+The beta route shares only field construction with the fast count: it reads
+G(q) from the Gauss-sum power identity, with no table and no histogram.  The
+brute scan reaches none of the fast route's functions.
 """
 
 from __future__ import annotations
@@ -42,12 +41,13 @@ from functools import cached_property
 from math import gcd
 from typing import Callable, Iterable, Sequence
 
-from .cyclotomic import CycNum
+from .cyclotomic import CycNum, gauss_sum_via_prime
 from .fields import FieldElem, FieldSpec, field_for_order
-from .matrices import MatFq, UniTriMat
+from .matrices import Block, MatFq, UniTriMat, _coding
 from .parallel import BudgetExceeded, run_partitioned
 from .sylow import (
     SylowElem,
+    _unit_block,
     enumerate_sylow,
     kappa,
     square_product,
@@ -146,9 +146,15 @@ def make_target(p: int, q: int, j: int, d: int) -> PthPowerTarget:
     d %= p
     n = (p ** j + 1) // 2
     sigma = (-1) ** (j * (p - 1) // 2)
-    L = UniTriMat.identity(spec, n)
-    A = MatFq.elementary(spec, n, n - 1, n - 1, sigma * d)
-    return PthPowerTarget(spec=spec, j=j, d=d, n=n, sigma=sigma, g=SylowElem(L, A))
+    code = _coding(spec, 2 * n)
+    A = _corner_block(n, code.from_index(sigma * d % p))
+    g = SylowElem._from_codes(spec, code, _unit_block(n), A)
+    return PthPowerTarget(spec=spec, j=j, d=d, n=n, sigma=sigma, g=g)
+
+
+def _corner_block(n: int, c: int) -> Block:
+    """The n x n code block with c at (n-1, n-1) and zeros elsewhere."""
+    return ((0,) * n,) * (n - 1) + ((0,) * (n - 1) + (c,),)
 
 
 def characterization_holds(x: SylowElem, target: PthPowerTarget) -> bool:
@@ -221,7 +227,7 @@ def _superdiagonal_histogram(
 ) -> dict[tuple[int, int], int]:
     """{(log a, log b): number of superdiagonals x} with a = prod x_i^2, b = prod (x_i+y_i)^2.
 
-    y is the given shift (the superdiagonal of u, or zeros) and only tuples
+    y is the given shift (the superdiagonal of u) and only tuples
     with every x_i nonzero are counted, since those are the superdiagonals
     that admit a solution.  Tuples with b = 0 are dropped as well: the count
     condition (d/a + A_u[0,0]) * b = d never holds for them, as d != 0.  The
@@ -853,10 +859,9 @@ def _check_central(target: PthPowerTarget) -> None:
     # g = (I, D) with D = c E[n-1, n-1] is central: for x = (L, A), x g adds
     # L^T D to A and g x adds D L^-1, and both equal D because the last row of
     # an upper unitriangular L, and of its inverse, is e_{n-1}.  So the block
-    # pattern of g is checked per target, never assumed.
+    # pattern of g is checked on its codes per target, never assumed.
     g, n = target.g, target.n
-    corner = MatFq.elementary(target.spec, n, n - 1, n - 1, g.A.rows[n - 1][n - 1])
-    if g.L != UniTriMat.identity(target.spec, n) or g.A != corner:
+    if g._L != _unit_block(n) or g._A != _corner_block(n, g._A[n - 1][n - 1]):
         raise AssertionError("target element does not have the central block pattern")
 
 
@@ -868,34 +873,31 @@ def beta_linear(zparam: FieldElem, target: PthPowerTarget) -> BetaValue:
 def beta_linear_batch(
     zparams: Sequence[FieldElem], target: PthPowerTarget
 ) -> list[BetaValue]:
-    """beta_linear for each zparam, with one centrality check and one histogram.
+    """beta_linear for each zparam in closed form, after one centrality check.
 
-    Groups the sum over solutions by the achieved corner value: each nonzero
-    square w = upsilon(L, j) pins the corner to d/w, and the number of
-    elements sharing a corner is counted, not assumed.
+    A solution's corner is d / w, with w = upsilon(L, j) spread evenly over
+    the nonzero squares (2 (q-1)^(n-2) superdiagonals each, each extended in
+    q^F ways), and the sum of zeta^tr(c s) over the nonzero squares s is
+    (eta(c) G - 1)/2.  So beta = q^(2F) (q-1)^(2n-4) |eta(zparam d) G - 1|^2:
+    two values per target, and G = -(-G(p))^f needs no table.
     """
-    spec = target.spec
+    spec, n, q = target.spec, target.n, target.spec.q
     for zparam in zparams:
         if zparam.spec != spec:
             raise ValueError("zparam must live in the target's field")
         if zparam.is_zero():
             raise ValueError("zparam must be nonzero (trivial character excluded)")
     _check_central(target)
-    multiplicity = spec.q ** _free_exponent(target.n)
-    histogram = _superdiagonal_histogram(spec, [spec.zero] * (target.n - 1))
-    t = spec.tables()
-    exp, log, trace = t["exp"], t["log"], t["trace"]
-    m = spec.q - 1
-    ld = log[target.d]  # target.d is reduced mod p, so it is its own index
-    corner_logs = {(ld - la) % m: count * multiplicity for (la, _), count in histogram.items()}
+    gauss = gauss_sum_via_prime(spec.p, spec.n)
+    scale = q ** (2 * _free_exponent(n)) * (q - 1) ** (2 * n - 4)
+    eta_d = spec.elem(target.d).legendre()
+    values: dict[int, CycNum] = {}
     betas = []
     for zparam in zparams:
-        lz = log[zparam.index()]
-        residue_vector = [0] * spec.p
-        for k, count in corner_logs.items():
-            residue_vector[trace[exp[(lz + k) % m]]] += count
-        inner = CycNum.from_residue_vector(spec.p, residue_vector)
-        betas.append(_beta(inner.norm_sq(), zparam.to_json()))
+        eta = zparam.legendre() * eta_d
+        if eta not in values:
+            values[eta] = (gauss * eta - 1).norm_sq() * scale
+        betas.append(_beta(values[eta], zparam.to_json()))
     return betas
 
 

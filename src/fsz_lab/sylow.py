@@ -62,6 +62,11 @@ def twisted_sum(L: Block, A: Block, terms: int, red) -> tuple[Block, Block]:
     return T, P
 
 
+def _unit_block(n: int) -> Block:
+    """The codes of the n x n identity: 0 and 1 are their own codes over every GF(q)."""
+    return tuple(tuple([int(i == j) for j in range(n)]) for i in range(n))
+
+
 def _check_blocks(L: UniTriMat, X: MatFq, name: str = "A") -> None:
     if X.spec != L.spec or X.nrows != L.n or X.ncols != L.n:
         raise ValueError(f"{name} must be an n x n matrix over the same field as L")
@@ -124,8 +129,7 @@ class SylowElem:
 
     @classmethod
     def identity(cls, spec: FieldSpec, n: int) -> "SylowElem":
-        L = tuple(tuple([int(i == j) for j in range(n)]) for i in range(n))
-        return cls._from_codes(spec, _coding(spec, 2 * n), L, ((0,) * n,) * n)
+        return cls._from_codes(spec, _coding(spec, 2 * n), _unit_block(n), ((0,) * n,) * n)
 
     @classmethod
     def from_symmetric(cls, L: UniTriMat, S: MatFq) -> "SylowElem":
@@ -341,10 +345,14 @@ def u_witness(spec: FieldSpec, n: int) -> SylowElem:
 
     Its abelianization has A[0,0] = 1, which is what shifts the p-th power
     characterization of products against that of the elements themselves.
+    Built on codes: L = I + E_01 has inverse I - E_01, so A = E_00 - E_01.
     """
-    L = UniTriMat.from_ints(spec, n, [1] + [0] * (n * (n - 1) // 2 - 1))
-    S = MatFq.elementary(spec, n, 0, 0)
-    return SylowElem.from_symmetric(L, S)
+    code = _coding(spec, 2 * n)
+    L = [list(r) for r in _unit_block(n)]
+    L[0][1] = 1
+    A = [[0] * n for _ in range(n)]
+    A[0][0], A[0][1] = 1, code.minus_one
+    return SylowElem._from_codes(spec, code, tuple(map(tuple, L)), tuple(map(tuple, A)))
 
 
 # -- deterministic enumeration ---------------------------------------------------

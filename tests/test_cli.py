@@ -286,16 +286,30 @@ def test_pairs_budget_counts_every_enumerated_pair(capsys):
 
 @pytest.mark.parametrize("argv", [
     ["sylow", "fsz", "--p", "3", "--q", "177147", "--j", "1"],
-    ["sylow", "beta", "--p", "3", "--q", "177147", "--j", "1", "--zparam", "1"],
-    ["sylow", "beta", "--p", "3", "--q", "177147", "--j", "1"],
     ["sylow", "solve", "--p", "3", "--q", "177147", "--j", "1"],
-], ids=["fsz", "beta", "beta-every-zparam", "solve"])
+], ids=["fsz", "solve"])
 def test_fast_route_above_the_table_bound_is_refused(capsys, argv):
     # the superdiagonal histogram, and the square root in solve, run on
     # field tables, which stop at 2^16
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == "" and err == "error: field too large for tables (q=177147 > 65536)\n"
+
+
+def test_beta_above_the_table_bound_answers_from_the_closed_form(capsys):
+    # the corner betas need only G(q) and the quadratic character; at q = 3^11,
+    # with p = 3 mod 4, G is purely imaginary, so beta = q^4 (q + 1) at n = 2
+    q = 3 ** 11
+    code, out, err = run(capsys, "sylow", "beta", "--p", "3", "--q", str(q), "--j", "1",
+                         "--zparam", "1")
+    assert code == 0 and err == ""
+    (row,) = json.loads(out)["rows"]
+    assert row["rational"] and row["value"] == [q ** 4 * (q + 1), 1]
+    # listing every zparam charges the q elements of the field first
+    code, out, err = run(capsys, "--budget", "100000", "sylow", "beta", "--p", "3",
+                         "--q", str(q), "--j", "1")
+    assert code == 2
+    assert out == "" and f"--budget {q}" in err
 
 
 def test_pairs_above_the_table_bound_is_refused(capsys):

@@ -57,6 +57,10 @@ GOLDEN = [
      "980969cd9ff93c8661d61ec588afaf96159ef30fcd50637d5be7f27cdba340b8"),
     ("sylow beta --p 3 --q 27 --j 1",
      "08f2e66648f90e0a156aae437d32af511666a71a5cbf7f63ff2b4f22da7437c2"),
+    # q = 5^7, past the table bound: the corner beta from G(q) and the
+    # quadratic character alone
+    ("sylow beta --p 5 --q 78125 --j 1 --zparam 1",
+     "32b5236eb6a608b17c48ed152bf0e3ec3f10b6a08a9df8b79bb9cb4eb42a908d"),
     ("sylow enumerate --n 2 --q 3 --stop 10",
      "c64bfd53f1c01c6aa56d661b9107a6ff9d6051dc077709bf745f1c8efed3615d"),
     ("centralizer check --p 5 --q 5 --j 1 --samples 20 --seed 7",

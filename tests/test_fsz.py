@@ -14,10 +14,11 @@ from hypothesis import strategies as st
 from fsz_lab import cli, fsz
 from fsz_lab.cyclotomic import CycNum
 from fsz_lab.fields import FieldElem, field, field_for_order
-from fsz_lab.matrices import UniTriMat
+from fsz_lab.matrices import MatFq, UniTriMat
 from fsz_lab.residues import FiberCountQuery, trace_fiber_qr_count
 from fsz_lab.fsz import (
     PthPowerTarget,
+    _free_exponent,
     _gm_count_fast,
     _superdiagonal_histogram,
     beta_definitional,
@@ -86,6 +87,19 @@ class TestTargets:
     def test_q_must_be_power_of_p(self):
         with pytest.raises(ValueError):
             make_target(5, 7, 1, 1)
+
+    @pytest.mark.parametrize("p,q,j", [(5, 5, 1), (3, 9, 2), (13, 13, 1)])
+    def test_code_built_elements_equal_the_matrix_built(self, p, q, j):
+        # make_target and u_witness build their blocks as int codes; the
+        # UniTriMat / MatFq constructors are the reference
+        spec, n = field_for_order(q), (p ** j + 1) // 2
+        for d in range(1, p):
+            t = make_target(p, q, j, d)
+            corner = MatFq.elementary(spec, n, n - 1, n - 1, t.sigma * d)
+            assert t.g == SylowElem(UniTriMat.identity(spec, n), corner)
+        L = UniTriMat.from_ints(spec, n, [1] + [0] * (n * (n - 1) // 2 - 1))
+        reference = SylowElem.from_symmetric(L, MatFq.elementary(spec, n, 0, 0))
+        assert u_witness(spec, n) == reference
 
 
 class TestSolve:
@@ -638,6 +652,113 @@ class TestBeta:
         for zi in (1, 2, 7, 24):
             beta = beta_linear(t.spec.from_index(zi), t)
             assert beta.rational
+
+
+def _fold_beta_batch(zparams, target):
+    """The corner betas by folding the zero-shift superdiagonal histogram.
+
+    The reference for the closed form: every achieved corner d / w is counted
+    from the histogram of w = prod x_i^2, and each character sum is tallied by
+    trace residue on the exp/log tables.
+    """
+    spec = target.spec
+    multiplicity = spec.q ** _free_exponent(target.n)
+    histogram = _superdiagonal_histogram(spec, [spec.zero] * (target.n - 1))
+    t = spec.tables()
+    exp, log, trace = t["exp"], t["log"], t["trace"]
+    m = spec.q - 1
+    ld = log[target.d]
+    corner_logs = {(ld - la) % m: count * multiplicity for (la, _), count in histogram.items()}
+    betas = []
+    for zparam in zparams:
+        lz = log[zparam.index()]
+        residue_vector = [0] * spec.p
+        for k, count in corner_logs.items():
+            residue_vector[trace[exp[(lz + k) % m]]] += count
+        inner = CycNum.from_residue_vector(spec.p, residue_vector)
+        betas.append(fsz._beta(inner.norm_sq(), zparam.to_json()))
+    return betas
+
+
+# p = 1 mod 4 at odd and even powers, p = 3 mod 4, and j = 2
+CLOSED_BETA_INSTANCES = [
+    (3, 3, 1), (5, 5, 1), (7, 7, 1), (3, 9, 1), (5, 25, 1), (13, 13, 1), (3, 3, 2),
+    (5, 125, 1), (7, 49, 1), (11, 11, 1), (5, 5, 2), (3, 27, 1), (3, 9, 2),
+]
+
+
+def _every_corner_beta(p, q, j):
+    """{d: (target, zparams, closed betas)} for every unit d and nonzero zparam."""
+    out = {}
+    for d in range(1, p):
+        t = make_target(p, q, j, d)
+        zparams = [z for z in t.spec.elements() if not z.is_zero()]
+        out[d] = (t, zparams, beta_linear_batch(zparams, t))
+    return out
+
+
+class TestClosedBeta:
+    @pytest.mark.parametrize("p,q,j", CLOSED_BETA_INSTANCES)
+    def test_closed_form_equals_the_fold(self, p, q, j):
+        for t, zparams, closed in _every_corner_beta(p, q, j).values():
+            assert closed == _fold_beta_batch(zparams, t)
+
+    @pytest.mark.parametrize("p,q,j", CLOSED_BETA_INSTANCES)
+    def test_irrational_exactly_under_the_hypothesis(self, p, q, j):
+        # G(q)^2 = eta(-1) q: G = +-sqrt(q) is irrational only for p = 1 mod 4
+        # and q an odd power of p; otherwise G is rational or purely imaginary
+        hypothesis = p % 4 == 1 and field_for_order(q).n % 2 == 1
+        for _, _, closed in _every_corner_beta(p, q, j).values():
+            assert all(b.rational != hypothesis for b in closed)
+
+    def test_two_norms_per_target(self, monkeypatch):
+        calls = []
+        original = CycNum.norm_sq
+
+        def counting(x):
+            calls.append(1)
+            return original(x)
+
+        monkeypatch.setattr(CycNum, "norm_sq", counting)
+        t = make_target(5, 125, 1, 2)
+        assert len(beta_linear_batch([z for z in t.spec.elements() if z], t)) == 124
+        assert len(calls) == 2
+
+    def test_beta_route_reaches_no_count_route_function(self):
+        # the betas are the count's second route, so they must not run the
+        # fold, the G_m read-out or the digit-wise additions that count runs on
+        count_only = {
+            ("fsz_lab.fsz", "_superdiagonal_histogram"),
+            ("fsz_lab.fsz", "_gm_count_fast"),
+            ("fsz_lab.fields", "FieldSpec.add_map"),
+        }
+        beta_code = beta_linear_batch.__code__
+        under_beta, everywhere = set(), set()
+
+        def record(frame, event, arg):
+            module = frame.f_globals.get("__name__", "")
+            if event != "call" or not module.startswith("fsz_lab"):
+                return
+            code = frame.f_code
+            name = (module, getattr(code, "co_qualname", code.co_name))
+            everywhere.add(name)
+            caller = frame
+            while caller is not None and caller.f_code is not beta_code:
+                caller = caller.f_back
+            if caller is not None:
+                under_beta.add(name)
+
+        previous = sys.getprofile()
+        sys.setprofile(record)
+        try:
+            report = fsz_test_at(5, 5, 1, with_betas=True)
+        finally:
+            sys.setprofile(previous)
+        assert len(report.betas) == 4
+        # the same call's count route did reach them, so the recorder sees them
+        assert count_only <= everywhere
+        assert ("fsz_lab.fsz", "beta_linear_batch") in under_beta
+        assert under_beta.isdisjoint(count_only), sorted(under_beta & count_only)
 
 
 class TestOtherRegimes:

@@ -3,7 +3,7 @@ Sylow subgroups of symplectic groups, including both count-equality and
 character-rationality tests for the FSZ property at desk scale."""
 
 from .cyclotomic import CycNum, e_q, gauss_sum, gauss_sum_via_prime
-from .fields import FieldElem, FieldSpec, field, field_for_order, qr_set
+from .fields import FieldElem, FieldSpec, field, field_for_order
 from .fsz import (
     BetaValue,
     FszReport,

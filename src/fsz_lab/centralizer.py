@@ -97,21 +97,16 @@ def centralizer_pattern(M: MatFq, target: PthPowerTarget) -> bool:
     return M.rows[n - 1][n - 1] == M.rows[two_n - 1][two_n - 1]
 
 
-def is_in_centralizer(M: MatFq, target: PthPowerTarget, method: str = "both") -> bool:
-    """Centralizer membership for a symplectic M, by either or both predicates."""
+def is_in_centralizer(M: MatFq, target: PthPowerTarget, method: str) -> bool:
+    """Centralizer membership for a symplectic M, by the "commute" or the
+    "pattern" predicate."""
     if not is_symplectic(M):
         raise ValueError("membership is only defined for symplectic matrices")
-    g = target.g_matrix
     if method == "commute":
+        g = target.g_matrix
         return M @ g == g @ M
     if method == "pattern":
         return centralizer_pattern(M, target)
-    if method == "both":
-        by_commute = M @ g == g @ M
-        by_pattern = centralizer_pattern(M, target)
-        if by_commute != by_pattern:
-            raise AssertionError("centralizer predicates disagree")
-        return by_commute
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -185,26 +180,16 @@ def kernel_element(
     return CentElem(MatFq(spec, rows), target)
 
 
-def _identity_and_step(K: CentElem) -> tuple[MatFq, MatFq]:
-    """(I, K - I), the two terms of the closed powers K^s = I + s (K - I)."""
-    I = MatFq.identity(K.target.spec, 2 * K.target.n)
-    return I, K.mat - I
-
-
-def kernel_power_closed(K: CentElem, s: int) -> MatFq:
-    """Closed form K^s = I + s (K - I): each entry of K - I is linear in the
-    free blocks, so this is kernel_element(s x, s a_col, s a_corner)."""
-    I, step = _identity_and_step(K)
-    return I + step * K.target.spec.elem(s)
-
-
 def kernel_order_check(K: CentElem) -> bool:
-    """K^s matches the closed form for s <= p, and K^p = I.
+    """K^s matches the closed form I + s (K - I) for s <= p, and K^p = I.
 
-    I and K - I are formed once; the closed side makes no matrix product.
+    Each entry of K - I is linear in the free blocks, so I + s (K - I) is
+    kernel_element(s x, s a_col, s a_corner).  I and K - I are formed once;
+    the closed side makes no matrix product.
     """
     spec = K.target.spec
-    I, step = _identity_and_step(K)
+    I = MatFq.identity(spec, 2 * K.target.n)
+    step = K.mat - I
     acc = K.mat
     for s in range(2, spec.p + 1):
         acc = acc @ K.mat

@@ -183,14 +183,14 @@ def cmd_field(args) -> int:
 def cmd_qr(args) -> int:
     check_budget(args.q, args.budget)
     spec = field_for_order(args.q)
-    qr = [i for i, square in enumerate(spec.qr_set().mask) if square]
+    qr = spec.qr_set()
     doc = {
         "claim": "qr-set-size",
         "q": args.q,
         "size": len(qr),
         "expected_size": (args.q + 1) // 2,
         "oracle_match": len(qr) == (args.q + 1) // 2,
-        "elements": [spec.from_index(i).to_json() for i in qr],
+        "elements": [x.to_json() for x in qr],
     }
     _emit(doc, args.format)
     return 0 if doc["oracle_match"] else MISMATCH_ERROR

@@ -21,9 +21,11 @@ Z[zeta_p], matching the needs of the character computations downstream.
 
 from __future__ import annotations
 
+from functools import cache
+from operator import mul
 from typing import Sequence
 
-from .fields import FieldElem, FieldSpec, field, is_prime
+from .fields import FieldElem, FieldSpec, field, is_prime, power
 
 
 def _canonical(p: int, full: Sequence[int]) -> tuple[int, ...]:
@@ -136,21 +138,7 @@ class CycNum:
     def __pow__(self, e: int):
         if e < 0:
             raise ValueError("negative exponents not supported")
-        if e == 0:
-            return CycNum.one(self.p)
-        base = self
-        while not e & 1:
-            base = base * base
-            e >>= 1
-        # result starts at the lowest set bit's power, not at one
-        result = base
-        e >>= 1
-        while e:
-            base = base * base
-            if e & 1:
-                result = result * base
-            e >>= 1
-        return result
+        return power(self, e, mul, CycNum.one(self.p))
 
     # -- Galois structure ------------------------------------------------------
 
@@ -227,7 +215,11 @@ def gauss_sum(spec: FieldSpec) -> CycNum:
     return CycNum.from_residue_vector(p, full)
 
 
+@cache
 def gauss_sum_via_prime(p: int, n: int) -> CycNum:
-    """The closed power identity -(-G(p))^n, computed by cyclotomic exponentiation."""
+    """The closed power identity -(-G(p))^n, computed by cyclotomic exponentiation.
+
+    Cached: the value depends only on (p, n), and a CycNum is immutable.
+    """
     g = gauss_sum(field(p, 1))
     return -((-g) ** n)

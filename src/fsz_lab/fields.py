@@ -8,10 +8,12 @@ and quadratic-residue sets.  A residue set is a read-only set view over a
 bytearray mask on element indices, filled by squaring on plain ints without
 the tables, so it can check them.  ``FieldSpec.traces()`` lists the traces by
 index at every q for the tables and ``cyclotomic.gauss_sum``.  For fields of
-at most TABLE_BOUND elements, exp/log, trace and quadratic-residue tables on
-element indices, with a tally of each square class's traces, are built
-lazily: the enumeration oracles and the fast fsz route run on these index
-codes.  Equality is always defined on coefficients.
+at most TABLE_BOUND elements, exp/log and trace tables on element indices,
+with a tally of each square class's traces, are built lazily: the
+enumeration oracles and the fast fsz route run on these index codes, and a
+nonzero element is a square exactly when its log is even.  Equality is
+always defined on coefficients.  ``power`` is the one square-and-multiply
+that element, matrix and cyclotomic powers share.
 
 Elements of the prime subfield are identified with the integers
 {0, ..., p-1}, and mixed int/element arithmetic uses that identification.
@@ -25,7 +27,8 @@ import threading
 from collections import Counter
 from collections.abc import Set
 from itertools import chain, compress, product
-from typing import Iterator, Sequence
+from operator import mul
+from typing import Callable, Iterator, Sequence
 
 TABLE_BOUND = 1 << 16
 
@@ -79,6 +82,22 @@ def factorize(m: int) -> dict[int, int]:
     if m > 1:
         out[m] = out.get(m, 0) + 1
     return out
+
+
+def power(x, e: int, mul: Callable, one):
+    """x^e for e >= 0 under the product mul, with one as x^0.
+
+    Left-to-right square-and-multiply: one squaring per bit of e after the
+    leading one, and one product by x per set bit among them.
+    """
+    if e == 0:
+        return one
+    acc = x
+    for bit in bin(e)[3:]:
+        acc = mul(acc, acc)
+        if bit == "1":
+            acc = mul(acc, x)
+    return acc
 
 
 def split_prime_power(q: int) -> tuple[int, int]:
@@ -339,8 +358,9 @@ class FieldSpec:
         return pow(self.p - 1, (self.q - 1) // 2, self.p) == 1
 
     def tables(self) -> dict:
-        """Lazily built index tables: exp/log, traces, QR mask, fiber tally.
+        """Lazily built index tables: exp/log, trace and fiber tally.
 
+        A nonzero element is a square exactly when its log is even.
         ``fiber[r][y]`` counts the exponents k of parity r with
         tr(exp[k]) = y: the nonzero squares (r = 0) and the non-squares
         (r = 1) on each trace fiber.
@@ -386,16 +406,12 @@ class FieldSpec:
                 exp[k] = idx
                 log[idx] = k
                 acc = _pmulmod(acc, gen, f, p)
-        qr = bytearray(q)
-        qr[0] = 1
-        for k in range(0, q - 1, 2):
-            qr[exp[k]] = 1
         trace = self.traces()
         fiber = []
         for r in (0, 1):
             counts = Counter(map(trace.__getitem__, exp[r::2]))
             fiber.append([counts[y] for y in range(p)])
-        return {"exp": exp, "log": log, "trace": trace, "qr": qr, "fiber": fiber}
+        return {"exp": exp, "log": log, "trace": trace, "fiber": fiber}
 
     def traces(self) -> list[int]:
         """Traces of all elements by index, at every q: read by the tables and gauss_sum."""
@@ -518,14 +534,7 @@ class FieldElem:
     def __pow__(self, e: int):
         if e < 0:
             return self.inv() ** (-e)
-        result = self.spec.one
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return power(self, e, mul, self.spec.one)
 
     def inv(self) -> "FieldElem":
         """Multiplicative inverse; raises ZeroDivisionError at zero."""
@@ -567,7 +576,7 @@ class FieldElem:
         spec = self.spec
         t = spec._tables
         if t is not None:
-            return 1 if t["qr"][self.index()] else -1
+            return -1 if t["log"][self.index()] % 2 else 1
         # Euler's criterion on the coefficient list
         e = _ppowmod(list(self.coeffs), (spec.q - 1) // 2, spec.modulus, spec.p)
         return 1 if e == [1] else -1
@@ -638,7 +647,3 @@ class QuadraticResidues(Set):
 
     def __iter__(self) -> Iterator[FieldElem]:
         return map(self.spec.from_index, compress(range(len(self.mask)), self.mask))
-
-
-def qr_set(spec: FieldSpec) -> QuadraticResidues:
-    return spec.qr_set()

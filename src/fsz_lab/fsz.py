@@ -42,12 +42,11 @@ from math import gcd
 from typing import Callable, Iterable, Sequence
 
 from .cyclotomic import CycNum, gauss_sum_via_prime
-from .fields import FieldElem, FieldSpec, field_for_order
-from .matrices import Block, MatFq, UniTriMat, _coding
+from .fields import FieldElem, FieldSpec, field_for_order, power
+from .matrices import Block, MatFq, UniTriMat, _coding, _unit_block
 from .parallel import BudgetExceeded, run_partitioned
 from .sylow import (
     SylowElem,
-    _unit_block,
     enumerate_sylow,
     kappa,
     square_product,
@@ -378,32 +377,28 @@ def _reduce(Y: np.ndarray, p: int, out: np.ndarray) -> np.ndarray:
     return np.subtract(Y, out, out=out)
 
 
-def _pow_mod(
-    X: np.ndarray, e: int, p: int, bound: int, out: tuple[np.ndarray, np.ndarray]
-) -> np.ndarray:
-    """X^e mod p for a float batch of m x m integer matrices with entries in [0, bound].
+def _pow_mod(X: np.ndarray, e: int, p: int, out: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """X^e mod p for a float batch of m x m integer matrices with entries in [0, p - 1].
 
     Left-to-right square-and-multiply, e >= 1, with m (p-1)^2 <= T - p, where
-    T = 2^(nmant + 1) is the exactness limit of X's type (2^24 for float32).
-    A product of factors whose entries are bounded by b1 and b2 has entries
-    bounded by m b1 b2; a factor is reduced mod p only when that bound would
-    pass T - p.  Every product and partial sum is then a non-negative integer
-    that the type holds exactly, whatever the summation order, and the
-    closing reduction is exact.
+    T = 2^(nmant + 1) is the exactness limit of X's type (2^24 for float32),
+    as `_check_scan_exact` ensures for every scan.  A product of factors
+    whose entries are bounded by b1 and b2 has entries bounded by m b1 b2; the
+    running power is reduced mod p only when that bound would pass T - p.
+    Every product and partial sum is then a non-negative integer that the
+    type holds exactly, whatever the summation order, and the closing
+    reduction is exact.
 
     out is a pair of arrays shaped and typed like X that share no memory with
     X or with each other.  Each product and reduction is written into the one
     that does not hold the running power, and the result is one of them; X is
-    only read.  A base too large to square exactly (m bound^2 > T - p, which
-    no scan's reduced base reaches) is first reduced into a fresh array,
-    since it stays a factor while both buffers are in use.
+    only read.
     """
     import numpy as np
 
     m = X.shape[-1]
     top = _exact_limit(X.dtype) - p
-    if m * bound * bound > top:
-        X, bound = _reduce(X, p, np.empty_like(X)), p - 1
+    bound = p - 1
     Y, b = X, bound
 
     def free() -> np.ndarray:
@@ -603,7 +598,7 @@ def _scan_worker(
                 np.matmul(Sc.reshape(c * nf, nf), Linv, out=SL[:c * nf])
                 _reduce(SL[:c * nf].reshape(c, nf, nf), p, Ac)
                 Xc[:, :nf, nf:] = Ac
-                code = codes(_pow_mod(Xc, e, p, p - 1, (P[0][:c], P[1][:c])))
+                code = codes(_pow_mod(Xc, e, p, (P[0][:c], P[1][:c])))
                 # column 0 of the corner block holds the coefficients of A[0,0]
                 if not np.array_equal(code, char[(Ac[:, :f, 0] @ place).astype(np.intp)]):
                     agree = False
@@ -931,14 +926,14 @@ def beta_via_counts(
     powered directly, so any list gives the sum it defines.
     """
     p = z.spec.p
-    power = {a: a.pow(m) for a in elements}
-    hits = [a for a in elements if power[a] == z]
+    powers = {a: a.pow(m) for a in elements}
+    hits = [a for a in elements if powers[a] == z]
     total = CycNum.zero(p)
     for u in elements:
         count = 0
         for a in hits:
             au = a * u
-            if (power.get(au) or au.pow(m)) == z:
+            if (powers.get(au) or au.pow(m)) == z:
                 count += 1
         if count:
             total = total + chi(u) * count
@@ -983,12 +978,11 @@ def witness_pair_count(spec: FieldSpec, d: int | FieldElem, mode: str = "closed"
     if mode != "enum":
         raise ValueError(f"unknown mode {mode!r}")
     # on index codes: a product is a sum of logs mod q - 1, x + 1 steps the
-    # low base-p digit, and the Legendre symbol is the QR mask
-    t = spec.tables()
-    exp, log, qr = t["exp"], t["log"], t["qr"]
+    # low base-p digit, and a nonzero element is a square when its log is even
+    log = spec.tables()["log"]
     m = q - 1
     succ = spec.add_map(1)
-    want = 1 if ld == 1 else 0
+    parity = 0 if ld == 1 else 1
     count = 0
     for a in range(q):
         a1 = succ[a]
@@ -998,7 +992,7 @@ def witness_pair_count(spec: FieldSpec, d: int | FieldElem, mode: str = "closed"
             if 0 in (a, b, a1, b1):
                 continue
             lv1 = (log[a] + 2 * log[b]) % m
-            if lv1 == (log[a1] + 2 * log[b1]) % m and qr[exp[lv1]] == want:
+            if lv1 == (log[a1] + 2 * log[b1]) % m and lv1 % 2 == parity:
                 count += 1
     return count
 
@@ -1009,7 +1003,6 @@ def witness_pair_count(spec: FieldSpec, d: int | FieldElem, mode: str = "closed"
 @dataclass(frozen=True)
 class WitnessSearchResult:
     found: bool
-    exhausted: bool
     u_name: str | None = None
     u: SylowElem | None = None
     char_order: int | None = None
@@ -1020,7 +1013,8 @@ def witness_order_search(
 ) -> WitnessSearchResult:
     """Find a non-uniform row whose character value has order outside {1,2,3,4,6}.
 
-    Reports exhaustion of the searched u-set rather than claiming a negative.
+    found=False reports that the u-set was searched to its end; it claims no
+    negative beyond that set.
     """
     for row in report.rows:
         if row.uniform():
@@ -1028,10 +1022,8 @@ def witness_order_search(
         val = chi(row.u)
         order = _root_of_unity_order(val)
         if order is not None and order not in (1, 2, 3, 4, 6):
-            return WitnessSearchResult(
-                found=True, exhausted=False, u_name=row.u_name, u=row.u, char_order=order
-            )
-    return WitnessSearchResult(found=False, exhausted=True)
+            return WitnessSearchResult(found=True, u_name=row.u_name, u=row.u, char_order=order)
+    return WitnessSearchResult(found=False)
 
 
 def _root_of_unity_order(val: CycNum) -> int | None:
@@ -1078,18 +1070,11 @@ def fsz_brute_small(
     violation found).
     """
     mul = (lambda a, b: a * b) if mul is None else mul
-
-    def power(a, e):
-        acc = a
-        for _ in range(e - 1):
-            acc = mul(acc, a)
-        return acc
-
     if identity is None:
         identity = next(
             a for a in elements if all(mul(a, b) == b for b in elements[: min(4, len(elements))])
         )
-    pow_m = [power(a, m) if m >= 1 else identity for a in elements]
+    pow_m = [power(a, m, mul, identity) if m >= 1 else identity for a in elements]
 
     def order_of(z):
         k, acc = 1, z
@@ -1103,16 +1088,14 @@ def fsz_brute_small(
         ds = [d for d in range(1, o) if gcd(d, o) == 1] or [1]
         if len(ds) <= 1:
             continue
-        z_powers = {}
-        for d in ds:
-            z_powers[d] = power(z, d)
+        z_powers = {d: power(z, d, mul, identity) for d in ds}
         for u in elements:
             counts = {}
             for d, zd in z_powers.items():
                 counts[d] = sum(
                     1
                     for a, am in zip(elements, pow_m)
-                    if am == zd and power(mul(a, u), m) == zd
+                    if am == zd and power(mul(a, u), m, mul, identity) == zd
                 )
             if len(set(counts.values())) > 1:
                 return False, {"z": z, "u": u, "counts": counts}

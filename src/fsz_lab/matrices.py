@@ -25,10 +25,10 @@ repeated p-th powers.
 
 from __future__ import annotations
 
-from operator import add, mul, sub
+from operator import add, matmul, mul, sub
 from typing import Sequence
 
-from .fields import FieldElem, FieldSpec, _pmod
+from .fields import FieldElem, FieldSpec, _pmod, power
 
 Block = tuple[tuple[int, ...], ...]  # rows of int codes
 
@@ -147,6 +147,11 @@ def _mm_add(a: Block, b: Block, c: Block, red) -> Block:
     cols = list(zip(*b))
     return tuple([tuple([red(sum(map(mul, r, col)) + s) for col, s in zip(cols, crow)])
                   for r, crow in zip(a, c)])
+
+
+def _unit_block(n: int) -> Block:
+    """The codes of the n x n identity: 0 and 1 are their own codes over every GF(q)."""
+    return tuple(tuple([int(i == j) for j in range(n)]) for i in range(n))
 
 
 def _transpose(a: Block) -> Block:
@@ -296,23 +301,14 @@ class MatFq:
         code = _coding(self.spec, self.ncols)
         return code.matfq(self.spec, _mm(code.block(self), code.block(other), code.reduce))
 
-    def transpose(self) -> "MatFq":
-        return MatFq._wrap(self.spec, tuple(zip(*self.rows)))
-
     def pow(self, e: int) -> "MatFq":
-        """Matrix power by square-and-multiply; e >= 0, square matrices only."""
+        """Matrix power by square-and-multiply, square matrices only; a
+        negative e powers the inverse."""
         if self.nrows != self.ncols:
             raise ValueError("power of a non-square matrix")
         if e < 0:
             return self.inv().pow(-e)
-        result = MatFq.identity(self.spec, self.nrows)
-        base = self
-        while e:
-            if e & 1:
-                result = result @ base
-            base = base @ base
-            e >>= 1
-        return result
+        return power(self, e, matmul, MatFq.identity(self.spec, self.nrows))
 
     def inv(self) -> "MatFq":
         """Inverse by Gaussian elimination; raises ValueError when singular."""
@@ -393,8 +389,7 @@ def is_symplectic(M: MatFq) -> bool:
     T = _transpose(C)
     partner = ([r[n:] + tuple([red(m1 * v) for v in r[:n]]) for r in T[n:]]
                + [tuple([red(m1 * v) for v in r[n:]]) + r[:n] for r in T[:n]])
-    ident = tuple(tuple([int(i == j) for j in range(m)]) for i in range(m))
-    return _mm(C, partner, red) == ident
+    return _mm(C, partner, red) == _unit_block(m)
 
 
 class UniTriMat:
@@ -439,22 +434,6 @@ class UniTriMat:
     @classmethod
     def from_ints(cls, spec: FieldSpec, n: int, upper: Sequence[int]) -> "UniTriMat":
         return cls(spec, n, [spec.elem(v) for v in upper])
-
-    @classmethod
-    def jordan(cls, spec: FieldSpec, n: int) -> "UniTriMat":
-        """The single-Jordan-block element: ones on the superdiagonal."""
-        entries = [spec.one if j == i + 1 else spec.zero
-                   for i in range(n) for j in range(i + 1, n)]
-        return cls(spec, n, entries)
-
-    @classmethod
-    def from_mat(cls, M: MatFq) -> "UniTriMat":
-        n = M.nrows
-        one, zero = M.spec.one, M.spec.zero
-        for i in range(n):
-            if M.rows[i][i] != one or any(M.rows[i][j] != zero for j in range(i)):
-                raise ValueError("matrix is not upper unitriangular")
-        return cls(M.spec, n, [M.rows[i][j] for i in range(n) for j in range(i + 1, n)])
 
     @classmethod
     def random(cls, spec: FieldSpec, n: int, rng) -> "UniTriMat":

@@ -122,14 +122,12 @@ def power_sum_mod(p: int, k: int, mode: str = "closed") -> int:
 def _lucas_sum(p: int, j: int, k: int, l: int) -> int:
     # sum_{m < p^j} C(m,k)C(m,l) mod p, factored one base-p block at a time;
     # internal: no half-range restriction on k, l beyond k, l < p^j.
-    if j == 1:
-        return sum(comb(m, k) * comb(m, l) for m in range(p)) % p
     block = p ** (j - 1)
     alpha, k1 = divmod(k, block)
     beta, l1 = divmod(l, block)
     inner = sum(comb(m, alpha) * comb(m, beta) for m in range(p)) % p
-    if inner == 0:
-        return 0
+    if j == 1 or inner == 0:
+        return inner
     return (inner * _lucas_sum(p, j - 1, k1, l1)) % p
 
 

@@ -7,8 +7,8 @@ inverse, and arbitrary powers all have closed block forms; powers use
     M^j = [[ (L^j)^T, (sum_{m<j} (L^m)^T A L^m) L^(1-j) ], [0, L^-j]].
 
 A `SylowElem` stores L (unit diagonal and zeros included) and A as n x n
-tuples of int codes, and its group law, inverse, powers, equality, symmetric
-part, embedding and index decoding all run on those ints.  The codes and the
+tuples of int codes, and its group law, inverse, powers, equality,
+embedding and index decoding all run on those ints.  The codes and the
 block kernel (`_mm`, `_mm_add`, `_tri_inv`, ...) come from `matrices`, which
 owns the packed format; the coding here is `_coding(spec, 2n)`, sized for the
 longest unreduced sum formed here: 2n products of entries, in L^T B + A M^-1.
@@ -41,7 +41,7 @@ from typing import Iterable, Iterator
 from .cyclotomic import CycNum, e_q
 from .fields import FieldElem, FieldSpec
 from .matrices import (Block, MatFq, UniTriMat, _Coding, _coding, _mm, _mm_add, _neg,
-                       _p_power_order, _transpose, _tri_inv)
+                       _p_power_order, _transpose, _tri_inv, _unit_block)
 
 
 def twisted_sum(L: Block, A: Block, terms: int, red) -> tuple[Block, Block]:
@@ -60,11 +60,6 @@ def twisted_sum(L: Block, A: Block, terms: int, red) -> tuple[Block, Block]:
             T = _mm_add(LT, _mm(T, L, red), A, red)
             P = _mm(P, L, red)
     return T, P
-
-
-def _unit_block(n: int) -> Block:
-    """The codes of the n x n identity: 0 and 1 are their own codes over every GF(q)."""
-    return tuple(tuple([int(i == j) for j in range(n)]) for i in range(n))
 
 
 def _check_blocks(L: UniTriMat, X: MatFq, name: str = "A") -> None:
@@ -141,9 +136,6 @@ class SylowElem:
         Lc = code.block(L.to_mat())
         return cls._from_codes(L.spec, code, Lc,
                                _mm(code.block(S), _tri_inv(Lc, code), code.reduce))
-
-    def symmetric_part(self) -> MatFq:
-        return self._code.matfq(self.spec, _mm(self._A, self._L, self._code.reduce))
 
     def to_matrix(self) -> MatFq:
         """The 2n x 2n embedding [[L^T, A], [0, L^-1]]."""

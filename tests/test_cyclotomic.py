@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from fsz_lab import cyclotomic
 from fsz_lab.cyclotomic import (
     CycNum,
     e_q,
@@ -13,6 +14,7 @@ from fsz_lab.cyclotomic import (
     gauss_sum_via_prime,
 )
 from fsz_lab.fields import FieldSpec, field
+from fsz_lab.fsz import beta_linear_batch, make_target
 from fsz_lab.residues import gauss_square_int
 
 
@@ -131,7 +133,7 @@ class TestMultiply:
 
         monkeypatch.setattr(CycNum, "__mul__", counting_mul)
         CycNum(7, [1, 2, 0, -1, 0, 3]) ** e
-        # the result starts at the power of the lowest set bit, not at one
+        # the walk starts at x itself, not at one
         assert counts == {"square": e.bit_length() - 1, "multiply": bin(e).count("1") - 1}
 
 
@@ -206,6 +208,20 @@ class TestGaussSums:
     @pytest.mark.parametrize("p,n", [(3, 2), (3, 3), (5, 2), (7, 2), (3, 4)])
     def test_power_identity(self, p, n):
         assert gauss_sum(field(p, n)) == gauss_sum_via_prime(p, n)
+
+    def test_power_identity_is_computed_once_per_field(self, monkeypatch):
+        calls = []
+
+        def counting(spec):
+            calls.append(spec)
+            return gauss_sum(spec)
+
+        monkeypatch.setattr(cyclotomic, "gauss_sum", counting)
+        gauss_sum_via_prime.cache_clear()
+        zparams = [x for x in field(5).elements() if not x.is_zero()]
+        for d in (1, 2):
+            beta_linear_batch(zparams, make_target(5, 5, 1, d))
+        assert calls == [field(5)]
 
     @pytest.mark.parametrize("p,n", [(7, 1), (3, 3), (5, 2), (3, 4)])
     def test_sum_matches_the_per_element_reference(self, p, n):

@@ -1,10 +1,12 @@
 from itertools import product
+from operator import matmul, mul
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fsz_lab import fields
+from fsz_lab.cyclotomic import CycNum
 from fsz_lab.fields import (
     FieldElem,
     FieldSpec,
@@ -13,8 +15,9 @@ from fsz_lab.fields import (
     field_for_order,
     is_prime,
     poly_is_irreducible,
-    qr_set,
+    power,
 )
+from fsz_lab.matrices import MatFq
 
 
 def elems(p, n=1):
@@ -207,6 +210,71 @@ class TestArithmetic:
             assert a * a.inv() == a.spec.one
 
 
+def folded(x, e, mul, one):
+    """x^e as e products, each by x."""
+    acc = one
+    for _ in range(e):
+        acc = mul(acc, x)
+    return acc
+
+
+def mats(p=7, m=3):
+    spec = field(p)
+    entries = st.lists(st.integers(0, p - 1), min_size=m * m, max_size=m * m)
+    return entries.map(lambda v: MatFq.from_ints(spec, [v[i:i + m] for i in range(0, m * m, m)]))
+
+
+def cycnums(p=5):
+    return st.lists(st.integers(-3, 3), min_size=p - 1, max_size=p - 1).map(lambda c: CycNum(p, c))
+
+
+class TestPower:
+    @settings(max_examples=60, deadline=None)
+    @given(x=st.one_of(elems(5), elems(3, 2), cycnums(), mats()), e=st.integers(0, 40))
+    def test_power_is_the_folded_product(self, x, e):
+        if isinstance(x, MatFq):
+            prod, one, direct = matmul, MatFq.identity(x.spec, 3), x.pow(e)
+        else:
+            prod, direct = mul, x ** e
+            one = x.spec.one if isinstance(x, FieldElem) else CycNum.one(x.p)
+        calls = []
+
+        def counted(a, b):
+            calls.append(1)
+            return prod(a, b)
+
+        expected = folded(x, e, prod, one)
+        assert power(x, e, counted, one) == expected == direct
+        # one squaring per bit after the leading one, one product per set bit among them
+        assert len(calls) == (e.bit_length() + bin(e).count("1") - 2 if e else 0)
+
+    @given(x=elems(3, 2), e=st.integers(1, 40))
+    def test_field_negative_power_goes_through_the_inverse(self, x, e):
+        if x.is_zero():
+            with pytest.raises(ZeroDivisionError):
+                x ** -e
+        else:
+            assert x ** -e == x.inv() ** e and x ** -e * x ** e == x.spec.one
+
+    @settings(max_examples=30, deadline=None)
+    @given(M=mats(), e=st.integers(1, 40))
+    def test_matrix_negative_power_goes_through_the_inverse(self, M, e):
+        try:
+            inv = M.inv()
+        except ValueError:
+            with pytest.raises(ValueError, match="singular"):
+                M.pow(-e)
+        else:
+            assert M.pow(-e) == inv.pow(e)
+            assert M.pow(-e) @ M.pow(e) == MatFq.identity(M.spec, 3)
+
+    def test_matrix_power_needs_a_square_matrix(self):
+        M = MatFq.from_ints(field(7), [[1, 2, 3], [4, 5, 6]])
+        for e in (-1, 0, 2):
+            with pytest.raises(ValueError, match="non-square"):
+                M.pow(e)
+
+
 class TestTrace:
     @pytest.mark.parametrize("p,n", [(3, 1), (3, 2), (5, 1), (5, 3), (7, 2)])
     def test_trace_of_one(self, p, n):
@@ -288,7 +356,7 @@ class TestResidueSets:
     )
     def test_worked_sets(self, q, expected):
         spec = field(q)
-        assert {x.coeffs[0] for x in qr_set(spec)} == expected
+        assert {x.coeffs[0] for x in spec.qr_set()} == expected
 
     @pytest.mark.parametrize("p,n", [(3, 3), (5, 2), (7, 1), (11, 1), (13, 1)])
     def test_size(self, p, n):
@@ -305,11 +373,12 @@ class TestResidueSets:
 
     @pytest.mark.parametrize("p,n", [(3, 6), (3, 7), (5, 4), (7, 3), (11, 3)])
     def test_stepped_mask_matches_the_generator_walk(self, p, n):
-        # the tables mark exp[k] for even k, walked by powers of a generator
+        # the squares are 0 and the exp[k] for even k, walked by powers of a generator
         spec = FieldSpec(p, n)
         mask = spec.qr_set().mask
         assert spec._tables is None
-        assert mask == spec.tables()["qr"]
+        log = spec.tables()["log"]
+        assert list(mask) == [int(i == 0 or log[i] % 2 == 0) for i in range(spec.q)]
 
     def test_closure_under_product(self):
         spec = field(5, 2)
@@ -363,7 +432,7 @@ class TestTables:
             xs = list(direct.elements())
             for i, x in enumerate(xs):
                 assert t["trace"][i] == x.trace()
-                assert t["qr"][i] == (x.legendre() >= 0)
+                assert (i == 0 or log[i] % 2 == 0) == (x.legendre() >= 0)
                 for j, y in enumerate(xs):
                     if i and j:  # a product of nonzero elements adds their logs
                         assert exp[(log[i] + log[j]) % (spec.q - 1)] == (x * y).index()

@@ -210,7 +210,7 @@ def random_symplectic(spec: FieldSpec, dim: int, rng) -> MatFq:
     if dim % 2:
         raise ValueError("transvections need an even dimension")
     k = dim // 2
-    code = _coding(spec, dim)
+    code = _coding(spec)
     red, m1, q = code.reduce, code.minus_one, spec.q
     out = [[int(i == j) for j in range(dim)] for i in range(dim)]
     for _ in range(12):
@@ -226,7 +226,7 @@ def random_symplectic(spec: FieldSpec, dim: int, rng) -> MatFq:
                 out[i] = [red(a + w * b) for a, b in zip(row, v)]
     if rng.randrange(2):
         out = _neg(out, code)
-    return code.matfq(spec, out)
+    return MatFq._wrap(spec, tuple(map(tuple, out)))
 
 
 def random_kernel_element(target: PthPowerTarget, rng) -> CentElem:

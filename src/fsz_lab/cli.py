@@ -199,9 +199,7 @@ def cmd_qr(args) -> int:
 def cmd_qrdiff(args) -> int:
     check_budget(args.q, args.budget)
     spec = field_for_order(args.q)
-    cs = [spec.elem(args.c)] if args.c is not None else [
-        c for c in spec.elements() if not c.is_zero()
-    ]
+    cs = [spec.elem(args.c)] if args.c is not None else list(spec.units())
     # each c walks the (q+1)/2 squares
     check_budget(len(cs) * (args.q + 1) // 2, args.budget)
     rows = _oracle_rows(qr_diff_count, ("closed", "enum"),
@@ -235,7 +233,7 @@ def cmd_fibers(args) -> int:
     if args.z is not None:
         zs = [_parse_elem(spec, args.z)]
     else:
-        zs = [z for z in spec.elements() if not z.is_zero()]
+        zs = list(spec.units())
     ys = [args.y] if args.y is not None else list(range(args.p))
     # each (z, y) reads one count of the field's trace tally, which the q
     # charged for the field pays for
@@ -350,7 +348,7 @@ def cmd_sylow_beta(args) -> int:
     zparams = (
         [_parse_elem(spec, args.zparam)]
         if args.zparam is not None
-        else [z for z in spec.elements() if not z.is_zero()]
+        else list(spec.units())
     )
     rows = []
     for zp, beta in zip(zparams, beta_linear_batch(zparams, target)):
@@ -402,9 +400,7 @@ def cmd_sylow_gm(args) -> int:
 def cmd_pairs(args) -> int:
     check_budget(args.q, args.budget)
     spec = field_for_order(args.q)
-    ds = [spec.elem(args.d)] if args.d is not None else [
-        d for d in spec.elements() if not d.is_zero()
-    ]
+    ds = [spec.elem(args.d)] if args.d is not None else list(spec.units())
     # each d walks all q^2 pairs (a, b)
     check_budget(len(ds) * args.q ** 2, args.budget)
     rows = _oracle_rows(witness_pair_count, ("closed", "enum"),

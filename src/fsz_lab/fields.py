@@ -286,6 +286,10 @@ class FieldSpec:
         for i in range(self.q):
             yield self.from_index(i)
 
+    def units(self) -> Iterator[FieldElem]:
+        """The q - 1 nonzero elements, in index order."""
+        return map(self.from_index, range(1, self.q))
+
     def random(self, rng) -> FieldElem:
         return self.from_index(rng.randrange(self.q))
 

@@ -145,7 +145,7 @@ def make_target(p: int, q: int, j: int, d: int) -> PthPowerTarget:
     d %= p
     n = (p ** j + 1) // 2
     sigma = (-1) ** (j * (p - 1) // 2)
-    code = _coding(spec, 2 * n)
+    code = _coding(spec)
     A = _corner_block(n, code.from_index(sigma * d % p))
     g = SylowElem._from_codes(spec, code, _unit_block(n), A)
     return PthPowerTarget(spec=spec, j=j, d=d, n=n, sigma=sigma, g=g)
@@ -818,9 +818,7 @@ def fsz_test_at(
         verdict = "inconclusive-nonexhaustive"
     betas: tuple[BetaValue, ...] = ()
     if with_betas:
-        betas = tuple(beta_linear_batch(
-            [zp for zp in spec.elements() if not zp.is_zero()], target
-        ))
+        betas = tuple(beta_linear_batch(list(spec.units()), target))
     return FszReport(
         group=f"P(Sp_{2 * n}({q}))",
         m=m,
@@ -874,7 +872,11 @@ def beta_linear_batch(
     the nonzero squares (2 (q-1)^(n-2) superdiagonals each, each extended in
     q^F ways), and the sum of zeta^tr(c s) over the nonzero squares s is
     (eta(c) G - 1)/2.  So beta = q^(2F) (q-1)^(2n-4) |eta(zparam d) G - 1|^2:
-    two values per target, and G = -(-G(p))^f needs no table.
+    two values per target, and G = -(-G(p))^f needs no table.  A list as
+    long as the unit group (every unit, as `fsz_test_at` and `sylow beta`
+    pass it) reads each eta(zparam) from the square mask of `qr_set()`,
+    which costs less than q - 1 Euler criteria; a shorter one calls
+    `legendre()`, so a single zparam never builds the mask.
     """
     spec, n, q = target.spec, target.n, target.spec.q
     for zparam in zparams:
@@ -886,10 +888,15 @@ def beta_linear_batch(
     gauss = gauss_sum_via_prime(spec.p, spec.n)
     scale = q ** (2 * _free_exponent(n)) * (q - 1) ** (2 * n - 4)
     eta_d = spec.elem(target.d).legendre()
+    if len(zparams) >= q - 1:
+        squares = spec.qr_set()
+        etas = [1 if zparam in squares else -1 for zparam in zparams]
+    else:
+        etas = [zparam.legendre() for zparam in zparams]
     values: dict[int, CycNum] = {}
     betas = []
-    for zparam in zparams:
-        eta = zparam.legendre() * eta_d
+    for zparam, eta in zip(zparams, etas):
+        eta *= eta_d
         if eta not in values:
             values[eta] = (gauss * eta - 1).norm_sq() * scale
         betas.append(_beta(values[eta], zparam.to_json()))

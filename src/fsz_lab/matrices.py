@@ -1,16 +1,22 @@
 """Dense matrices over a finite field, upper unitriangular groups, and the
 packed-int kernel their products run on.
 
-Matrices are immutable tuples of FieldElem entries with exact arithmetic.
-Sums, differences and equality work on the entries' integer coefficients.
-Products, unitriangular inverses and the symplectic test run on int codes,
-a format this module owns: over GF(p) a code is the residue, over GF(p^f)
-the coefficients packed into one int, coefficient k in bit slot k
-(Kronecker substitution).  A row . column sum of codes then holds the
-unreduced convolution of the whole dot product, reduced once.  `_coding(spec, terms)` sizes slots for a sum of `terms`
-products, (terms * f * (p-1)^2).bit_length() bits: `MatFq @` asks for
-terms = ncols, `is_symplectic` for the dimension, `UniTriMat.inv` for n and
-the `sylow` block core for 2n.
+Matrices are immutable and store int codes, a format this module owns: over
+GF(p) a code is the residue, over GF(p^f) the coefficients packed into one
+int, coefficient k in bit slot k (Kronecker substitution).  A row . column
+sum of codes then holds the unreduced convolution of the whole dot product,
+reduced once.  There is one coding per field, `_coding(spec)`, so an element
+has the same code in every matrix and block.  Its slots hold sums of up to
+MAX_TERMS = 2^16 products, (MAX_TERMS * f * (p-1)^2).bit_length() bits.
+`MatFq @` refuses a longer inner dimension, and no other product comes near
+it: a sum of 2n products needs n x n operands, which hold more than 2^30
+codes once 2n > 2^16.
+
+FieldElem appears only at the edges.  `MatFq(spec, rows)` and
+`UniTriMat(spec, n, upper)` validate and encode their entries;
+`MatFq.rows` is decoded on first read and cached, `UniTriMat.upper` and
+`superdiagonal()` are decoded when read.  Everything else (products, sums,
+inverses, powers, equality and hashing) runs on the codes.
 
 All indices in this package are 0-based.  The symplectic membership test
 checks the defining block identity directly, with one full product on the
@@ -25,12 +31,14 @@ repeated p-th powers.
 
 from __future__ import annotations
 
-from operator import add, matmul, mul, sub
+from operator import add, matmul, mul
 from typing import Sequence
 
 from .fields import FieldElem, FieldSpec, _pmod, power
 
 Block = tuple[tuple[int, ...], ...]  # rows of int codes
+
+MAX_TERMS = 1 << 16  # the longest sum of products a code's slots hold
 
 
 def _pack(coeffs: Sequence[int], width: int) -> int:
@@ -42,20 +50,20 @@ def _pack(coeffs: Sequence[int], width: int) -> int:
 
 
 class _Coding:
-    """Int codes of matrix entries over GF(p^f), sized for sums of `terms` products.
+    """Int codes of the elements of GF(p^f), sized for sums of MAX_TERMS products.
 
-    `reduce` maps a non-negative unreduced sum of at most `terms` products of
-    codes to the code of its value.
+    `reduce` maps a non-negative unreduced sum of at most MAX_TERMS products
+    of codes to the code of its value.
     """
 
     __slots__ = ("p", "f", "width", "mask", "shifts", "minus_one", "reduce")
 
-    def __init__(self, p: int, f: int, modulus: tuple[int, ...], terms: int):
+    def __init__(self, p: int, f: int, modulus: tuple[int, ...]):
         self.p = p
         self.f = f
-        # a sum of `terms` products of reduced entries has coefficients of at
-        # most terms f (p-1)^2 (an empty sum fits any width)
-        self.width = width = (max(terms, 1) * f * (p - 1) ** 2).bit_length()
+        # a sum of MAX_TERMS products of reduced entries has coefficients of
+        # at most MAX_TERMS f (p-1)^2
+        self.width = width = (MAX_TERMS * f * (p - 1) ** 2).bit_length()
         self.mask = mask = (1 << width) - 1
         self.shifts = range(0, f * width, width)  # the slots of a reduced code
         self.minus_one = p - 1  # the code of -1: its constant coefficient
@@ -97,38 +105,25 @@ class _Coding:
             i = i * self.p + ((v >> s) & self.mask)
         return i
 
-    def block(self, M: "MatFq") -> Block:
+    def encode(self, rows) -> Block:
+        """The codes of rows of FieldElem."""
         if self.f == 1:
-            return tuple([tuple([x.coeffs[0] for x in r]) for r in M.rows])
+            return tuple([tuple([x.coeffs[0] for x in r]) for r in rows])
         width = self.width
-        return tuple([tuple([_pack(x.coeffs, width) for x in r]) for r in M.rows])
-
-    def matfq(self, spec: FieldSpec, X: Block) -> "MatFq":
-        if self.f == 1:
-            rows = tuple([tuple([FieldElem(spec, (v,)) for v in r]) for r in X])
-        else:
-            dec = self.decode
-            rows = tuple([tuple([dec(spec, v) for v in r]) for r in X])
-        return MatFq._wrap(spec, rows)
-
-    def unitrimat(self, spec: FieldSpec, X: Block) -> "UniTriMat":
-        """The UniTriMat of the strictly-upper codes of X."""
-        dec, n = self.decode, len(X)
-        return UniTriMat._wrap(spec, n, tuple(dec(spec, X[i][j])
-                                              for i in range(n) for j in range(i + 1, n)))
+        return tuple([tuple([_pack(x.coeffs, width) for x in r]) for r in rows])
 
 
-_CODINGS: dict[tuple[int, int, int], _Coding] = {}
+_CODINGS: dict[tuple[int, int], _Coding] = {}
 
 
-def _coding(spec: FieldSpec, terms: int) -> _Coding:
-    """The shared coding over spec for sums of `terms` products; one object per (p, f, terms)."""
-    key = (spec.p, spec.n, terms)
+def _coding(spec: FieldSpec) -> _Coding:
+    """The coding of spec's field; one object per (p, f)."""
+    key = (spec.p, spec.n)
     code = _CODINGS.get(key)
     if code is None:
         # setdefault keeps one object per key when threads race, since
         # block elements compare their codings by identity
-        code = _CODINGS.setdefault(key, _Coding(spec.p, spec.n, spec.modulus, terms))
+        code = _CODINGS.setdefault(key, _Coding(spec.p, spec.n, spec.modulus))
     return code
 
 
@@ -192,9 +187,9 @@ def _p_power_order(x, identity, p: int) -> int:
 
 
 class MatFq:
-    """An immutable r x c matrix of FieldElem sharing one FieldSpec."""
+    """An immutable r x c matrix over one FieldSpec, stored as int codes."""
 
-    __slots__ = ("spec", "rows")
+    __slots__ = ("spec", "_codes", "_rows")
 
     def __init__(self, spec: FieldSpec, rows):
         rows = tuple(tuple(r) for r in rows)
@@ -206,14 +201,16 @@ class MatFq:
                 if not isinstance(x, FieldElem) or (x.spec is not spec and x.spec != spec):
                     raise ValueError("entries must be elements of the given field")
         self.spec = spec
-        self.rows = rows
+        self._codes = _coding(spec).encode(rows)
+        self._rows = rows
 
     @staticmethod
-    def _wrap(spec: FieldSpec, rows: tuple[tuple[FieldElem, ...], ...]) -> "MatFq":
-        """Wrap a tuple of equal-length tuples of elements of spec, unchecked."""
+    def _wrap(spec: FieldSpec, codes: Block) -> "MatFq":
+        """Wrap a tuple of equal-length tuples of codes over spec, unchecked."""
         m = object.__new__(MatFq)
         m.spec = spec
-        m.rows = rows
+        m._codes = codes
+        m._rows = None
         return m
 
     # -- constructors ------------------------------------------------------------
@@ -221,14 +218,11 @@ class MatFq:
     @classmethod
     def zeros(cls, spec: FieldSpec, r: int, c: int | None = None) -> "MatFq":
         c = r if c is None else c
-        row = (spec.zero,) * c
-        return MatFq._wrap(spec, (row,) * r)
+        return MatFq._wrap(spec, ((0,) * c,) * r)
 
     @classmethod
     def identity(cls, spec: FieldSpec, m: int) -> "MatFq":
-        z, o = spec.zero, spec.one
-        return MatFq._wrap(spec, tuple(tuple(o if i == j else z for j in range(m))
-                                       for i in range(m)))
+        return MatFq._wrap(spec, _unit_block(m))
 
     @classmethod
     def from_ints(cls, spec: FieldSpec, rows: Sequence[Sequence[int]]) -> "MatFq":
@@ -244,52 +238,46 @@ class MatFq:
     # -- shape and access ----------------------------------------------------------
 
     @property
+    def rows(self) -> tuple[tuple[FieldElem, ...], ...]:
+        """The entries as FieldElem, decoded on first read."""
+        if self._rows is None:
+            dec, spec = _coding(self.spec).decode, self.spec
+            self._rows = tuple([tuple([dec(spec, v) for v in r]) for r in self._codes])
+        return self._rows
+
+    @property
     def nrows(self) -> int:
-        return len(self.rows)
+        return len(self._codes)
 
     @property
     def ncols(self) -> int:
-        return len(self.rows[0]) if self.rows else 0
+        return len(self._codes[0]) if self._codes else 0
 
     def submatrix(self, rows: Sequence[int], cols: Sequence[int]) -> "MatFq":
-        return MatFq._wrap(self.spec, tuple(tuple(self.rows[i][j] for j in cols) for i in rows))
+        X = self._codes
+        return MatFq._wrap(self.spec, tuple(tuple([X[i][j] for j in cols]) for i in rows))
 
     # -- arithmetic ------------------------------------------------------------------
 
     def __add__(self, other: "MatFq") -> "MatFq":
         self._compat(other, same_shape=True)
-        return self._entrywise(other, add)
+        red = _coding(self.spec).reduce
+        return MatFq._wrap(self.spec, tuple(tuple(map(red, map(add, r, s)))
+                                            for r, s in zip(self._codes, other._codes)))
 
     def __sub__(self, other: "MatFq") -> "MatFq":
-        self._compat(other, same_shape=True)
-        return self._entrywise(other, sub)
+        return self + -other
 
     def __neg__(self) -> "MatFq":
-        spec = self.spec
-        p = spec.p
-        return MatFq._wrap(spec, tuple(
-            tuple(FieldElem(spec, tuple([-c % p for c in x.coeffs])) for x in r)
-            for r in self.rows))
-
-    def _entrywise(self, other: "MatFq", op) -> "MatFq":
-        """op on each pair of entries, coefficient by coefficient, reduced mod p."""
-        spec = self.spec
-        p = spec.p
-        pairs = [zip(ra, rb) for ra, rb in zip(self.rows, other.rows)]
-        if spec.n == 1:
-            return MatFq._wrap(spec, tuple(
-                tuple(FieldElem(spec, (op(x.coeffs[0], y.coeffs[0]) % p,)) for x, y in r)
-                for r in pairs))
-        return MatFq._wrap(spec, tuple(
-            tuple(FieldElem(spec, tuple([op(c, d) % p for c, d in zip(x.coeffs, y.coeffs)]))
-                  for x, y in r)
-            for r in pairs))
+        return MatFq._wrap(self.spec, _neg(self._codes, _coding(self.spec)))
 
     def __mul__(self, scalar) -> "MatFq":
         if isinstance(scalar, (int, FieldElem)):
-            # each entry's product checks the scalar's field
-            return MatFq._wrap(self.spec, tuple(tuple([a * scalar for a in r])
-                                                for r in self.rows))
+            code = _coding(self.spec)
+            # adding the scalar to zero checks its field
+            c, red = code.from_index((self.spec.zero + scalar).index()), code.reduce
+            return MatFq._wrap(self.spec, tuple(tuple([red(c * v) for v in r])
+                                                for r in self._codes))
         return NotImplemented
 
     __rmul__ = __mul__
@@ -298,17 +286,9 @@ class MatFq:
         self._compat(other)
         if self.ncols != other.nrows:
             raise ValueError(f"dimension mismatch: {self.ncols} vs {other.nrows}")
-        code = _coding(self.spec, self.ncols)
-        return code.matfq(self.spec, _mm(code.block(self), code.block(other), code.reduce))
-
-    def pow(self, e: int) -> "MatFq":
-        """Matrix power by square-and-multiply, square matrices only; a
-        negative e powers the inverse."""
-        if self.nrows != self.ncols:
-            raise ValueError("power of a non-square matrix")
-        if e < 0:
-            return self.inv().pow(-e)
-        return power(self, e, matmul, MatFq.identity(self.spec, self.nrows))
+        if self.ncols > MAX_TERMS:
+            raise ValueError(f"inner dimension {self.ncols} exceeds {MAX_TERMS}")
+        return MatFq._wrap(self.spec, _mm(self._codes, other._codes, _coding(self.spec).reduce))
 
     def inv(self) -> "MatFq":
         """Inverse by Gaussian elimination; raises ValueError when singular."""
@@ -332,11 +312,7 @@ class MatFq:
         return MatFq(spec, [row[m:] for row in aug])
 
     def is_symmetric(self) -> bool:
-        return all(
-            self.rows[i][j] == self.rows[j][i]
-            for i in range(self.nrows)
-            for j in range(i + 1, self.ncols)
-        )
+        return self._codes == _transpose(self._codes)
 
     def _compat(self, other: "MatFq", same_shape: bool = False):
         if not isinstance(other, MatFq):
@@ -348,22 +324,16 @@ class MatFq:
 
     def __eq__(self, other):
         if isinstance(other, MatFq):
-            a, b = self.rows, other.rows
-            # every entry lies in its matrix's field, so once the fields and
-            # the shapes agree the coefficients decide
-            return (self.spec == other.spec and len(a) == len(b)
-                    and (not a or len(a[0]) == len(b[0]))
-                    and [x.coeffs for r in a for x in r] == [x.coeffs for r in b for x in r])
+            # codes are canonical, so once the fields agree the codes decide
+            return self.spec == other.spec and self._codes == other._codes
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.spec.p, self.spec.n, self.rows))
+        return hash((self.spec.p, self.spec.n, self._codes))
 
     def __repr__(self):
-        if self.spec.n == 1:
-            body = "; ".join(" ".join(str(x.coeffs[0]) for x in r) for r in self.rows)
-        else:
-            body = "; ".join(" ".join(str(x.index()) for x in r) for r in self.rows)
+        index = _coding(self.spec).index
+        body = "; ".join(" ".join(str(index(v)) for v in r) for r in self._codes)
         return f"MatFq({self.spec!r}, [{body}])"
 
     def to_json(self) -> dict:
@@ -381,9 +351,9 @@ def is_symplectic(M: MatFq) -> bool:
     if m != M.ncols or m % 2:
         raise ValueError("even-dimensional square matrix required")
     n = m // 2
-    code = _coding(M.spec, m)
+    code = _coding(M.spec)
     red, m1 = code.reduce, code.minus_one
-    C = code.block(M)
+    C = M._codes
     # M^T = [[X^T, B^T], [A^T, Y^T]]: the partner swaps its block rows and
     # block columns and negates the blocks that land off the diagonal
     T = _transpose(C)
@@ -395,11 +365,12 @@ def is_symplectic(M: MatFq) -> bool:
 class UniTriMat:
     """Upper unitriangular n x n matrix: unit diagonal, zeros below.
 
-    Stores only the strictly-upper entries, row-major:
-    (0,1), (0,2), ..., (0,n-1), (1,2), ...
+    Stores the n x n block of codes, unit diagonal and zeros included.
+    `upper` lists the strictly-upper entries row-major, (0,1), (0,2), ...,
+    (0,n-1), (1,2), ..., decoded when read.
     """
 
-    __slots__ = ("spec", "n", "upper")
+    __slots__ = ("spec", "n", "_codes")
 
     def __init__(self, spec: FieldSpec, n: int, upper: Sequence[FieldElem]):
         if len(upper) != n * (n - 1) // 2:
@@ -407,29 +378,25 @@ class UniTriMat:
         for x in upper:
             if not isinstance(x, FieldElem) or (x.spec is not spec and x.spec != spec):
                 raise ValueError("entries must be elements of the given field")
+        upper_codes = iter(_coding(spec).encode((upper,))[0])
         self.spec = spec
         self.n = n
-        self.upper = tuple(upper)
+        # the strictly-upper codes fill the block row by row
+        self._codes = tuple(tuple([next(upper_codes) if j > i else int(i == j) for j in range(n)])
+                            for i in range(n))
 
     @staticmethod
-    def _wrap(spec: FieldSpec, n: int, upper: tuple[FieldElem, ...]) -> "UniTriMat":
-        """Wrap the n(n-1)/2 strictly-upper elements of spec, unchecked."""
+    def _wrap(spec: FieldSpec, codes: Block) -> "UniTriMat":
+        """Wrap the code block of a unitriangular matrix over spec, unchecked."""
         u = object.__new__(UniTriMat)
         u.spec = spec
-        u.n = n
-        u.upper = upper
+        u.n = len(codes)
+        u._codes = codes
         return u
-
-    @staticmethod
-    def _of_product(M: MatFq) -> "UniTriMat":
-        """The strictly-upper part of M, a product of unitriangular matrices."""
-        n = M.nrows
-        return UniTriMat._wrap(M.spec, n, tuple(M.rows[i][j] for i in range(n)
-                                                for j in range(i + 1, n)))
 
     @classmethod
     def identity(cls, spec: FieldSpec, n: int) -> "UniTriMat":
-        return cls(spec, n, (spec.zero,) * (n * (n - 1) // 2))
+        return UniTriMat._wrap(spec, _unit_block(n))
 
     @classmethod
     def from_ints(cls, spec: FieldSpec, n: int, upper: Sequence[int]) -> "UniTriMat":
@@ -439,38 +406,34 @@ class UniTriMat:
     def random(cls, spec: FieldSpec, n: int, rng) -> "UniTriMat":
         return cls(spec, n, [spec.random(rng) for _ in range(n * (n - 1) // 2)])
 
-    def entry(self, i: int, j: int) -> FieldElem:
-        if i == j:
-            return self.spec.one
-        if i > j:
-            return self.spec.zero
-        return self.upper[self._pos(i, j)]
-
-    def _pos(self, i: int, j: int) -> int:
-        n = self.n
-        return i * n - i * (i + 1) // 2 + (j - i - 1)
+    @property
+    def upper(self) -> tuple[FieldElem, ...]:
+        dec, spec, X, n = _coding(self.spec).decode, self.spec, self._codes, self.n
+        return tuple(dec(spec, X[i][j]) for i in range(n) for j in range(i + 1, n))
 
     def superdiagonal(self) -> tuple[FieldElem, ...]:
-        return tuple(self.entry(i, i + 1) for i in range(self.n - 1))
+        dec, spec, X = _coding(self.spec).decode, self.spec, self._codes
+        return tuple(dec(spec, X[i][i + 1]) for i in range(self.n - 1))
 
     def to_mat(self) -> MatFq:
-        return MatFq._wrap(self.spec, tuple(tuple(self.entry(i, j) for j in range(self.n))
-                                            for i in range(self.n)))
+        return MatFq._wrap(self.spec, self._codes)
 
     def __matmul__(self, other: "UniTriMat") -> "UniTriMat":
         if not isinstance(other, UniTriMat):
             return NotImplemented
-        return UniTriMat._of_product(self.to_mat() @ other.to_mat())
+        if other.spec != self.spec or other.n != self.n:
+            raise ValueError("unitriangular matrices of different sizes or fields")
+        red = _coding(self.spec).reduce
+        return UniTriMat._wrap(self.spec, _mm(self._codes, other._codes, red))
 
     def inv(self) -> "UniTriMat":
         """Inverse by back substitution on int codes."""
-        code = _coding(self.spec, self.n)
-        return code.unitrimat(self.spec, _tri_inv(code.block(self.to_mat()), code))
+        return UniTriMat._wrap(self.spec, _tri_inv(self._codes, _coding(self.spec)))
 
     def pow(self, e: int) -> "UniTriMat":
         if e < 0:
             return self.inv().pow(-e)
-        return UniTriMat._of_product(self.to_mat().pow(e))
+        return power(self, e, matmul, UniTriMat.identity(self.spec, self.n))
 
     def order(self) -> int:
         """Element order, found along the p-power tower."""
@@ -478,13 +441,11 @@ class UniTriMat:
 
     def __eq__(self, other):
         if isinstance(other, UniTriMat):
-            return (self.spec == other.spec and self.n == other.n
-                    and self.upper == other.upper)
+            return self.spec == other.spec and self._codes == other._codes
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.spec.p, self.spec.n, self.n, self.upper))
+        return hash((self.spec.p, self.spec.n, self._codes))
 
     def __repr__(self):
         return f"UniTriMat(n={self.n}, upper={[x.to_json() for x in self.upper]})"
-

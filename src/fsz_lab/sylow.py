@@ -10,10 +10,18 @@ A `SylowElem` stores L (unit diagonal and zeros included) and A as n x n
 tuples of int codes, and its group law, inverse, powers, equality,
 embedding and index decoding all run on those ints.  The codes and the
 block kernel (`_mm`, `_mm_add`, `_tri_inv`, ...) come from `matrices`, which
-owns the packed format; the coding here is `_coding(spec, 2n)`, sized for the
-longest unreduced sum formed here: 2n products of entries, in L^T B + A M^-1.
-Codes are canonical, so two elements are equal exactly when their codes are.
-`L` and `A` are views that build a UniTriMat and a MatFq on demand.
+owns the packed format; the coding is the field's `_coding(spec)`, the one
+every matrix over it uses, and the longest unreduced sum formed here is 2n
+products, in L^T B + A M^-1.  Codes are canonical, so two elements are
+equal exactly when their codes are.  `L`, `A` and `to_matrix()` wrap the
+element's own codes in a UniTriMat and MatFq and decode nothing, and
+`SylowElem(L, A)` and `from_symmetric` read their arguments' codes.
+
+The symmetry of A L is checked at the boundary only: by `SylowElem(L, A)`,
+which `from_json` calls, and by `from_symmetric` on S.  Products, inverses
+and powers are not re-checked, and neither are the elements built on codes
+(`identity`, `u_witness`, `sylow_from_index`), since each is in the group by
+construction.
 
 The 2n x 2n products of `to_matrix` embeddings stay an independent check of
 the block formulas, although `MatFq @` runs on the same kernel.  No
@@ -35,7 +43,6 @@ inverse of `to_json`.
 
 from __future__ import annotations
 
-from operator import mul
 from typing import Iterable, Iterator
 
 from .cyclotomic import CycNum, e_q
@@ -70,48 +77,43 @@ def _check_blocks(L: UniTriMat, X: MatFq, name: str = "A") -> None:
 class SylowElem:
     """(L, A) with A L symmetric; embeds as [[L^T, A], [0, L^-1]].
 
-    Construction validates the symmetry constraint: building an invalid pair
-    directly is a hard error, and every element an operation returns passes
-    the same check.  Use :meth:`from_symmetric` to pick A from the free data
-    S = A L.
+    The constructor validates the symmetry constraint: building an invalid
+    pair directly is a hard error.  Elements that operations return are in
+    the group by construction and are not re-checked.  Use
+    :meth:`from_symmetric` to pick A from the free data S = A L.
     """
 
     __slots__ = ("spec", "n", "_code", "_L", "_A")
 
     def __init__(self, L: UniTriMat, A: MatFq):
         _check_blocks(L, A)
-        code = _coding(L.spec, 2 * L.n)
-        self._init(L.spec, code, code.block(L.to_mat()), code.block(A))
+        code = _coding(L.spec)
+        S = _mm(A._codes, L._codes, code.reduce)
+        if S != _transpose(S):
+            raise ValueError("A L must be symmetric")
+        self._init(L.spec, code, L._codes, A._codes)
 
     def _init(self, spec: FieldSpec, code: _Coding, L: Block, A: Block) -> None:
-        n = len(L)
-        red = code.reduce
-        cols = list(zip(*L))
-        for i in range(n - 1):
-            Ai = A[i]
-            for j in range(i + 1, n):
-                if red(sum(map(mul, Ai, cols[j]))) != red(sum(map(mul, A[j], cols[i]))):
-                    raise ValueError("A L must be symmetric")
         self.spec = spec
-        self.n = n
+        self.n = len(L)
         self._code = code
         self._L = L
         self._A = A
 
     @classmethod
     def _from_codes(cls, spec: FieldSpec, code: _Coding, L: Block, A: Block) -> "SylowElem":
-        """The element with int-coded blocks L and A; raises unless A L is symmetric."""
+        """The element with int-coded blocks L and A, A L symmetric; unchecked."""
         x = object.__new__(cls)
         x._init(spec, code, L, A)
         return x
 
     @property
     def L(self) -> UniTriMat:
-        return self._code.unitrimat(self.spec, self._L)
+        return UniTriMat._wrap(self.spec, self._L)
 
     @property
     def A(self) -> MatFq:
-        return self._code.matfq(self.spec, self._A)
+        return MatFq._wrap(self.spec, self._A)
 
     def corner(self) -> FieldElem:
         """A[0, 0]."""
@@ -119,12 +121,11 @@ class SylowElem:
 
     def superdiagonal(self) -> tuple[FieldElem, ...]:
         """(L[0, 1], L[1, 2], ..., L[n-2, n-1])."""
-        dec, spec, L = self._code.decode, self.spec, self._L
-        return tuple(dec(spec, L[i][i + 1]) for i in range(self.n - 1))
+        return self.L.superdiagonal()
 
     @classmethod
     def identity(cls, spec: FieldSpec, n: int) -> "SylowElem":
-        return cls._from_codes(spec, _coding(spec, 2 * n), _unit_block(n), ((0,) * n,) * n)
+        return cls._from_codes(spec, _coding(spec), _unit_block(n), ((0,) * n,) * n)
 
     @classmethod
     def from_symmetric(cls, L: UniTriMat, S: MatFq) -> "SylowElem":
@@ -132,10 +133,9 @@ class SylowElem:
         _check_blocks(L, S, "S")
         if not S.is_symmetric():
             raise ValueError("S must be symmetric")
-        code = _coding(L.spec, 2 * L.n)
-        Lc = code.block(L.to_mat())
-        return cls._from_codes(L.spec, code, Lc,
-                               _mm(code.block(S), _tri_inv(Lc, code), code.reduce))
+        code = _coding(L.spec)
+        return cls._from_codes(L.spec, code, L._codes,
+                               _mm(S._codes, _tri_inv(L._codes, code), code.reduce))
 
     def to_matrix(self) -> MatFq:
         """The 2n x 2n embedding [[L^T, A], [0, L^-1]]."""
@@ -143,12 +143,12 @@ class SylowElem:
         zero = (0,) * n
         top = [lt + a for lt, a in zip(_transpose(self._L), self._A)]
         bottom = [zero + r for r in _tri_inv(self._L, code)]
-        return code.matfq(self.spec, top + bottom)
+        return MatFq._wrap(self.spec, tuple(top + bottom))
 
     def __mul__(self, other: "SylowElem") -> "SylowElem":
         if not isinstance(other, SylowElem):
             return NotImplemented
-        if other._code is not self._code:
+        if other._code is not self._code or other.n != self.n:
             raise ValueError("elements of different block groups")
         # [[L^T,A],[0,L^-1]] [[M^T,B],[0,M^-1]] = [[(ML)^T, L^T B + A M^-1],[0,(ML)^-1]],
         # the upper right as one product [L^T | A] @ [B ; M^-1]
@@ -274,9 +274,8 @@ def y_map(L: UniTriMat, k: int, A: MatFq) -> MatFq:
     Linear in A; the zero map whenever the order of L is below p^k.
     """
     _check_blocks(L, A)
-    code = _coding(L.spec, 2 * L.n)
-    T, _ = twisted_sum(code.block(L.to_mat()), code.block(A), L.spec.p ** k, code.reduce)
-    return code.matfq(L.spec, T)
+    T, _ = twisted_sum(L._codes, A._codes, L.spec.p ** k, _coding(L.spec).reduce)
+    return MatFq._wrap(L.spec, T)
 
 
 def square_product(spec: FieldSpec, entries: Iterable[FieldElem]) -> FieldElem:
@@ -339,7 +338,7 @@ def u_witness(spec: FieldSpec, n: int) -> SylowElem:
     characterization of products against that of the elements themselves.
     Built on codes: L = I + E_01 has inverse I - E_01, so A = E_00 - E_01.
     """
-    code = _coding(spec, 2 * n)
+    code = _coding(spec)
     L = [list(r) for r in _unit_block(n)]
     L[0][1] = 1
     A = [[0] * n for _ in range(n)]
@@ -377,7 +376,7 @@ def sylow_from_index(spec: FieldSpec, n: int, idx: int) -> SylowElem:
         si, d = divmod(si, q)
         sym_digits.append(d)
     sym_digits.reverse()
-    code = _coding(spec, 2 * n)
+    code = _coding(spec)
     L = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     S = [[0] * n for _ in range(n)]
     upper = iter(upper_digits)

@@ -30,6 +30,7 @@ UNREFERENCED_BY_DESIGN = {
     "matrices.MatFq.from_ints": "test constructor of a matrix from integer rows",
     "matrices.MatFq.zeros": "test constructor of the zero matrix",
     "matrices.UniTriMat.from_ints": "test constructor of a unitriangular matrix from integers",
+    "matrices.UniTriMat.to_mat": "the tests' view of L as a matrix, sharing its codes",
     "fields.QuadraticResidues._from_iterable": "the Set hook that &, |, - and ^ call",
 }
 

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from fsz_lab import cli, fsz
 from fsz_lab.cyclotomic import CycNum
-from fsz_lab.fields import FieldElem, field, field_for_order
+from fsz_lab.fields import FieldElem, FieldSpec, field, field_for_order
 from fsz_lab.matrices import MatFq, UniTriMat
 from fsz_lab.residues import FiberCountQuery, trace_fiber_qr_count
 from fsz_lab.fsz import (
@@ -152,7 +152,7 @@ class TestSolve:
                     continue
                 w = t.d_elem() / x
                 first = next(y for y in spec.elements() if y * y == w)
-                assert solve_pth_power(t, x).L.entry(0, 1) == first
+                assert solve_pth_power(t, x).L.to_mat().rows[0][1] == first
 
 
 def verify_sample(t, rng, k):
@@ -191,6 +191,13 @@ class TestSolutionCounts:
         # conversely, nothing outside the set powers to g
         hit = sum(1 for x in group if x.pow(3) == t.g)
         assert hit == len(sols)
+
+    def test_identity_row_at_n_365(self):
+        # identity, U and g are built on codes, so no O(n^3) symmetry check runs
+        report = fsz_test_at(3, 3, 6)
+        assert report.rows[0].u_name == "identity"
+        expected = count_solutions(make_target(3, 3, 6, 1))
+        assert dict(report.rows[0].counts) == {1: expected, 2: expected}
 
     def test_characterization_sample_check(self):
         t = make_target(5, 5, 1, 2)
@@ -722,6 +729,29 @@ class TestClosedBeta:
         t = make_target(5, 125, 1, 2)
         assert len(beta_linear_batch([z for z in t.spec.elements() if z], t)) == 124
         assert len(calls) == 2
+
+    @pytest.mark.parametrize("p,q", [(5, 25), (3, 27)])
+    def test_every_unit_reads_the_square_mask(self, p, q, monkeypatch):
+        t = make_target(p, q, 1, 2)
+        units = list(t.spec.units())
+        one_by_one = [beta_linear(z, t) for z in units]
+        calls = []
+        legendre = FieldElem.legendre
+
+        def counting(x):
+            calls.append(x)
+            return legendre(x)
+
+        monkeypatch.setattr(FieldElem, "legendre", counting)
+        assert beta_linear_batch(units, t) == one_by_one
+        assert calls == [t.d_elem()]
+
+    def test_one_zparam_builds_no_square_mask(self, monkeypatch):
+        t = make_target(5, 25, 1, 1)
+        expected = beta_linear(t.spec.from_index(7), t)
+        monkeypatch.setattr(FieldSpec, "qr_set", lambda spec: pytest.fail("square mask built"))
+        assert beta_linear(t.spec.from_index(7), t) == expected
+        assert len(beta_linear_batch(list(t.spec.units())[:5], t)) == 5
 
     def test_beta_route_reaches_no_count_route_function(self):
         # the betas are the count's second route, so they must not run the

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from fsz_lab.centralizer import random_symplectic
 from fsz_lab.fields import FieldElem, FieldSpec, field, field_for_order, split_prime_power
-from fsz_lab.matrices import MatFq, UniTriMat, _coding, _transpose, is_symplectic
+from fsz_lab.matrices import MAX_TERMS, MatFq, UniTriMat, _coding, _transpose, is_symplectic
+from fsz_lab.sylow import sylow_from_index
 
 
 # -- oracles: entry arithmetic through FieldElem, one term at a time ------------------
@@ -69,7 +70,7 @@ def unitri_power_entry(L: UniTriMat, m: int, i: int, j: int) -> FieldElem:
     entries it traverses (diagonal steps contribute 1).  Independent of the
     matrix-multiplication route, so it serves as an oracle for small m.
     """
-    spec = L.spec
+    spec, rows = L.spec, L.to_mat().rows
     if i > j:
         return spec.zero
     if m == 0:
@@ -79,7 +80,7 @@ def unitri_power_entry(L: UniTriMat, m: int, i: int, j: int) -> FieldElem:
         path = (i,) + middle + (j,)
         prod = spec.one
         for a in range(m):
-            prod = prod * L.entry(path[a], path[a + 1])
+            prod = prod * rows[path[a]][path[a + 1]]
             if prod.is_zero():
                 break
         total = total + prod
@@ -163,6 +164,27 @@ class TestIntegerArithmetic:
         spec.one * spec.one
         assert calls == [1]
 
+    @pytest.mark.parametrize("q", [9, 125])
+    def test_longest_sum_fits_the_slots(self, q):
+        # 2^16 products with every coefficient p - 1 fill each slot to its bound
+        spec = field_for_order(q)
+        top = spec.from_index(q - 1)
+        row = MatFq(spec, [[top] * MAX_TERMS])
+        col = MatFq(spec, [[top]] * MAX_TERMS)
+        expected = spec.zero
+        for _ in range(MAX_TERMS):
+            expected = expected + top * top
+        assert (row @ col).rows == ((expected,),)
+
+    def test_longer_sum_refused(self):
+        spec = field(3, 2)
+        with pytest.raises(ValueError, match="inner dimension"):
+            MatFq.zeros(spec, 1, MAX_TERMS + 1) @ MatFq.zeros(spec, MAX_TERMS + 1, 1)
+
+    def test_equal_fields_share_one_coding(self):
+        assert _coding(FieldSpec(5, 2)) is _coding(field(5, 2))
+        assert _coding(field(5, 2)) is not _coding(field(5, 3))
+
     def test_equal_spec_instances_are_one_field(self):
         fresh = FieldSpec(5)
         A = MatFq(fresh, [[fresh.elem(2), fresh.elem(3)]])
@@ -188,10 +210,10 @@ class TestMatFq:
     def test_double_transpose(self):
         spec = field(7)
         M = MatFq.from_ints(spec, [[1, 2, 3], [0, 4, 5]])
-        code = _coding(spec, 3)
-        T = _transpose(code.block(M))
-        assert code.matfq(spec, T) == MatFq.from_ints(spec, [[1, 0], [2, 4], [3, 5]])
-        assert code.matfq(spec, _transpose(T)) == M
+        code = _coding(spec)
+        T = _transpose(code.encode(M.rows))
+        assert T == code.encode(MatFq.from_ints(spec, [[1, 0], [2, 4], [3, 5]]).rows)
+        assert _transpose(T) == code.encode(M.rows)
 
     def test_inverse(self):
         spec = field(5)
@@ -208,14 +230,6 @@ class TestMatFq:
         A = MatFq.from_ints(spec, [[1, 2]])
         with pytest.raises(ValueError):
             A @ A
-
-    def test_pow_matches_repeated_product(self):
-        spec = field(3)
-        M = MatFq.from_ints(spec, [[1, 1, 0], [0, 1, 2], [0, 0, 1]])
-        acc = MatFq.identity(spec, 3)
-        for e in range(7):
-            assert M.pow(e) == acc
-            acc = acc @ M
 
     def test_equality_needs_the_same_field_and_shape(self):
         assert MatFq.identity(field(5), 3) != MatFq.identity(field(7), 3)
@@ -304,9 +318,35 @@ class TestUniTri:
         for q in (5, 9, 27):
             L = UniTriMat.random(field_for_order(q), 6, random.Random(q))
             L.inv()
+            L @ L
         assert calls == []
-        L @ L
+        L.to_mat() @ L.to_mat()
         assert calls == [1]
+
+    def test_products_of_different_groups_rejected(self):
+        with pytest.raises(ValueError):
+            UniTriMat.identity(field(5), 3) @ UniTriMat.identity(field(5), 2)
+        with pytest.raises(ValueError):
+            UniTriMat.identity(field(5), 2) @ UniTriMat.identity(field(3), 2)
+
+    def test_block_views_construct_no_field_element(self, monkeypatch):
+        rng = random.Random(3)
+        cases = [(UniTriMat.random(field_for_order(q), 4, rng), sylow_from_index(
+            field_for_order(q), 3, rng.randrange(q ** 9))) for q in (5, 9)]
+        calls = []
+        original = FieldElem.__init__
+
+        def counting(self, spec, coeffs):
+            calls.append(1)
+            original(self, spec, coeffs)
+
+        monkeypatch.setattr(FieldElem, "__init__", counting)
+        for L, x in cases:
+            L.inv(), L.pow(7), L.pow(-3), L.order()
+            x.L, x.A, x.to_matrix(), x.L.to_mat()
+        assert calls == []
+        x.A.rows
+        assert calls
 
     @pytest.mark.parametrize(
         "n,q,expected", [(3, 5, 5), (6, 5, 25), (1, 7, 1), (3, 3, 3), (9, 3, 9), (10, 3, 27)]

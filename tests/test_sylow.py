@@ -38,10 +38,11 @@ def sylow_embed_small(x: SylowElem, n_target: int) -> SylowElem:
         raise ValueError("target size must not shrink the element")
     if n_target == n0:
         return x
+    L_rows = x.L.to_mat().rows
     L_entries = []
     for i in range(n_target):
         for j in range(i + 1, n_target):
-            L_entries.append(x.L.entry(i, j) if i < n0 and j < n0 else spec.zero)
+            L_entries.append(L_rows[i][j] if i < n0 and j < n0 else spec.zero)
     L = UniTriMat(spec, n_target, L_entries)
     A = MatFq(spec, [
         [x.A.rows[i][j] if i < n0 and j < n0 else spec.zero for j in range(n_target)]
@@ -187,8 +188,10 @@ class TestIntCore:
     def test_powers_match_embedding(self, q, n, data):
         x = draw_elem(data, q, n)
         mat = x.to_matrix()
+        acc = MatFq.identity(x.spec, 2 * n)
         for j in range(x.spec.p ** 2 + 1):
-            assert x.pow(j).to_matrix() == mat.pow(j)
+            assert x.pow(j).to_matrix() == acc
+            acc = acc @ mat
 
     @pytest.mark.parametrize("q,n", GROUPS)
     @settings(max_examples=10, deadline=None, derandomize=True)
@@ -215,13 +218,16 @@ class TestIntCore:
             x * y, x.inv(), x.pow(7), x.pow(-3)
         assert calls == []
 
-    def test_internal_constructor_checks_symmetry(self):
+    def test_constructor_and_from_json_refuse_the_same_pair(self):
+        # symmetry is checked where input enters, not on the codes operations build
         spec = field(5)
         u = u_witness(spec, 3)
-        L = u._L
-        with pytest.raises(ValueError):
-            SylowElem._from_codes(spec, u._code, L, ((1, 0, 0), (0, 0, 0), (0, 0, 0)))
-        assert SylowElem._from_codes(spec, u._code, L, u._A) == u
+        bad = MatFq.from_ints(spec, [[1, 0, 0], [0, 0, 0], [0, 0, 0]])  # A L = E00 + E01
+        with pytest.raises(ValueError, match="symmetric"):
+            SylowElem(u.L, bad)
+        with pytest.raises(ValueError, match="symmetric"):
+            SylowElem.from_json(spec, 3, dict(u.to_json(), A=bad.to_json()["rows"]))
+        assert SylowElem(u.L, u.A) == u == SylowElem.from_json(spec, 3, u.to_json())
 
     def test_mixed_groups_rejected(self):
         with pytest.raises(ValueError):

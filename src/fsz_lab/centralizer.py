@@ -19,6 +19,12 @@ and read by every commutation test.
 Random symplectic matrices are products of transvections, each applied as
 a rank-one update on the int codes of `matrices`.
 
+Matrices are built and read on those codes: the section and the kernel
+parametrization place codes, and `pi`, `centralizer_pattern` and
+`CentElem.lam` read them (`lam` decodes its one entry).  Validation stays
+where input enters: `CentElem` checks every matrix it is built from, and
+`kernel_element` checks that its free entries belong to the target's field.
+
 The ambient center {+-I} lies inside the centralizer and projects onto the
 sign factor (pi(-I) = (-I, -1)), so statements about the projective quotient
 need no machinery of their own.
@@ -31,7 +37,7 @@ from typing import Sequence
 
 from .fields import FieldElem, FieldSpec
 from .fsz import PthPowerTarget
-from .matrices import MatFq, _coding, _neg, is_symplectic
+from .matrices import MatFq, _coding, _encode_checked, _neg, _unit_block, is_symplectic
 
 
 class CentElem:
@@ -55,8 +61,8 @@ class CentElem:
 
     @property
     def lam(self) -> FieldElem:
-        n = self.target.n
-        return self.mat.rows[n - 1][n - 1]
+        spec, n = self.mat.spec, self.target.n
+        return _coding(spec).decode(spec, self.mat._codes[n - 1][n - 1])
 
     def __mul__(self, other: "CentElem") -> "CentElem":
         if not isinstance(other, CentElem):
@@ -88,13 +94,10 @@ def centralizer_pattern(M: MatFq, target: PthPowerTarget) -> bool:
     two_n = 2 * n
     if M.nrows != two_n or M.ncols != two_n:
         raise ValueError(f"expected a {two_n} x {two_n} matrix")
-    for i in range(two_n):
-        if i != n - 1 and not M.rows[i][n - 1].is_zero():
-            return False
-    for j in range(two_n):
-        if j != two_n - 1 and not M.rows[two_n - 1][j].is_zero():
-            return False
-    return M.rows[n - 1][n - 1] == M.rows[two_n - 1][two_n - 1]
+    C = M._codes  # zero is code 0
+    if any(C[i][n - 1] for i in range(two_n) if i != n - 1) or any(C[-1][:-1]):
+        return False
+    return C[n - 1][n - 1] == C[-1][-1]
 
 
 def is_in_centralizer(M: MatFq, target: PthPowerTarget, method: str) -> bool:
@@ -110,15 +113,6 @@ def is_in_centralizer(M: MatFq, target: PthPowerTarget, method: str) -> bool:
     raise ValueError(f"unknown method {method!r}")
 
 
-def _lambda_sign(lam: FieldElem) -> int:
-    spec = lam.spec
-    if lam == spec.one:
-        return 1
-    if lam == -spec.one:
-        return -1
-    raise ValueError("corner scalar is not +-1")
-
-
 def pi(M: CentElem, target: PthPowerTarget) -> tuple[MatFq, int]:
     """Project a centralizer element to (Sp_(2n-2)(q), +-1) by block extraction."""
     mat, n = M.mat, target.n
@@ -126,7 +120,12 @@ def pi(M: CentElem, target: PthPowerTarget) -> tuple[MatFq, int]:
     image = mat.submatrix(outer, outer)
     if not is_symplectic(image):
         raise AssertionError("projected block is not symplectic")
-    return image, _lambda_sign(mat.rows[n - 1][n - 1])
+    lam = mat._codes[n - 1][n - 1]
+    if lam == 1:
+        return image, 1
+    if lam == _coding(mat.spec).minus_one:
+        return image, -1
+    raise ValueError("corner scalar is not +-1")
 
 
 def pi_section(S: MatFq, lam: int, target: PthPowerTarget) -> CentElem:
@@ -136,19 +135,18 @@ def pi_section(S: MatFq, lam: int, target: PthPowerTarget) -> CentElem:
     if not is_symplectic(S):
         raise ValueError("section input must be symplectic")
     spec, n = target.spec, target.n
-    k = S.nrows // 2
-    if S.nrows != 2 * n - 2:
-        raise ValueError(f"section input must have dimension {2 * n - 2}")
-    lam_elem = spec.elem(lam)
-    rows = [[spec.zero] * (2 * n) for _ in range(2 * n)]
-    for bi, src_rows in enumerate((range(k), range(k, 2 * k))):
-        for bj, src_cols in enumerate((range(k), range(k, 2 * k))):
-            for ri, si in enumerate(src_rows):
-                for rj, sj in enumerate(src_cols):
-                    rows[bi * n + ri][bj * n + rj] = S.rows[si][sj]
-    rows[n - 1][n - 1] = lam_elem
-    rows[2 * n - 1][2 * n - 1] = lam_elem
-    return CentElem(MatFq(spec, rows), target)
+    k = n - 1
+    if S.nrows != 2 * k:
+        raise ValueError(f"section input must have dimension {2 * k}")
+    if S.spec is not spec and S.spec != spec:
+        raise ValueError("section input must be over the target's field")
+    # S's blocks fill rows and columns 0..k-1 and n..n+k-1; lam sits at
+    # (k, k) and at the last corner, the rest of those two rows and columns is 0
+    c = 1 if lam == 1 else _coding(spec).minus_one
+    inner = [r[:k] + (0,) + r[k:] + (0,) for r in S._codes]
+    rows = (inner[:k] + [(0,) * k + (c,) + (0,) * n]
+            + inner[k:] + [(0,) * (2 * n - 1) + (c,)])
+    return CentElem(MatFq._wrap(spec, tuple(rows)), target)
 
 
 def kernel_element(
@@ -167,17 +165,16 @@ def kernel_element(
     spec, n = target.spec, target.n
     if len(x) != n - 1 or len(a_col) != n - 1:
         raise ValueError(f"expected {n - 1} entries in x and a_col")
-    rows = [
-        [spec.one if i == j else spec.zero for j in range(2 * n)] for i in range(2 * n)
-    ]
-    for k, v in enumerate(x):
-        rows[n - 1][k] = v
-        rows[n + k][2 * n - 1] = -v
-    for k, v in enumerate(a_col):
-        rows[k][2 * n - 1] = v
-        rows[n - 1][n + k] = v
-    rows[n - 1][2 * n - 1] = a_corner
-    return CentElem(MatFq(spec, rows), target)
+    xc, ac, (corner,) = _encode_checked(spec, (x, a_col, (a_corner,)))
+    code = _coding(spec)
+    red, m1 = code.reduce, code.minus_one
+    rows = [list(r) for r in _unit_block(2 * n)]
+    for k in range(n - 1):
+        rows[n - 1][k] = xc[k]
+        rows[n + k][-1] = red(m1 * xc[k])
+        rows[k][-1] = rows[n - 1][n + k] = ac[k]
+    rows[n - 1][-1] = corner
+    return CentElem(MatFq._wrap(spec, tuple(map(tuple, rows))), target)
 
 
 def kernel_order_check(K: CentElem) -> bool:

@@ -574,14 +574,22 @@ class FieldElem:
         return acc.coeffs[0]
 
     def legendre(self) -> int:
-        """Quadratic residue symbol: 0 at zero, +1 on nonzero squares, -1 otherwise."""
+        """Quadratic residue symbol: 0 at zero, +1 on nonzero squares, -1 otherwise.
+
+        Reads what the field already holds, and builds neither the tables
+        nor the square mask: the parity of the log, else the mask of
+        `qr_set()`, else Euler's criterion, on the int itself over GF(p).
+        """
         if self.is_zero():
             return 0
         spec = self.spec
         t = spec._tables
         if t is not None:
             return -1 if t["log"][self.index()] % 2 else 1
-        # Euler's criterion on the coefficient list
+        if spec._qr is not None:
+            return 1 if spec._qr.mask[self.index()] else -1
+        if spec.n == 1:
+            return 1 if pow(self.coeffs[0], (spec.p - 1) // 2, spec.p) == 1 else -1
         e = _ppowmod(list(self.coeffs), (spec.q - 1) // 2, spec.modulus, spec.p)
         return 1 if e == [1] else -1
 

@@ -19,10 +19,8 @@ FieldElem appears only at the edges.  `MatFq(spec, rows)` and
 inverses, powers, equality and hashing) runs on the codes.
 
 All indices in this package are 0-based.  The symplectic membership test
-checks the defining block identity directly, with one full product on the
-codes of M: writing M in n x n blocks [[X, A], [B, Y]], M is symplectic iff
-
-    M @ [[Y^T, -A^T], [-B^T, X^T]] == I.
+checks M Omega M^T == Omega for Omega = [[0, I], [-I, 0]] on the codes of M,
+above the diagonal only (see `is_symplectic`).
 
 UniTriMat wraps the group UT(n, q) of upper triangular matrices with unit
 diagonal, whose exponent is p^ceil(log_p n); element orders are computed by
@@ -127,6 +125,15 @@ def _coding(spec: FieldSpec) -> _Coding:
     return code
 
 
+def _encode_checked(spec: FieldSpec, rows) -> Block:
+    """The codes of rows of FieldElem over spec; any other entry raises ValueError."""
+    for r in rows:
+        for x in r:
+            if not isinstance(x, FieldElem) or (x.spec is not spec and x.spec != spec):
+                raise ValueError("entries must be elements of the given field")
+    return _coding(spec).encode(rows)
+
+
 # -- block arithmetic on int codes ---------------------------------------------------
 #
 # Every function returns reduced codes; `red` is the coding's reduction.
@@ -194,14 +201,10 @@ class MatFq:
     def __init__(self, spec: FieldSpec, rows):
         rows = tuple(tuple(r) for r in rows)
         width = len(rows[0]) if rows else 0
-        for r in rows:
-            if len(r) != width:
-                raise ValueError("ragged rows")
-            for x in r:
-                if not isinstance(x, FieldElem) or (x.spec is not spec and x.spec != spec):
-                    raise ValueError("entries must be elements of the given field")
+        if any(len(r) != width for r in rows):
+            raise ValueError("ragged rows")
         self.spec = spec
-        self._codes = _coding(spec).encode(rows)
+        self._codes = _encode_checked(spec, rows)
         self._rows = rows
 
     @staticmethod
@@ -345,8 +348,17 @@ class MatFq:
 
 
 def is_symplectic(M: MatFq) -> bool:
-    """Block test: M [[Y^T, -A^T], [-B^T, X^T]] == I for the n x n blocks of M,
-    one product on int codes."""
+    """M Omega M^T == Omega for Omega = [[0, I], [-I, 0]], checked above the
+    diagonal on int codes.
+
+    K = M Omega M^T is antisymmetric for every M, since Omega^T = -Omega, and
+    so is Omega.  An antisymmetric matrix over odd characteristic has a zero
+    diagonal and is fixed by its upper triangle, so M is symplectic iff K
+    equals Omega in the m(m - 1)/2 entries above the diagonal.  Writing row i
+    of M as (x_i, y_i) in halves, K[i][j] = x_i . y_j - y_i . x_j, which is
+    one dot product of (x_i, -y_i) with (y_j, x_j).  The test returns at the
+    first entry that differs.
+    """
     m = M.nrows
     if m != M.ncols or m % 2:
         raise ValueError("even-dimensional square matrix required")
@@ -354,12 +366,14 @@ def is_symplectic(M: MatFq) -> bool:
     code = _coding(M.spec)
     red, m1 = code.reduce, code.minus_one
     C = M._codes
-    # M^T = [[X^T, B^T], [A^T, Y^T]]: the partner swaps its block rows and
-    # block columns and negates the blocks that land off the diagonal
-    T = _transpose(C)
-    partner = ([r[n:] + tuple([red(m1 * v) for v in r[:n]]) for r in T[n:]]
-               + [tuple([red(m1 * v) for v in r[n:]]) + r[:n] for r in T[:n]])
-    return _mm(C, partner, red) == _unit_block(m)
+    swapped = [r[n:] + r[:n] for r in C]
+    for i in range(m - 1):
+        r = C[i]
+        left = r[:n] + tuple([red(m1 * v) for v in r[n:]])
+        for j in range(i + 1, m):
+            if red(sum(map(mul, left, swapped[j]))) != (j == i + n):
+                return False
+    return True
 
 
 class UniTriMat:
@@ -375,10 +389,7 @@ class UniTriMat:
     def __init__(self, spec: FieldSpec, n: int, upper: Sequence[FieldElem]):
         if len(upper) != n * (n - 1) // 2:
             raise ValueError(f"expected {n * (n - 1) // 2} strictly-upper entries")
-        for x in upper:
-            if not isinstance(x, FieldElem) or (x.spec is not spec and x.spec != spec):
-                raise ValueError("entries must be elements of the given field")
-        upper_codes = iter(_coding(spec).encode((upper,))[0])
+        upper_codes = iter(_encode_checked(spec, (upper,))[0])
         self.spec = spec
         self.n = n
         # the strictly-upper codes fill the block row by row

@@ -17,6 +17,15 @@ equal exactly when their codes are.  `L`, `A` and `to_matrix()` wrap the
 element's own codes in a UniTriMat and MatFq and decode nothing, and
 `SylowElem(L, A)` and `from_symmetric` read their arguments' codes.
 
+An element also carries L^-1, computed at most once: by the first of
+`to_matrix()`, `inv()` or a product with the element on the right that
+needs it, unless the operation that built the element already had it.
+`pow` stores the inverse of L^j it forms for L^(1-j), `inv()` stores the old
+L, `sylow_from_index` and `from_symmetric` store the inverse they form for
+A = S L^-1, and `identity` stores I.  A product leaves its L uninverted
+until one of those reads it.  Equality, hashing, `to_json` and `index` read
+L and A only.
+
 The symmetry of A L is checked at the boundary only: by `SylowElem(L, A)`,
 which `from_json` calls, and by `from_symmetric` on S.  Products, inverses
 and powers are not re-checked, and neither are the elements built on codes
@@ -83,7 +92,7 @@ class SylowElem:
     :meth:`from_symmetric` to pick A from the free data S = A L.
     """
 
-    __slots__ = ("spec", "n", "_code", "_L", "_A")
+    __slots__ = ("spec", "n", "_code", "_L", "_A", "_Linv")
 
     def __init__(self, L: UniTriMat, A: MatFq):
         _check_blocks(L, A)
@@ -93,19 +102,31 @@ class SylowElem:
             raise ValueError("A L must be symmetric")
         self._init(L.spec, code, L._codes, A._codes)
 
-    def _init(self, spec: FieldSpec, code: _Coding, L: Block, A: Block) -> None:
+    def _init(self, spec: FieldSpec, code: _Coding, L: Block, A: Block,
+              Linv: Block | None = None) -> None:
         self.spec = spec
         self.n = len(L)
         self._code = code
         self._L = L
         self._A = A
+        self._Linv = Linv
 
     @classmethod
-    def _from_codes(cls, spec: FieldSpec, code: _Coding, L: Block, A: Block) -> "SylowElem":
-        """The element with int-coded blocks L and A, A L symmetric; unchecked."""
+    def _from_codes(cls, spec: FieldSpec, code: _Coding, L: Block, A: Block,
+                    Linv: Block | None = None) -> "SylowElem":
+        """The element with int-coded blocks L and A, A L symmetric; unchecked.
+
+        Linv, when given, must be L^-1.
+        """
         x = object.__new__(cls)
-        x._init(spec, code, L, A)
+        x._init(spec, code, L, A, Linv)
         return x
+
+    def _linv(self) -> Block:
+        """L^-1, inverted on first use and kept."""
+        if self._Linv is None:
+            self._Linv = _tri_inv(self._L, self._code)
+        return self._Linv
 
     @property
     def L(self) -> UniTriMat:
@@ -125,7 +146,8 @@ class SylowElem:
 
     @classmethod
     def identity(cls, spec: FieldSpec, n: int) -> "SylowElem":
-        return cls._from_codes(spec, _coding(spec), _unit_block(n), ((0,) * n,) * n)
+        I = _unit_block(n)
+        return cls._from_codes(spec, _coding(spec), I, ((0,) * n,) * n, I)
 
     @classmethod
     def from_symmetric(cls, L: UniTriMat, S: MatFq) -> "SylowElem":
@@ -134,15 +156,14 @@ class SylowElem:
         if not S.is_symmetric():
             raise ValueError("S must be symmetric")
         code = _coding(L.spec)
-        return cls._from_codes(L.spec, code, L._codes,
-                               _mm(S._codes, _tri_inv(L._codes, code), code.reduce))
+        Linv = _tri_inv(L._codes, code)
+        return cls._from_codes(L.spec, code, L._codes, _mm(S._codes, Linv, code.reduce), Linv)
 
     def to_matrix(self) -> MatFq:
         """The 2n x 2n embedding [[L^T, A], [0, L^-1]]."""
-        code, n = self._code, self.n
-        zero = (0,) * n
+        zero = (0,) * self.n
         top = [lt + a for lt, a in zip(_transpose(self._L), self._A)]
-        bottom = [zero + r for r in _tri_inv(self._L, code)]
+        bottom = [zero + r for r in self._linv()]
         return MatFq._wrap(self.spec, tuple(top + bottom))
 
     def __mul__(self, other: "SylowElem") -> "SylowElem":
@@ -156,7 +177,7 @@ class SylowElem:
         red = code.reduce
         L, A, M, B = self._L, self._A, other._L, other._A
         left = [lt + a for lt, a in zip(_transpose(L), A)]
-        right = B + _tri_inv(M, code)
+        right = B + other._linv()
         return SylowElem._from_codes(self.spec, code, _mm(M, L, red), _mm(left, right, red))
 
     def inv(self) -> "SylowElem":
@@ -164,9 +185,9 @@ class SylowElem:
         code = self._code
         red = code.reduce
         L = self._L
-        Linv = _tri_inv(L, code)
+        Linv = self._linv()
         new_A = _mm(_neg(_transpose(Linv), code), _mm(self._A, L, red), red)
-        return SylowElem._from_codes(self.spec, code, Linv, new_A)
+        return SylowElem._from_codes(self.spec, code, Linv, new_A, L)
 
     def pow(self, j: int) -> "SylowElem":
         """Closed-form j-th power; agrees with repeated multiplication."""
@@ -179,8 +200,9 @@ class SylowElem:
         L = self._L
         T, Lj = twisted_sum(L, self._A, j, red)
         # L^(1-j) = (L^j)^-1 L
-        new_A = _mm(T, _mm(_tri_inv(Lj, code), L, red), red)
-        return SylowElem._from_codes(self.spec, code, Lj, new_A)
+        Ljinv = _tri_inv(Lj, code)
+        new_A = _mm(T, _mm(Ljinv, L, red), red)
+        return SylowElem._from_codes(self.spec, code, Lj, new_A, Ljinv)
 
     def order(self) -> int:
         """Element order along the p-power tower."""
@@ -387,8 +409,8 @@ def sylow_from_index(spec: FieldSpec, n: int, idx: int) -> SylowElem:
         for j in range(i, n):
             S[i][j] = S[j][i] = code.from_index(next(sym))
     Lc = tuple(map(tuple, L))
-    A = _mm(S, _tri_inv(Lc, code), code.reduce)
-    return SylowElem._from_codes(spec, code, Lc, A)
+    Linv = _tri_inv(Lc, code)
+    return SylowElem._from_codes(spec, code, Lc, _mm(S, Linv, code.reduce), Linv)
 
 
 def enumerate_sylow(

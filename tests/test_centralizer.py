@@ -6,7 +6,7 @@ from operator import matmul
 import pytest
 
 from fsz_lab import centralizer as cz
-from fsz_lab.fields import field, power
+from fsz_lab.fields import FieldElem, field, power
 from fsz_lab.fsz import make_target
 from fsz_lab.matrices import MatFq, is_symplectic
 from fsz_lab.sylow import SylowElem
@@ -197,6 +197,68 @@ class TestKernel:
         for s in range(2, 6):
             acc = acc @ K.mat
             assert acc == I + (K.mat - I) * target.spec.elem(s)
+
+
+class TestCodeBuilders:
+    """The section, the kernel parametrization, pi and the pattern test place and
+    read int codes; the matrices they build equal the FieldElem-built ones."""
+
+    def test_builders_and_readers_construct_no_field_element(self, target, monkeypatch):
+        rng = random.Random(101)
+        spec = target.spec
+        inputs = [(cz.random_symplectic(spec, 4, rng), lam, [spec.random(rng) for _ in range(5)])
+                  for lam in (1, -1)]
+        others = [cz.random_symplectic(spec, 6, rng) for _ in range(5)]
+        calls = []
+        original = FieldElem.__init__
+
+        def counting(self, spec, coeffs):
+            calls.append(1)
+            original(self, spec, coeffs)
+
+        monkeypatch.setattr(FieldElem, "__init__", counting)
+        for S, lam, free in inputs:
+            t = cz.pi_section(S, lam, target)
+            K = cz.kernel_element(target, free[:2], free[2:4], free[4])
+            assert cz.pi(t, target) == (S, lam)
+            assert cz.pi(t * K, target) == (S, lam)
+            assert cz.centralizer_pattern(t.mat, target)
+            assert cz.centralizer_pattern(K.mat, target)
+        for M in others:
+            cz.centralizer_pattern(M, target)
+        assert calls == []
+        assert t.lam == spec.elem(-1) and len(calls) == 2  # lam decodes one entry; elem builds one
+
+    @pytest.mark.parametrize("pqj", [(5, 5, 1), (3, 9, 1), (7, 7, 1)])
+    def test_kernel_element_equals_the_field_element_matrix(self, pqj):
+        t = make_target(*pqj, 1)
+        spec, n = t.spec, t.n
+        rng = random.Random(103)
+        for _ in range(10):
+            x = [spec.random(rng) for _ in range(n - 1)]
+            a = [spec.random(rng) for _ in range(n - 1)]
+            corner = spec.random(rng)
+            rows = [[spec.one if i == j else spec.zero for j in range(2 * n)]
+                    for i in range(2 * n)]
+            for k in range(n - 1):
+                rows[n - 1][k], rows[n + k][2 * n - 1] = x[k], -x[k]
+                rows[k][2 * n - 1] = rows[n - 1][n + k] = a[k]
+            rows[n - 1][2 * n - 1] = corner
+            assert cz.kernel_element(t, x, a, corner).mat == MatFq(spec, rows)
+
+    def test_kernel_element_refuses_entries_of_another_field(self, target):
+        spec, other = target.spec, field(7)
+        zeros = [spec.zero, spec.zero]
+        for x, a, corner in (([other.one, spec.zero], zeros, spec.zero),
+                             (zeros, [spec.zero, other.one], spec.zero),
+                             (zeros, zeros, other.one),
+                             (zeros, zeros, 1)):
+            with pytest.raises(ValueError, match="field"):
+                cz.kernel_element(target, x, a, corner)
+
+    def test_section_refuses_a_matrix_over_another_field(self, target):
+        with pytest.raises(ValueError, match="field"):
+            cz.pi_section(MatFq.identity(field(7), 4), 1, target)
 
 
 class TestRandomness:

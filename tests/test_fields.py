@@ -337,10 +337,40 @@ class TestLegendre:
         # Euler's criterion runs on coefficient lists, not FieldElem products
         monkeypatch.setattr(FieldElem, "__mul__", unreachable)
         spec = FieldSpec(p, n)  # fresh: no tables
+        # read before the mask exists, which legendre() would read instead
+        symbols = [x.legendre() for x in spec.elements()]
         qr = spec.qr_set()
-        for x in spec.elements():
-            assert x.legendre() == (0 if x.is_zero() else 1 if x in qr else -1)
+        assert symbols == [0 if x.is_zero() else 1 if x in qr else -1 for x in spec.elements()]
         assert spec._tables is None
+
+    @pytest.mark.parametrize("p,n", [(3, 1), (13, 1), (3, 2), (3, 3), (5, 2), (7, 2)])
+    def test_symbol_is_the_same_in_every_state_of_the_field(self, monkeypatch, p, n):
+        spec = FieldSpec(p, n)  # fresh: no tables and no mask
+        bare = [x.legendre() for x in spec.elements()]
+        assert spec._qr is None and spec._tables is None
+        spec.qr_set()
+
+        def unreachable(*args):
+            raise AssertionError("Euler's criterion evaluated")
+
+        with monkeypatch.context() as m:  # with the mask built, the symbol is read from it
+            m.setattr(fields, "_ppowmod", unreachable)
+            masked = [x.legendre() for x in spec.elements()]
+        assert spec._tables is None
+        spec.tables()
+        tabled = [x.legendre() for x in spec.elements()]
+        assert bare == masked == tabled
+        assert bare.count(1) == bare.count(-1) == (spec.q - 1) // 2
+
+    def test_prime_field_symbol_needs_no_polynomial_power(self, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("polynomial Euler's criterion evaluated")
+
+        monkeypatch.setattr(fields, "_ppowmod", unreachable)
+        spec = FieldSpec(13)
+        assert [x.legendre() for x in spec.elements()] == [
+            0, 1, -1, 1, 1, -1, -1, -1, -1, 1, 1, -1, 1]
+        assert spec._qr is None and spec._tables is None
 
 
 class TestResidueSets:

@@ -267,25 +267,36 @@ class TestSymplectic:
         with pytest.raises(ValueError):
             is_symplectic(MatFq.zeros(field(5), 4, 2))
 
-    @pytest.mark.parametrize("q", [5, 9])
+    @pytest.mark.parametrize("q", [3, 5, 9, 25])
     def test_codes_agree_with_the_block_formula(self, q):
+        # is_symplectic reads the upper triangle of M Omega M^T only, so the
+        # perturbed copies change one entry of M on or below the diagonal, and
+        # one above it
         spec = field_for_order(q)
         rng = random.Random(61)
-        verdicts = {"symplectic": set(), "random": set(), "perturbed": set()}
-        for dim in (2, 4, 6):
+        kinds = ("symplectic", "random", "lower", "upper")
+        verdicts = {kind: set() for kind in kinds}
+        for dim in (2, 4, 6, 8, 10):
             for _ in range(12):
                 S = random_symplectic(spec, dim, rng)
                 R = MatFq(spec, [[spec.random(rng) for _ in range(dim)] for _ in range(dim)])
-                rows = [list(r) for r in S.rows]
-                i, j = rng.randrange(dim), rng.randrange(dim)
-                rows[i][j] = rows[i][j] + spec.from_index(rng.randrange(1, q))
-                for kind, M in (("symplectic", S), ("random", R),
-                                ("perturbed", MatFq(spec, rows))):
+                perturbed = []
+                for below in (True, False):
+                    rows = [list(r) for r in S.rows]
+                    if below:
+                        i = rng.randrange(dim)
+                        j = rng.randrange(i + 1)
+                    else:
+                        i = rng.randrange(dim - 1)
+                        j = rng.randrange(i + 1, dim)
+                    rows[i][j] = rows[i][j] + spec.from_index(rng.randrange(1, q))
+                    perturbed.append(MatFq(spec, rows))
+                for kind, M in zip(kinds, (S, R, *perturbed)):
                     verdict = is_symplectic(M)
                     assert verdict == block_formula_is_symplectic(M), (kind, M)
                     verdicts[kind].add(verdict)
         assert verdicts["symplectic"] == {True}
-        assert False in verdicts["random"] and False in verdicts["perturbed"]
+        assert all(False in verdicts[kind] for kind in kinds[1:])
 
 
 class TestUniTri:

@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fsz_lab import sylow
 from fsz_lab.cyclotomic import CycNum
 from fsz_lab.fields import field, field_for_order
 from fsz_lab.fsz import GROUP_ELEMENTS_LIMIT, sylow_group_elements
-from fsz_lab.matrices import MatFq, UniTriMat, is_symplectic
+from fsz_lab.matrices import MatFq, UniTriMat, _tri_inv, is_symplectic
 from fsz_lab.parallel import BudgetExceeded
 from fsz_lab.sylow import (
     SylowElem,
@@ -217,6 +218,57 @@ class TestIntCore:
         for x, y in pairs:
             x * y, x.inv(), x.pow(7), x.pow(-3)
         assert calls == []
+
+    @pytest.fixture
+    def inversions(self, monkeypatch):
+        calls = []
+
+        def counting(L, code):
+            calls.append(L)
+            return _tri_inv(L, code)
+
+        monkeypatch.setattr(sylow, "_tri_inv", counting)
+        return calls
+
+    def test_power_and_its_embedding_invert_once(self, inversions):
+        rng = random.Random(79)
+        for spec, n in ((field(5), 3), (field(3, 2), 2)):
+            x = random_elem(spec, n, rng)
+            for j in range(2, spec.p ** 2 + 1):
+                inversions.clear()
+                x.pow(j).to_matrix()
+                assert len(inversions) == 1, j
+
+    def test_right_factor_is_inverted_once(self, inversions):
+        rng = random.Random(83)
+        spec = field(5)
+        u = random_elem(spec, 3, rng) * random_elem(spec, 3, rng)  # a product carries no inverse
+        lefts = [random_elem(spec, 3, rng) for _ in range(20)]
+        inversions.clear()
+        products = [a * u for a in lefts]
+        assert inversions == [u._L]
+        assert [p.to_matrix() for p in products] == [a.to_matrix() @ u.to_matrix() for a in lefts]
+
+    def test_carried_inverse_is_the_inverse(self):
+        rng = random.Random(89)
+        for spec, n in ((field(5), 3), (field(3, 2), 3), (field(7), 4)):
+            x = random_elem(spec, n, rng)
+            built = [x, x.inv(), SylowElem.from_symmetric(x.L, x.A @ x.L.to_mat()),
+                     *(x.pow(j) for j in range(-3, 9))]
+            for y in built:
+                assert y._Linv == _tri_inv(y._L, y._code)
+
+    def test_carried_inverse_is_invisible(self):
+        rng = random.Random(97)
+        for spec, n in ((field(5), 3), (field(3, 2), 2)):
+            x = random_elem(spec, n, rng)
+            y = SylowElem(x.L, x.A)
+            assert x._Linv is not None and y._Linv is None
+            assert x == y and hash(x) == hash(y)
+            assert x.to_json() == y.to_json() and x.index() == y.index()
+            assert {x: 1}[y] == 1
+            y.to_matrix()
+            assert y._Linv == x._Linv and x == y and hash(x) == hash(y)
 
     def test_constructor_and_from_json_refuse_the_same_pair(self):
         # symmetry is checked where input enters, not on the codes operations build

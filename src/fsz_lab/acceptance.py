@@ -29,6 +29,7 @@ from .residues import (
     trace_fiber_qr_count,
 )
 from .fsz import (
+    QUADRATIC_ORDERS,
     beta_definitional,
     beta_linear_batch,
     beta_via_counts,
@@ -248,7 +249,7 @@ def ac10_headline(threads: int | None) -> tuple[bool, str]:
             return False, f"beta unexpectedly rational at zparam={zp}"
         irrational.append(zp)
     search = witness_order_search(report, lambda x: xi_lambda(spec.one, x))
-    if not search.found or search.char_order in (1, 2, 3, 4, 6):
+    if not search.found or search.char_order in QUADRATIC_ORDERS:
         return False, "no admissible witness behind the irrational beta"
     return True, (
         f"|G_5(U,g)| = 0, |G_5(U,g^2)| = {scan['gm'][2]}; "

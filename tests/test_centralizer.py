@@ -97,6 +97,14 @@ class TestMembership:
             with pytest.raises(ValueError, match="symplectic"):
                 cz.is_in_centralizer(M, target, method)
 
+    def test_element_refuses_a_symplectic_matrix_outside_the_centralizer(self, target):
+        # g^T is symplectic, and g g^T and g^T g differ on the diagonal
+        g = target.g_matrix
+        transpose = MatFq(target.spec, [list(col) for col in zip(*g.rows)])
+        assert is_symplectic(transpose)
+        with pytest.raises(ValueError, match="commute"):
+            cz.CentElem(transpose, target)
+
     def test_predicates_agree_on_random_symplectic(self, target):
         rng = random.Random(3)
         seen_outside = 0

@@ -1,3 +1,4 @@
+import ast
 import csv
 import io
 import json
@@ -399,10 +400,14 @@ import fsz_lab.cli
 from fsz_lab import cli
 assert cli.main(["sylow", "fsz", "--p", "5", "--q", "5", "--j", "1"]) == 0
 assert cli.main(["sylow", "beta", "--p", "3", "--q", "9", "--j", "1"]) == 0
-assert "numpy" not in sys.modules, "numpy loaded without a brute scan"
-from fsz_lab.fsz import brute_characterization_scan
-scan = brute_characterization_scan(3, 3, 1)
-assert scan["counts"] == {1: 18, 2: 18} and scan["agree"], scan
+assert cli.main(["verify", "quick"]) == 0
+for name in ("numpy", "fsz_lab.scan"):
+    assert name not in sys.modules, f"{name} loaded without a brute scan"
+from fsz_lab import fsz
+out = fsz.brute_characterization_scan(3, 3, 1)
+assert out["counts"] == {1: 18, 2: 18} and out["agree"], out
+from fsz_lab import scan
+assert fsz._scan_worker is scan._scan_worker
 """
 
 
@@ -410,6 +415,20 @@ def test_numpy_is_loaded_only_by_a_brute_scan():
     out = run_python(["-c", NO_NUMPY_BEFORE_A_SCAN], timeout=60)
     assert out.returncode == 0, out.stderr
     assert out.stderr == ""
+
+
+def test_scan_imports_nothing_of_the_fast_or_character_route():
+    # the kernel is an oracle: it may not import the fast route's module, nor
+    # the residue and Gauss-sum modules the closed formulas rest on
+    tree = ast.parse((Path(SRC) / "fsz_lab" / "scan.py").read_text())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names.update((node.module or "").split("."))
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(part for alias in node.names for part in alias.name.split("."))
+    assert "numpy" in names and "sylow" in names
+    assert names.isdisjoint({"fsz", "residues", "cyclotomic"}), sorted(names)
 
 
 @pytest.mark.parametrize("n", ["0", "-1"])

@@ -10,12 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fsz_lab import cli, fsz
+from fsz_lab import cli, fsz, scan
 from fsz_lab.cyclotomic import CycNum
 from fsz_lab.fields import FieldElem, FieldSpec, field, field_for_order
 from fsz_lab.matrices import MatFq, UniTriMat
 from fsz_lab.residues import FiberCountQuery, trace_fiber_qr_count
 from fsz_lab.fsz import (
+    FszReport,
+    FszRow,
     PthPowerTarget,
     _free_exponent,
     _gm_count_fast,
@@ -86,6 +88,18 @@ class TestTargets:
     def test_q_must_be_power_of_p(self):
         with pytest.raises(ValueError):
             make_target(5, 7, 1, 1)
+
+    @pytest.mark.parametrize("j", [0, -1])
+    def test_every_route_refuses_j_below_one(self, j):
+        # (p^j + 1) // 2 is 1 at j = 0 and 0.0 at j = -1: no block group to count in
+        u = SylowElem.identity(field(5), 3)
+        for route in (lambda: make_target(5, 5, j, 1),
+                      lambda: gm_count(u, 5, 5, j),
+                      lambda: gm_count(u, 5, 5, j, mode="brute"),
+                      lambda: brute_characterization_scan(5, 5, j),
+                      lambda: brute_characterization_scan(3, 3, j)):
+            with pytest.raises(ValueError, match="j must be >= 1"):
+                route()
 
     @pytest.mark.parametrize("p,q,j", [(5, 5, 1), (3, 9, 2), (13, 13, 1)])
     def test_code_built_elements_equal_the_matrix_built(self, p, q, j):
@@ -252,6 +266,13 @@ class TestGmCounts:
         for mode in ("fast", "brute"):
             with pytest.raises(ValueError):
                 gm_count(u, 3, 3, 1, [1, 3], mode=mode)
+
+    def test_brute_mode_refuses_a_disagreeing_scan(self, monkeypatch):
+        true_scan = fsz.brute_characterization_scan
+        monkeypatch.setattr(fsz, "brute_characterization_scan",
+                            lambda *args, **kwargs: {**true_scan(*args, **kwargs), "agree": False})
+        with pytest.raises(AssertionError, match="disagrees"):
+            gm_count(u_witness(field(3), 2), 3, 3, 1, mode="brute")
 
     def test_budget_refusal_on_big_brute(self, capsys):
         # the CLI charges the 7^16 elements of the scan against --budget
@@ -841,6 +862,17 @@ class TestWitnessSearch:
         result = witness_order_search(report, lambda x: xi_lambda(spec.one, x))
         assert not result.found
 
+    def test_order_six_is_no_witness_at_p3(self):
+        # only Q(zeta_3) holds roots of unity of order 6: -zeta_3 on a
+        # non-uniform row of a synthetic report
+        u = u_witness(field(3), 2)
+        row = FszRow("u", u, {1: 0, 2: 18})
+        report = FszReport(group="P(Sp_4(3))", m=3, z="g1 in P(Sp_4(3))", rows=(row,),
+                           verdict="non-FSZ_3-at-z", witness="u")
+        value = -CycNum.zeta(3)
+        assert fsz._root_of_unity_order(value) == 6
+        assert not witness_order_search(report, lambda x: value).found
+
 
 class TestSmallGroups:
     def test_center_of_small_block_group(self):
@@ -897,12 +929,35 @@ class TestBruteScan:
     def test_wrong_characterization_is_caught(self, monkeypatch):
         # the compare runs on every element: doubling upsilon moves every
         # characterized corner, while the brute counts do not depend on it
-        true_product = fsz.square_product
-        monkeypatch.setattr(fsz, "square_product",
+        true_product = scan.square_product
+        monkeypatch.setattr(scan, "square_product",
                             lambda spec, entries: true_product(spec, entries) * spec.elem(2))
         out = brute_characterization_scan(3, 9, 1, [1, 4, -1])
         assert out["agree"] is False
         assert out["counts"] == {d: count_solutions(make_target(3, 9, 1, d)) for d in (1, 4, -1)}
+
+    def test_a_disagreeing_first_partition_survives_the_merge(self, monkeypatch):
+        # 3 L-blocks at 2 threads: partitions [0, 2) and [2, 3), merged in range order
+        worker, starts = scan._scan_worker, []
+
+        def first_disagrees(q, n, j, d_list, u_int, lo, hi):
+            starts.append(lo)
+            counts, agree, gm = worker(q, n, j, d_list, u_int, lo, hi)
+            return counts, agree and lo != 0, gm
+
+        monkeypatch.setattr(scan, "_scan_worker", first_disagrees)
+        out = brute_characterization_scan(3, 3, 1, threads=2)
+        assert sorted(starts) == [0, 2]
+        assert out["agree"] is False
+        assert out["counts"] == {d: count_solutions(make_target(3, 3, 1, d)) for d in (1, 2)}
+
+    def test_a_u_whose_product_is_not_symmetric_is_caught(self):
+        # A_u[1][0] bumped off the group: S' = A' L' is no longer symmetric, so
+        # a u's entries above the diagonal and those below give different indices
+        u_int = scan._embed_matrix(u_witness(field(3), 2).to_matrix())
+        u_int[1, 2] = (u_int[1, 2] + 1) % 3
+        assert scan._block_order(3, 2, u_int)[1] == 3
+        assert scan._scan_worker(3, 2, 1, [1, 2], u_int, 0, 3)[1] is False
 
     def test_scan_reaches_no_fast_route_function(self):
         # the scan is the fast route's oracle, so it must not run the fold, the
@@ -937,7 +992,7 @@ class TestBruteScan:
         finally:
             sys.setprofile(previous)
         assert out["agree"]
-        assert ("fsz_lab.fsz", "_scan_worker") in called
+        assert ("fsz_lab.scan", "_scan_worker") in called
         assert called.isdisjoint(fast_only), sorted(called & fast_only)
 
     def test_identity_u_gm_equals_counts(self):
@@ -971,7 +1026,7 @@ class TestBruteScan:
         # u's 3 orbits of 3 L-blocks: an odd count, split unevenly at 2 threads
         spec = field(3, 2)
         u = sylow_from_index(spec, 2, 4321)
-        order, r = fsz._block_order(9, 2, fsz._embed_matrix(u.to_matrix()))
+        order, r = scan._block_order(9, 2, scan._embed_matrix(u.to_matrix()))
         assert (len(order) // r, r) == (3, 3)
         one, two, three = (brute_characterization_scan(3, 9, 1, u=u, threads=k) for k in (1, 2, 3))
         assert one == two == three
@@ -990,7 +1045,7 @@ class TestBruteScan:
         spec = field(3, 2)
         u = sylow_from_index(spec, 2, 4321)
         want = brute_characterization_scan(3, 9, 1, u=u)
-        monkeypatch.setattr(fsz, "_SCAN_ENTRIES", 7 * 8 * 8)
+        monkeypatch.setattr(scan, "_SCAN_ENTRIES", 7 * 8 * 8)
         assert brute_characterization_scan(3, 9, 1, u=u) == want
 
     def test_partition_memory_is_bounded_by_the_chunk(self):
@@ -998,12 +1053,12 @@ class TestBruteScan:
         # positions [0, 15) and [15, 27)
         spec = field(3, 3)
         u = sylow_from_index(spec, 2, 59_298)
-        u_int = fsz._embed_matrix(u.to_matrix())
-        assert fsz._block_order(27, 2, u_int)[1] == 3
-        fsz._scan_worker(27, 2, 1, [1, 2], u_int, 0, 3)
+        u_int = scan._embed_matrix(u.to_matrix())
+        assert scan._block_order(27, 2, u_int)[1] == 3
+        scan._scan_worker(27, 2, 1, [1, 2], u_int, 0, 3)
         tracemalloc.start()
         try:
-            fsz._scan_worker(27, 2, 1, [1, 2], u_int, 0, 15)
+            scan._scan_worker(27, 2, 1, [1, 2], u_int, 0, 15)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1013,9 +1068,9 @@ class TestBruteScan:
 
     def test_partition_must_hold_whole_orbits(self):
         spec = field(3, 2)
-        u_int = fsz._embed_matrix(u_witness(spec, 2).to_matrix())
+        u_int = scan._embed_matrix(u_witness(spec, 2).to_matrix())
         with pytest.raises(ValueError, match="orbit"):
-            fsz._scan_worker(9, 2, 1, [1, 2], u_int, 0, 2)
+            scan._scan_worker(9, 2, 1, [1, 2], u_int, 0, 2)
 
     @pytest.mark.parametrize("p,q", [(3, 9), (3, 27)])
     def test_join_matches_fast_whether_u_moves_l_or_not(self, p, q):
@@ -1024,7 +1079,7 @@ class TestBruteScan:
         spec, count_s = field_for_order(q), q ** 3
         for idx, r in [(1, 1), (q * q + 5, 1), (4 * count_s + q * q + 7, p)]:
             u = sylow_from_index(spec, 2, idx)
-            assert fsz._block_order(q, 2, fsz._embed_matrix(u.to_matrix()))[1] == r
+            assert scan._block_order(q, 2, scan._embed_matrix(u.to_matrix()))[1] == r
             out = brute_characterization_scan(p, q, 1, u=u)
             assert out["agree"]
             assert out["gm"] == gm_count(u, p, q, 1, mode="fast")
@@ -1037,20 +1092,20 @@ class TestBruteScan:
         count_s = q ** (n * (n + 1) // 2)
         rng = random.Random(q)
         u = sylow_from_index(spec, n, rng.randrange(sylow_count(n, q)))
-        u_int = fsz._embed_matrix(u.to_matrix())
-        order, r = fsz._block_order(q, n, u_int)
+        u_int = scan._embed_matrix(u.to_matrix())
+        order, r = scan._block_order(q, n, u_int)
         assert r == p
-        g = fsz._embed_matrix(make_target(p, q, 1, 1).g_matrix).astype(np.float32)
-        monkeypatch.setattr(fsz, "_pow_mod", lambda X, *args: np.broadcast_to(g, X.shape))
+        g = scan._embed_matrix(make_target(p, q, 1, 1).g_matrix).astype(np.float32)
+        monkeypatch.setattr(scan, "_pow_mod", lambda X, *args: np.broadcast_to(g, X.shape))
         handed = []
-        join = fsz._join
+        join = scan._join
 
         def record(target, d, block_codes, p):
             handed.append(target)
             return join(target, d, block_codes, p)
 
-        monkeypatch.setattr(fsz, "_join", record)
-        fsz._scan_worker(q, n, 1, [1], u_int, 0, len(order))
+        monkeypatch.setattr(scan, "_join", record)
+        scan._scan_worker(q, n, 1, [1], u_int, 0, len(order))
         assert [len(t) for t in handed] == [count_s] * len(order)
         for pos in rng.sample(range(len(order)), 8):
             nxt = pos + 1 if (pos + 1) % r else pos + 1 - r
@@ -1061,26 +1116,26 @@ class TestBruteScan:
 
     def test_a_block_order_off_the_orbits_is_caught(self, monkeypatch):
         # each orbit walked backwards: a u no longer lies in the next block
-        block_order = fsz._block_order
+        block_order = scan._block_order
 
         def backwards(q, n, u_int):
             order, r = block_order(q, n, u_int)
             return order.reshape(-1, r)[:, ::-1].ravel(), r
 
-        monkeypatch.setattr(fsz, "_block_order", backwards)
+        monkeypatch.setattr(scan, "_block_order", backwards)
         u = sylow_from_index(field(3, 2), 2, 4 * 729 + 88)
         assert brute_characterization_scan(3, 9, 1, u=u)["agree"] is False
 
     def test_u_adds_no_power(self, monkeypatch):
         # a u is read where it is scanned as an element: one power per chunk either way
         calls = Counter()
-        pow_mod = fsz._pow_mod
+        pow_mod = scan._pow_mod
 
         def counted(X, *args):
             calls[key] += 1
             return pow_mod(X, *args)
 
-        monkeypatch.setattr(fsz, "_pow_mod", counted)
+        monkeypatch.setattr(scan, "_pow_mod", counted)
         for key, u in (("u", u_witness(field(3, 2), 2)), ("none", None)):
             brute_characterization_scan(3, 9, 1, u=u, threads=1)
         assert calls["u"] == calls["none"] > 0
@@ -1090,12 +1145,12 @@ class TestBruteScan:
         # budget admits lies far inside, so the limits are checked directly
         for p, f, n in [(5, 1, 3), (3, 3, 2), (3, 4, 2), (3, 2, 5), (3, 15, 2),
                         (3, 1, 2_097_151)]:  # 4 m = 2^24 - 8
-            fsz._check_scan_exact(p, f, n)
+            scan._check_scan_exact(p, f, n)
         for p, f, n in [(257, 1, 129),  # m (p-1)^2 = 258 * 256^2 > 2^24
                         (3, 1, 2_097_152),  # 4 m = 2^24
                         (3, 16, 2)]:  # q = 3^16 > 2^24
             with pytest.raises(ValueError, match="float32"):
-                fsz._check_scan_exact(p, f, n)
+                scan._check_scan_exact(p, f, n)
 
     def test_scan_past_the_kernel_limits_is_refused_before_any_work(self, monkeypatch, capsys):
         def no_scan(*args):
@@ -1106,7 +1161,7 @@ class TestBruteScan:
             brute_characterization_scan(257, 257, 1)
         # the CLI's budget refuses every such group first, so a lowered limit
         # stands in for one past it
-        monkeypatch.setattr(fsz, "_exact_limit", lambda dtype: 64)
+        monkeypatch.setattr(scan, "_exact_limit", lambda dtype: 64)
         code = cli.main(["sylow", "count", "--mode", "brute", "--p", "5", "--q", "5", "--j", "1"])
         out, err = capsys.readouterr()
         assert code == 2 and out == ""
@@ -1140,7 +1195,7 @@ class TestPowMod:
         X = np.random.default_rng(seed).integers(low, p, size=(3, m, m))
         base = X.astype(dtype)
         out = np.empty_like(base), np.empty_like(base)
-        got = fsz._pow_mod(base, e, p, out)
+        got = scan._pow_mod(base, e, p, out)
         assert np.array_equal(got, _pow_mod_loop(X, e, p))
         # the power runs in the two buffers and never writes into its base
         assert any(got is buf for buf in out)
@@ -1152,7 +1207,7 @@ class TestPowMod:
         (13, 8_174_545_188_536_778), (5, 8_326_517_379_779_079),
     ])
     def test_reduce_is_exact_below_the_limit(self, p, y):
-        assert fsz._reduce(np.array([float(y)]), p, np.empty(1))[0] == y % p
+        assert scan._reduce(np.array([float(y)]), p, np.empty(1))[0] == y % p
 
     # the scan kernel's type: the limit is 2^24, and the last two are p k - 1
     # whose floor(y * (1/p)) rounds up to k in float32
@@ -1162,5 +1217,5 @@ class TestPowMod:
     ])
     def test_reduce_is_exact_below_the_float32_limit(self, p, y):
         Y = np.array([y], dtype=np.float32)
-        got = fsz._reduce(Y, p, np.empty_like(Y))
+        got = scan._reduce(Y, p, np.empty_like(Y))
         assert got.dtype == np.float32 and got[0] == y % p

@@ -313,17 +313,16 @@ def cmd_sylow_count(args) -> int:
                    "mode": args.mode},
         "group_order": sylow_count(target.n, args.q),
     }
-    if args.mode == "fast":
+    if args.mode == "fast":  # one route, so no oracle_match to state
         doc["count"] = count_solutions(target)
-        doc["oracle_match"] = True
     else:
         scan = brute_characterization_scan(
             args.p, args.q, args.j, [args.d], threads=args.threads
         )
         doc["count"] = scan["counts"][args.d]
-        doc["oracle_match"] = scan["agree"] and scan["counts"][args.d] == count_solutions(target)
+        doc["oracle_match"] = scan["agree"] and doc["count"] == count_solutions(target)
     _emit(doc, args.format)
-    return 0 if doc["oracle_match"] else MISMATCH_ERROR
+    return 0 if doc.get("oracle_match", True) else MISMATCH_ERROR
 
 
 def cmd_sylow_fsz(args) -> int:
@@ -351,9 +350,8 @@ def cmd_sylow_beta(args) -> int:
         else list(spec.units())
     )
     rows = []
-    for zp, beta in zip(zparams, beta_linear_batch(zparams, target)):
-        row = {"zparam": zp.to_json(), "rational": beta.rational,
-               "coeffs": beta.value.to_json()["coeffs"]}
+    for beta in beta_linear_batch(zparams, target):
+        row = beta.to_json()
         if beta.rational:
             row["value"] = [beta.rational_value, 1]
         rows.append(row)

@@ -12,8 +12,9 @@ at most TABLE_BOUND elements, exp/log and trace tables on element indices,
 with a tally of each square class's traces, are built lazily: the
 enumeration oracles and the fast fsz route run on these index codes, and a
 nonzero element is a square exactly when its log is even.  Equality is
-always defined on coefficients.  ``power`` is the one square-and-multiply
-that element, matrix and cyclotomic powers share.
+always defined on coefficients.  ``power`` is the one square-and-multiply:
+element, polynomial, matrix and cyclotomic powers and the block group's
+twisted sums all walk their exponent through it.
 
 Elements of the prime subfield are identified with the integers
 {0, ..., p-1}, and mixed int/element arithmetic uses that identification.
@@ -152,14 +153,7 @@ def _pmulmod(a: list[int], b: list[int], f: Sequence[int], p: int) -> list[int]:
 
 
 def _ppowmod(a: list[int], e: int, f: Sequence[int], p: int) -> list[int]:
-    result = [1]
-    base = _pmod(a, f, p)
-    while e:
-        if e & 1:
-            result = _pmulmod(result, base, f, p)
-        base = _pmulmod(base, base, f, p)
-        e >>= 1
-    return result
+    return power(_pmod(a, f, p), e, lambda x, y: _pmulmod(x, y, f, p), [1])
 
 
 def _pgcd(a: list[int], b: list[int], p: int) -> list[int]:
@@ -283,8 +277,7 @@ class FieldSpec:
 
     def elements(self) -> Iterator[FieldElem]:
         """All q elements, in index order."""
-        for i in range(self.q):
-            yield self.from_index(i)
+        return map(self.from_index, range(self.q))
 
     def units(self) -> Iterator[FieldElem]:
         """The q - 1 nonzero elements, in index order."""
@@ -294,13 +287,19 @@ class FieldSpec:
         return self.from_index(rng.randrange(self.q))
 
     def parse(self, text: str) -> FieldElem:
-        """Inverse of str(elem): '[c0,c1,...] mod (p,n)'."""
+        """Inverse of str(elem): '[c0,c1,...] mod (p,n)', each c_k in [0, p)."""
         body, _, tail = text.partition(" mod ")
         if tail != f"({self.p},{self.n})":
             raise ValueError(f"element does not belong to GF({self.p}^{self.n}): {text!r}")
         coeffs = [int(c) for c in body.strip("[]").split(",")]
         if len(coeffs) != self.n:
             raise ValueError(f"expected {self.n} coefficients: {text!r}")
+        return self._elem_in_range(coeffs, f"element {text!r}")
+
+    def _elem_in_range(self, coeffs: list[int], what: str) -> FieldElem:
+        """elem(coeffs), but a coefficient outside [0, p) raises ValueError naming what."""
+        if not all(0 <= c < self.p for c in coeffs):
+            raise ValueError(f"{what} has a coefficient outside [0, {self.p})")
         return self.elem(coeffs)
 
     # -- residues and tables --------------------------------------------------
@@ -387,10 +386,7 @@ class FieldSpec:
         # lists, as _pmulmod returns them: the digits of an index, c_0 first
         fac = list(factorize(q - 1))
         for i in range(2, q):  # a generator exists in 2..q-1 for every q >= 3
-            gen = []
-            while i:
-                i, c = divmod(i, p)
-                gen.append(c)
+            gen = _ptrim(list(self.from_index(i).coeffs))
             if all(_ppowmod(gen, (q - 1) // ell, f, p) != [1] for ell in fac):
                 break
         exp = [0] * (q - 1)

@@ -401,11 +401,7 @@ class FszReport:
             ],
             "verdict": self.verdict,
             "witness": self.witness,
-            "beta": [
-                {"zparam": b.zparam, "rational": b.rational,
-                 "coeffs": b.value.to_json()["coeffs"]}
-                for b in self.betas
-            ],
+            "beta": [b.to_json() for b in self.betas],
         }
 
 
@@ -468,6 +464,10 @@ class BetaValue:
     rational: bool
     rational_value: int | None
     zparam: int | list | None = None
+
+    def to_json(self) -> dict:
+        return {"zparam": self.zparam, "rational": self.rational,
+                "coeffs": self.value.to_json()["coeffs"]}
 
 
 def _beta(value: CycNum, zparam: int | list | None = None) -> BetaValue:
@@ -603,6 +603,8 @@ def witness_pair_count(spec: FieldSpec, d: int | FieldElem, mode: str = "closed"
     if not spec.minus_one_is_qr():
         raise ValueError("pair count formula requires -1 to be a square in GF(q)")
     d_elem = spec.elem(d) if isinstance(d, int) else d
+    if d_elem.spec != spec:
+        raise ValueError("d must live in the field of spec")
     ld = d_elem.legendre()
     if ld == 0:
         raise ValueError("d must be nonzero")

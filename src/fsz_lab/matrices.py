@@ -54,11 +54,10 @@ class _Coding:
     of codes to the code of its value.
     """
 
-    __slots__ = ("p", "f", "width", "mask", "shifts", "minus_one", "reduce")
+    __slots__ = ("p", "width", "mask", "shifts", "minus_one", "reduce")
 
     def __init__(self, p: int, f: int, modulus: tuple[int, ...]):
         self.p = p
-        self.f = f
         # a sum of MAX_TERMS products of reduced entries has coefficients of
         # at most MAX_TERMS f (p-1)^2
         self.width = width = (MAX_TERMS * f * (p - 1) ** 2).bit_length()
@@ -84,8 +83,6 @@ class _Coding:
         self.reduce = reduce
 
     def decode(self, spec: FieldSpec, v: int) -> FieldElem:
-        if self.f == 1:
-            return FieldElem(spec, (v,))
         mask = self.mask
         return FieldElem(spec, tuple([(v >> s) & mask for s in self.shifts]))
 
@@ -105,8 +102,6 @@ class _Coding:
 
     def encode(self, rows) -> Block:
         """The codes of rows of FieldElem."""
-        if self.f == 1:
-            return tuple([tuple([x.coeffs[0] for x in r]) for r in rows])
         width = self.width
         return tuple([tuple([_pack(x.coeffs, width) for x in r]) for r in rows])
 

@@ -64,6 +64,8 @@ class FiberCountQuery:
     y: int
 
     def __post_init__(self):
+        if self.z.spec != self.spec:
+            raise ValueError("z must live in the field of spec")
         if self.z.is_zero():
             raise ValueError("z must be nonzero")
         if not 0 <= self.y < self.spec.p:

@@ -42,7 +42,8 @@ elimination on FieldElems, is the reference for `_tri_inv`.
 The module also carries the structural maps that drive the p-th power
 analysis: the abelianization tuple `kappa`, the linear characters `xi_lambda`
 built from additive field characters, the twisted-sum operator `y_map` (the
-sum above over p^k terms, computed by `twisted_sum` as `pow` does), the
+sum above over p^k terms, computed by `twisted_sum`, which `pow` shares and
+which walks its number of terms through `fields.power`), the
 superdiagonal square-product `upsilon` (through `square_product`, which the
 fast counting route in `fsz` shares), the corner-concentration check for
 y_map images, and a deterministic, partitionable enumeration of the whole
@@ -55,7 +56,7 @@ from __future__ import annotations
 from typing import Iterable, Iterator
 
 from .cyclotomic import CycNum, e_q
-from .fields import FieldElem, FieldSpec
+from .fields import FieldElem, FieldSpec, power
 from .matrices import (Block, MatFq, UniTriMat, _Coding, _coding, _mm, _mm_add, _neg,
                        _p_power_order, _transpose, _tri_inv, _unit_block)
 
@@ -63,19 +64,16 @@ from .matrices import (Block, MatFq, UniTriMat, _Coding, _coding, _mm, _mm_add, 
 def twisted_sum(L: Block, A: Block, terms: int, red) -> tuple[Block, Block]:
     """(sum_{m < terms} (L^m)^T A L^m, L^terms) for int-coded blocks, terms >= 1.
 
-    The A-part of the closed power formula.  Walks the bits of terms with
-    T(2k) = T(k) + (L^k)^T T(k) L^k and T(k+1) = A + L^T T(k) L, so it makes
-    O(log terms) block products.
+    The A-part of the closed power formula.  The pairs (T(k), L^k), T(k) the
+    sum over m < k, multiply as (T, P) (T', P') = (T + P^T T' P, P P'), and
+    `power` walks the bits of terms over that product from (A, L): three
+    block products per squaring and three per set bit.
     """
-    T, P = A, L  # T(1) and L^1
-    LT = _transpose(L)
-    for bit in bin(terms)[3:]:
-        T = _mm_add(_transpose(P), _mm(T, P, red), T, red)
-        P = _mm(P, P, red)
-        if bit == "1":
-            T = _mm_add(LT, _mm(T, L, red), A, red)
-            P = _mm(P, L, red)
-    return T, P
+    def step(x, y):
+        (T, P), (T2, P2) = x, y
+        return _mm_add(_transpose(P), _mm(T2, P, red), T, red), _mm(P, P2, red)
+
+    return power((A, L), terms, step, None)
 
 
 def _check_blocks(L: UniTriMat, X: MatFq, name: str = "A") -> None:
@@ -254,15 +252,11 @@ class SylowElem:
         code, n, q = self._code, self.n, self.spec.q
         L = self._L
         S = _mm(self._A, L, code.reduce)
-        li = 0
-        for i in range(n):
-            for j in range(i + 1, n):
-                li = li * q + code.index(L[i][j])
-        si = 0
-        for i in range(n):
-            for j in range(i, n):
-                si = si * q + code.index(S[i][j])
-        return li * q ** (n * (n + 1) // 2) + si
+        idx = 0
+        for v in ([L[i][j] for i in range(n) for j in range(i + 1, n)]
+                  + [S[i][j] for i in range(n) for j in range(i, n)]):
+            idx = idx * q + code.index(v)
+        return idx
 
 
 def _elem_from_json(spec: FieldSpec, value) -> FieldElem:
@@ -270,9 +264,7 @@ def _elem_from_json(spec: FieldSpec, value) -> FieldElem:
     coeffs = [value] if type(value) is int else value
     if not (isinstance(coeffs, list) and all(type(c) is int for c in coeffs)):
         raise ValueError(f"entry {value!r} is neither an integer nor a coefficient list")
-    if not all(0 <= c < spec.p for c in coeffs):
-        raise ValueError(f"entry {value!r} has a coefficient outside [0, {spec.p})")
-    return spec.elem(value)
+    return spec._elem_in_range(coeffs, f"entry {value!r}")
 
 
 def kappa(x: SylowElem) -> tuple[FieldElem, ...]:
@@ -386,28 +378,22 @@ def sylow_from_index(spec: FieldSpec, n: int, idx: int) -> SylowElem:
     total = sylow_count(n, q)
     if not 0 <= idx < total:
         raise ValueError(f"index out of range [0, {total})")
-    n_sym = n * (n + 1) // 2
-    li, si = divmod(idx, q ** n_sym)
-    upper_digits = []
-    for _ in range(n * (n - 1) // 2):
-        li, d = divmod(li, q)
-        upper_digits.append(d)
-    upper_digits.reverse()
-    sym_digits = []
-    for _ in range(n_sym):
-        si, d = divmod(si, q)
-        sym_digits.append(d)
-    sym_digits.reverse()
     code = _coding(spec)
-    L = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    # the n^2 base-q digits of idx, most significant first: L's, then S's
+    digits = []
+    for _ in range(n * n):
+        idx, d = divmod(idx, q)
+        digits.append(code.from_index(d))
+    digits.reverse()
+    upper = iter(digits)
+    sym = iter(digits[n * (n - 1) // 2:])
+    L = [list(r) for r in _unit_block(n)]
     S = [[0] * n for _ in range(n)]
-    upper = iter(upper_digits)
-    sym = iter(sym_digits)
     for i in range(n):
         for j in range(i + 1, n):
-            L[i][j] = code.from_index(next(upper))
+            L[i][j] = next(upper)
         for j in range(i, n):
-            S[i][j] = S[j][i] = code.from_index(next(sym))
+            S[i][j] = S[j][i] = next(sym)
     Lc = tuple(map(tuple, L))
     Linv = _tri_inv(Lc, code)
     return SylowElem._from_codes(spec, code, Lc, _mm(S, Linv, code.reduce), Linv)

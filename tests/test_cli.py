@@ -120,6 +120,13 @@ def test_sylow_count_fast(capsys):
     assert json.loads(out)["count"] == 250000
 
 
+def test_sylow_count_fast_claims_no_oracle_match(capsys):
+    # the fast route compares nothing, so it states no agreement
+    code, out, _ = run(capsys, "sylow", "count", "--p", "5", "--q", "78125", "--j", "1")
+    assert code == 0
+    assert "oracle_match" not in json.loads(out)
+
+
 def test_sylow_count_brute_over_extension_field(capsys):
     code, out, _ = run(capsys, "sylow", "count", "--p", "3", "--q", "9", "--j", "1",
                        "--mode", "brute")
@@ -239,6 +246,15 @@ def test_sylow_gm_with_out_of_range_u_entry(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and "[0, 5)" in err and err.count("\n") == 1
+
+
+def test_sylow_beta_with_out_of_range_zparam_coefficient(capsys):
+    # [9,1] would reduce to [4,1]; bare integers keep their reduction mod p
+    code, out, err = run(capsys, "sylow", "beta", "--p", "5", "--q", "25", "--j", "1",
+                         "--zparam", "[9,1] mod (5,2)")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "outside [0, 5)" in err and err.count("\n") == 1
 
 
 def test_sylow_fsz_with_beta(capsys):

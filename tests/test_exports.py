@@ -3,11 +3,14 @@
 And no dead names: every top-level function and class method of the package
 is referenced from production code (the package itself, whose CLI and
 acceptance tiers are its callers, and the benchmark under perfbench/), unless
-it is listed below with the reason it is kept.
+it is listed below with the reason it is kept.  A use of a method name that
+several classes define counts only for the class it is tied to, by the AST
+or by the table of instance calls below.
 """
 
 import ast
 import pkgutil
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -32,6 +35,33 @@ UNREFERENCED_BY_DESIGN = {
     "matrices.UniTriMat.from_ints": "test constructor of a unitriangular matrix from integers",
     "matrices.UniTriMat.to_mat": "the tests' view of L as a matrix, sharing its codes",
     "fields.QuadraticResidues._from_iterable": "the Set hook that &, |, - and ^ call",
+    "matrices.MatFq.inv": "Gaussian elimination on FieldElems, the reference for _tri_inv",
+    "matrices.MatFq.to_json": "the matrix JSON whose digests tests/test_centralizer.py pins",
+    "sylow.SylowElem.index": "the inverse of sylow_from_index that the enumeration tests "
+                             "compare against",
+}
+
+# methods whose name several package classes define, used by production only
+# through an instance the AST cannot type: (production file, function or
+# Class.method) that holds the `.name` use
+INSTANCE_CALLS = {
+    "cyclotomic.CycNum.to_json": ("fsz.py", "BetaValue.to_json"),
+    "fields.FieldElem.to_json": ("cli.py", "cmd_qr"),
+    "fields.FieldSpec.one": ("sylow.py", "square_product"),
+    "fields.FieldSpec.random": ("centralizer.py", "random_kernel_element"),
+    "fields.FieldSpec.to_json": ("cli.py", "cmd_field"),
+    "fields.FieldSpec.zero": ("sylow.py", "corner_concentration_check"),
+    "fsz.BetaValue.to_json": ("cli.py", "cmd_sylow_beta"),
+    "fsz.FszReport.to_json": ("cli.py", "cmd_sylow_fsz"),
+    "matrices.UniTriMat.order": ("acceptance.py", "ac6_power_formula"),
+    "matrices.UniTriMat.pow": ("matrices.py", "_p_power_order"),
+    "matrices.UniTriMat.superdiagonal": ("sylow.py", "SylowElem.superdiagonal"),
+    "matrices._Coding.from_index": ("sylow.py", "sylow_from_index"),
+    "matrices._Coding.index": ("matrices.py", "MatFq.__repr__"),
+    "sylow.SylowElem.order": ("acceptance.py", "ac6_power_formula"),
+    "sylow.SylowElem.pow": ("fsz.py", "solve_pth_power"),
+    "sylow.SylowElem.superdiagonal": ("fsz.py", "_gm_count_fast"),
+    "sylow.SylowElem.to_json": ("cli.py", "cmd_sylow_solve"),
 }
 
 
@@ -59,15 +89,18 @@ def _definitions() -> dict[str, tuple[str, str, Path, int, int]]:
     return out
 
 
-def _references() -> list[tuple[str, str, Path, int]]:
-    """(kind, name, file, line) of each use of a name in production code.
+def _references() -> list[tuple[str, str, Path, int, str | None]]:
+    """(kind, name, file, line, class) of each use of a name in production code.
 
     A bare name or an attribute of one of the package's modules refers to a
     function; any other attribute, or a string naming an attribute for
     getattr-style access, refers to a method.  Attributes of other modules
-    (np.zeros) refer to neither, and imports and __all__ are not uses.
+    (np.zeros) refer to neither, and imports and __all__ are not uses.  The
+    class is the one the AST ties a method use to: C for C.name, and the
+    enclosing class for self.name and cls.name; None for any other use.
     """
     submodules = {path.stem for path in PACKAGE.glob("*.py")}
+    classes = {cls for cls, _ in _methods()}
     refs = []
     for path in PRODUCTION:
         tree = ast.parse(path.read_text())
@@ -82,29 +115,50 @@ def _references() -> list[tuple[str, str, Path, int]]:
                 if isinstance(node, ast.Assign)
                 and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
                 for n in ast.walk(node.value)}
+        enclosing = {id(n): node.name for node in ast.walk(tree)
+                     if isinstance(node, ast.ClassDef) for n in ast.walk(node)}
         for node in ast.walk(tree):
             if id(node) in skip:
                 continue
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                refs.append(("function", node.id, path, node.lineno))
+                refs.append(("function", node.id, path, node.lineno, None))
             elif isinstance(node, ast.Attribute):
                 owner = node.value.id if isinstance(node.value, ast.Name) else None
                 if owner in own:
-                    refs.append(("function", node.attr, path, node.lineno))
+                    refs.append(("function", node.attr, path, node.lineno, None))
                 elif owner not in foreign:
-                    refs.append(("method", node.attr, path, node.lineno))
+                    cls = (owner if owner in classes
+                           else enclosing.get(id(node)) if owner in ("self", "cls") else None)
+                    refs.append(("method", node.attr, path, node.lineno, cls))
             elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-                refs.append(("method", node.value, path, node.lineno))
+                refs.append(("method", node.value, path, node.lineno, None))
     return refs
 
 
-def _unreferenced() -> set[str]:
-    uses: dict[tuple[str, str], list[tuple[Path, int]]] = {}
-    for kind, name, path, line in _references():
-        uses.setdefault((kind, name), []).append((path, line))
+def _methods() -> list[tuple[str, str]]:
+    """(class, method) for each method of a package class, dunders excepted."""
+    return [tuple(dotted.split(".")[1:]) for dotted, (kind, *_) in _definitions().items()
+            if kind == "method"]
+
+
+def _unreferenced(instance_calls=INSTANCE_CALLS) -> set[str]:
+    """Definitions with no production use outside their own body.
+
+    A method whose name several package classes define is used only where
+    the AST ties the use to its class, or where instance_calls says.
+    """
+    shared = {("method", name) for name, n in Counter(name for _, name in _methods()).items()
+              if n > 1}
+    uses: dict[tuple[str, str], list[tuple[Path, int, str | None]]] = {}
+    for kind, name, path, line, cls in _references():
+        uses.setdefault((kind, name), []).append((path, line, cls))
     return {
         dotted for dotted, (kind, name, path, first, last) in _definitions().items()
-        if not any(p != path or not first <= line <= last for p, line in uses.get((kind, name), []))
+        if dotted not in instance_calls and not any(
+            (p != path or not first <= line <= last)
+            and ((kind, name) not in shared or cls == dotted.split(".")[1])
+            for p, line, cls in uses.get((kind, name), [])
+        )
     }
 
 
@@ -115,3 +169,18 @@ def test_every_definition_has_a_production_caller():
 
 def test_the_allowlist_names_only_unreferenced_definitions():
     assert UNREFERENCED_BY_DESIGN.keys() <= _unreferenced()
+
+
+def test_instance_calls_name_only_methods_the_ast_cannot_tie():
+    assert INSTANCE_CALLS.keys() <= _unreferenced({}) - UNREFERENCED_BY_DESIGN.keys()
+
+
+@pytest.mark.parametrize("dotted", sorted(INSTANCE_CALLS))
+def test_instance_call_is_still_made(dotted):
+    filename, qualname = INSTANCE_CALLS[dotted]
+    body = ast.parse((PACKAGE / filename).read_text())
+    for part in qualname.split("."):
+        body = next(node for node in body.body if getattr(node, "name", None) == part)
+    name = dotted.rsplit(".", 1)[1]
+    assert any(isinstance(node, ast.Attribute) and node.attr == name
+               for node in ast.walk(body)), f"{filename}:{qualname} no longer uses .{name}"

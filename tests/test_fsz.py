@@ -837,6 +837,12 @@ class TestPairCounts:
         with pytest.raises(ValueError):
             witness_pair_count(field(7), 1)
 
+    @pytest.mark.parametrize("mode", ["closed", "enum"])
+    def test_d_from_another_field_rejected(self, mode):
+        # GF(5)'s 3 read as 6 pairs over GF(13), where 3 has 4
+        with pytest.raises(ValueError, match="d must live in the field of spec"):
+            witness_pair_count(field(13), field(5).elem(3), mode)
+
     @pytest.mark.parametrize("q", [5, 13, 29])
     def test_closed_equals_enum(self, q):
         spec = field(q)

@@ -113,6 +113,11 @@ class TestTraceFibers:
         with pytest.raises(ValueError):
             FiberCountQuery(spec, spec.zero, 0)
 
+    def test_z_from_another_field_rejected(self):
+        # GF(5)'s 2 in a GF(25) query read 5 closed and 1 by enumeration
+        with pytest.raises(ValueError, match="z must live in the field of spec"):
+            FiberCountQuery(field(5, 2), field(5).elem(2), 0)
+
     @pytest.mark.parametrize("p,n", [(3, 1), (3, 2), (3, 3), (5, 1), (5, 2), (7, 1), (11, 1)])
     def test_closed_equals_enum_and_partition(self, p, n):
         spec = field(p, n)

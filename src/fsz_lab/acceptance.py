@@ -242,18 +242,16 @@ def ac10_headline(threads: int | None) -> tuple[bool, str]:
     if report.verdict != "non-FSZ_5-at-z" or report.witness != "U":
         return False, f"counting verdict wrong: {report.verdict}"
     target = make_target(5, 5, 1, 1)
-    irrational = []
     zparams = list(spec.units())
     for zp, beta in zip(zparams, beta_linear_batch(zparams, target)):
         if beta.rational:
             return False, f"beta unexpectedly rational at zparam={zp}"
-        irrational.append(zp)
     search = witness_order_search(report, lambda x: xi_lambda(spec.one, x))
     if not search.found or search.char_order in QUADRATIC_ORDERS:
         return False, "no admissible witness behind the irrational beta"
     return True, (
         f"|G_5(U,g)| = 0, |G_5(U,g^2)| = {scan['gm'][2]}; "
-        f"beta irrational for {len(irrational)} characters"
+        f"beta irrational for {len(zparams)} characters"
     )
 
 

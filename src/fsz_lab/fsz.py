@@ -20,11 +20,11 @@ whose numpy kernel lives in `scan`, powers every group element directly and
 checks the characterization on each one.
 
 The fast count never lists the q^(n-1) superdiagonals of L.  Both power
-conditions see a superdiagonal x only through a = prod x_i^2 and
-b = prod (x_i + y_i)^2, where y is the superdiagonal of u, so a dynamic
-program folds the n-1 slots one at a time, on the field's exp/log tables,
-into a histogram of (a, b) values with every x_i nonzero; the double count
-sums the states with (d/a + A_u[0,0]) * b = d for each d.
+conditions see one only through a = prod x_i^2 and C = prod (1 + y_i/x_i)^2,
+y the superdiagonal of u; a*u is a solution too iff (d + A_u[0,0] a) C = d.
+A zero slot adds (x_i^2, 1), so once one slot is zero, a is uniform over the
+squares and independent of C; a nonzero slot adds one step array in
+w = 1 + y_i/x_i.  A DP on the exp/log tables folds only the nonzero slots.
 
 The beta route shares only field construction with the fast count: it reads
 G(q) from the Gauss-sum power identity, with no table and no histogram.  The
@@ -179,13 +179,9 @@ def solve_pth_power(target: PthPowerTarget, x: FieldElem) -> SylowElem:
     t = spec.tables()
     root = spec.from_index(t["exp"][t["log"][(d_elem / x).index()] // 2])
     v = min(root, -root, key=FieldElem.index)
-    entries = []
-    for i in range(n):
-        for j2 in range(i + 1, n):
-            if j2 == i + 1:
-                entries.append(v if i == 0 else spec.one)
-            else:
-                entries.append(spec.zero)
+    # v, then ones, on the superdiagonal of L; zeros above it
+    entries = [(v if i == 0 else spec.one) if c == i + 1 else spec.zero
+               for i in range(n) for c in range(i + 1, n)]
     L = UniTriMat(spec, n, entries)
     S = MatFq.elementary(spec, n, 0, 0, x)
     sol = SylowElem.from_symmetric(L, S)
@@ -216,36 +212,33 @@ def _free_exponent(n: int) -> int:
     return (n - 1) * (n - 2) // 2 + n * (n + 1) // 2 - 1
 
 
-def _superdiagonal_histogram(
-    spec: FieldSpec, shift: Sequence[FieldElem]
-) -> dict[tuple[int, int], int]:
-    """{(log a, log b): number of superdiagonals x} with a = prod x_i^2, b = prod (x_i+y_i)^2.
+def _nonzero_slot_fold(spec: FieldSpec, y_logs: Sequence[int],
+                       joint: bool) -> dict[tuple[int, int], int]:
+    """{(log a, log C): number of x on the slots whose y_i != 0, log y_i in y_logs}.
 
-    y is the given shift (the superdiagonal of u) and only tuples
-    with every x_i nonzero are counted, since those are the superdiagonals
-    that admit a solution.  Tuples with b = 0 are dropped as well: the count
-    condition (d/a + A_u[0,0]) * b = d never holds for them, as d != 0.  The
-    product is folded one slot at a time on discrete logs (exponents of the
-    tables' generator, mod q - 1) and equal states are merged, so each slot
-    costs at most (number of states) * q steps instead of the q^(n-1) tuples
-    being listed.  Needs q <= TABLE_BOUND.
+    Each such x_i sets w = 1 + y_i/x_i in GF(q) minus {0, 1} (w = 0 gives b = 0,
+    which no d matches) and adds y_i^2 / (w-1)^2 to a and w^2 to C: one step
+    array for every slot, 2 log y_i carried by the start state.  With joint
+    false, log a is held at 0: the marginal of log C.  Needs q <= TABLE_BOUND.
     """
+    m = spec.q - 1
+    states = {(2 * sum(y_logs) % m if joint else 0, 0): 1}
+    if not y_logs:
+        return states
     t = spec.tables()
     exp, log = t["exp"], t["log"]
-    m = spec.q - 1
-    states = {(0, 0): 1}
-    for y in shift:
-        plus_y = spec.add_map(y.index())
-        steps: dict[tuple[int, int], int] = {}
-        for lx in range(m):
-            s = plus_y[exp[lx]]
-            if s:
-                key = (2 * lx % m, 2 * log[s] % m)
-                steps[key] = steps.get(key, 0) + 1
+    succ = spec.add_map(1)
+    steps: dict[tuple[int, int], int] = {}
+    for lv in range(m):  # v = w - 1 = y_i / x_i
+        w = succ[exp[lv]]
+        if w:
+            key = (-2 * lv % m if joint else 0, 2 * log[w] % m)
+            steps[key] = steps.get(key, 0) + 1
+    for _ in y_logs:
         folded: dict[tuple[int, int], int] = {}
-        for (la, lb), count in states.items():
-            for (sa, sb), k in steps.items():
-                key = ((la + sa) % m, (lb + sb) % m)
+        for (la, lc), count in states.items():
+            for (sa, sc), k in steps.items():
+                key = ((la + sa) % m, (lc + sc) % m)
                 folded[key] = folded.get(key, 0) + count * k
         states = folded
     return states
@@ -321,7 +314,7 @@ def gm_count(
 
     The fast mode intersects the closed characterizations for a and a*u, which
     depend only on the corner A[0,0] and the superdiagonal of L, and reads every
-    d from one histogram; the brute mode, the oracle, runs one scan for this u
+    d from one fold; the brute mode, the oracle, runs one scan for this u
     that tallies every d.
     """
     spec, n = _instance(p, q, j)
@@ -340,22 +333,35 @@ def gm_count(
 
 def _gm_count_fast(u: SylowElem, d_list: Sequence[int]) -> dict[int, int]:
     spec = u.spec
-    # both power conditions see only (A[0,0], superdiagonal of L): a solution's
-    # corner is d / a, and a*u is a solution iff (d / a + A_u[0,0]) * b = d; every
-    # satisfying choice extends the same number of ways through the free entries
-    histogram = _superdiagonal_histogram(spec, u.superdiagonal())
+    # a solution's corner is d / a, and a*u is one iff (d / a + A_u[0,0]) a C = d;
+    # each such (corner, superdiagonal) extends q^F ways through the free entries
     t = spec.tables()
     exp, log = t["exp"], t["log"]
     m = spec.q - 1
+    y_logs = [log[y.index()] for y in u.superdiagonal() if not y.is_zero()]
+    zeros = u.n - 1 - len(y_logs)
+    states = _nonzero_slot_fold(spec, y_logs, joint=not zeros)
     plus_corner = spec.add_map(u.corner().index())
     d_logs = {d: log[d % spec.p] for d in d_list}  # the index of d in GF(p) is d mod p
-    matches = dict.fromkeys(d_logs, 0)
-    for (la, lb), count in histogram.items():
-        for d, ld in d_logs.items():
-            s = plus_corner[exp[(ld - la) % m]]
-            if s and (log[s] + lb) % m == ld:
-                matches[d] += count
-    return {d: k * spec.q ** _free_exponent(u.n) for d, k in matches.items()}
+    weight = spec.q ** _free_exponent(u.n)
+    if zeros:
+        # log a is uniform over the even residues, 2 (q-1)^(zeros-1) tuples each:
+        # e = d / a runs over d's square class, matching iff C = e / (e + A_u[0,0])
+        weight *= 2 * m ** (zeros - 1)
+        by_class = [0, 0]
+        for le in range(m):
+            s = plus_corner[exp[le]]
+            if s:
+                by_class[le % 2] += states.get((0, (le - log[s]) % m), 0)
+        matches = {d: by_class[ld % 2] for d, ld in d_logs.items()}
+    else:
+        matches = dict.fromkeys(d_logs, 0)
+        for (la, lc), count in states.items():
+            for d, ld in d_logs.items():
+                s = plus_corner[exp[(ld - la) % m]]
+                if s and (log[s] + la + lc) % m == ld:
+                    matches[d] += count
+    return {d: k * weight for d, k in matches.items()}
 
 
 # -- reports ------------------------------------------------------------------------
@@ -517,17 +523,11 @@ def beta_linear_batch(
     eta_d = spec.elem(target.d).legendre()
     if len(zparams) >= q - 1:
         squares = spec.qr_set()
-        etas = [1 if zparam in squares else -1 for zparam in zparams]
+        etas = [eta_d if zparam in squares else -eta_d for zparam in zparams]
     else:
-        etas = [zparam.legendre() for zparam in zparams]
-    values: dict[int, CycNum] = {}
-    betas = []
-    for zparam, eta in zip(zparams, etas):
-        eta *= eta_d
-        if eta not in values:
-            values[eta] = (gauss * eta - 1).norm_sq() * scale
-        betas.append(_beta(values[eta], zparam.to_json()))
-    return betas
+        etas = [zparam.legendre() * eta_d for zparam in zparams]
+    values = {eta: (gauss * eta - 1).norm_sq() * scale for eta in set(etas)}
+    return [_beta(values[eta], zparam.to_json()) for zparam, eta in zip(zparams, etas)]
 
 
 def beta_definitional(
@@ -711,9 +711,7 @@ def fsz_brute_small(
     """
     mul = (lambda a, b: a * b) if mul is None else mul
     if identity is None:
-        identity = next(
-            a for a in elements if all(mul(a, b) == b for b in elements[: min(4, len(elements))])
-        )
+        identity = next(a for a in elements if all(mul(a, b) == b for b in elements[:4]))
     pow_m = [power(a, m, mul, identity) if m >= 1 else identity for a in elements]
 
     def order_of(z):

@@ -29,6 +29,7 @@ repeated p-th powers.
 
 from __future__ import annotations
 
+from functools import cache
 from operator import add, matmul, mul
 from typing import Sequence
 
@@ -146,8 +147,9 @@ def _mm_add(a: Block, b: Block, c: Block, red) -> Block:
                   for r, crow in zip(a, c)])
 
 
+@cache
 def _unit_block(n: int) -> Block:
-    """The codes of the n x n identity: 0 and 1 are their own codes over every GF(q)."""
+    """The codes of the n x n identity, shared: 0 and 1 are their own codes over every GF(q)."""
     return tuple(tuple([int(i == j) for j in range(n)]) for i in range(n))
 
 

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, TypeVar
 
 T = TypeVar("T")
@@ -88,6 +87,7 @@ def run_partitioned(
     ranges = split_range(start, stop, threads)
     if threads == 1 or len(ranges) == 1:
         return [worker(lo, hi) for lo, hi in ranges]
+    from concurrent.futures import ThreadPoolExecutor  # loads logging, queue, traceback
     with ThreadPoolExecutor(max_workers=min(threads, os.cpu_count() or 1)) as pool:
         futures = [pool.submit(worker, lo, hi) for lo, hi in ranges]
         return [f.result() for f in futures]

@@ -417,7 +417,7 @@ from fsz_lab import cli
 assert cli.main(["sylow", "fsz", "--p", "5", "--q", "5", "--j", "1"]) == 0
 assert cli.main(["sylow", "beta", "--p", "3", "--q", "9", "--j", "1"]) == 0
 assert cli.main(["verify", "quick"]) == 0
-for name in ("numpy", "fsz_lab.scan"):
+for name in ("numpy", "fsz_lab.scan", "concurrent.futures"):
     assert name not in sys.modules, f"{name} loaded without a brute scan"
 from fsz_lab import fsz
 out = fsz.brute_characterization_scan(3, 3, 1)

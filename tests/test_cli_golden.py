@@ -46,6 +46,10 @@ GOLDEN = [
     # 8,045 digits, past str()'s default limit
     ("sylow fsz --p 13 --q 13 --j 2",
      "c6065462b999ade81773bfa8c6479833da5042993fb600e05f81da29d72a688c"),
+    # q = 13^3, an odd power of p = 1 mod 4: non-FSZ_13-at-z, witness U; the
+    # identity row is (q-1)^6 q^F and U's row 2 (q-1)^4 P(d) q^F
+    ("sylow fsz --p 13 --q 2197 --j 1",
+     "a9430044cc0ce0f910f0c01ec23cfd2162c4424076e3a4dbaf5e0af88a59d093"),
     ("sylow fsz --p 3 --q 9 --j 1 --mode brute",
      "50301f913e1cefd1c39be9df0450fbe45f0372391e2e979a41c93f7a1c7007ab"),
     ("sylow fsz --p 5 --q 5 --j 1 --beta",

@@ -21,7 +21,6 @@ from fsz_lab.fsz import (
     PthPowerTarget,
     _free_exponent,
     _gm_count_fast,
-    _superdiagonal_histogram,
     beta_definitional,
     beta_linear,
     beta_linear_batch,
@@ -351,13 +350,13 @@ class TestFszReport:
 
     def test_fast_mode_builds_one_histogram_per_u(self, monkeypatch):
         calls = []
-        histogram = fsz._superdiagonal_histogram
+        fold = fsz._nonzero_slot_fold
 
-        def counted(*args):
+        def counted(*args, **kwargs):
             calls.append(args)
-            return histogram(*args)
+            return fold(*args, **kwargs)
 
-        monkeypatch.setattr(fsz, "_superdiagonal_histogram", counted)
+        monkeypatch.setattr(fsz, "_nonzero_slot_fold", counted)
         fsz_test_at(5, 5, 1)
         assert len(calls) == 2
 
@@ -399,6 +398,50 @@ def _enumerated_corners(target):
 DP_INSTANCES = [(3, 3, 1), (3, 9, 1), (5, 5, 1), (3, 3, 2), (7, 7, 1)]
 # the element fold is cheap here too, and these reach GF(p^f) with f = 2, 3
 REFERENCE_INSTANCES = DP_INSTANCES + [(5, 25, 1), (3, 27, 1)]
+
+
+def _superdiagonal_histogram(spec, shift):
+    """{(log a, log b): number of superdiagonals x} with a = prod x_i^2, b = prod (x_i+y_i)^2.
+
+    The fast count's reference: y is the shift (the superdiagonal of u), and
+    every slot, zero or not, is folded on discrete logs into one joint
+    histogram over the tuples with every x_i nonzero.  Tuples with b = 0 are
+    dropped, since (d/a + A_u[0,0]) * b = d never holds for them.
+    """
+    t = spec.tables()
+    exp, log = t["exp"], t["log"]
+    m = spec.q - 1
+    states = {(0, 0): 1}
+    for y in shift:
+        plus_y = spec.add_map(y.index())
+        steps = Counter()
+        for lx in range(m):
+            s = plus_y[exp[lx]]
+            if s:
+                steps[2 * lx % m, 2 * log[s] % m] += 1
+        folded = Counter()
+        for (la, lb), count in states.items():
+            for (sa, sb), k in steps.items():
+                folded[(la + sa) % m, (lb + sb) % m] += count * k
+        states = folded
+    return dict(states)
+
+
+def _fold_gm_count(u, d_list):
+    """|G_m(u, g^d)| read from the joint (log a, log b) histogram of u's shift."""
+    spec = u.spec
+    t = spec.tables()
+    exp, log = t["exp"], t["log"]
+    m = spec.q - 1
+    plus_corner = spec.add_map(u.corner().index())
+    matches = dict.fromkeys(d_list, 0)
+    for (la, lb), count in _superdiagonal_histogram(spec, u.superdiagonal()).items():
+        for d in d_list:
+            ld = log[d % spec.p]
+            s = plus_corner[exp[(ld - la) % m]]
+            if s and (log[s] + lb) % m == ld:
+                matches[d] += count
+    return {d: k * spec.q ** _free_exponent(u.n) for d, k in matches.items()}
 
 
 def _element_histogram(spec, shift):
@@ -475,6 +518,21 @@ class TestSuperdiagonalDp:
                          if not key[1].is_zero()}
             assert decoded == reference
 
+    @pytest.mark.parametrize("p,q,j", REFERENCE_INSTANCES + [(5, 5, 2), (13, 13, 1)])
+    def test_fast_count_equals_the_joint_fold_at_every_k(self, p, q, j):
+        # the fast count folds only the nonzero slots, in (log a, log C); the
+        # reference folds every slot into (log a, log b)
+        spec, n = field_for_order(q), (p ** j + 1) // 2
+        rng = random.Random(q * n)
+        us = _reference_us(spec, n)
+        for k in range(n):
+            for _ in range(3):
+                zeros = set(rng.sample(range(n - 1), min(k, n - 1)))
+                sd = [0 if i in zeros else rng.randrange(1, q) for i in range(n - 1)]
+                us.append(_u_from_digits(spec, n, rng, rng.randrange(q), sd))
+        for u in us:
+            assert _gm_count_fast(u, range(1, p)) == _fold_gm_count(u, range(1, p))
+
     @pytest.mark.parametrize("p,q,j", REFERENCE_INSTANCES)
     def test_gm_count_matches_enumeration_for_identity_and_witness(self, p, q, j):
         spec, n = field_for_order(q), (p ** j + 1) // 2
@@ -545,6 +603,51 @@ class TestReachableInstances:
             assert report.verdict == "inconclusive-nonexhaustive"
             assert report.witness is None
         assert time.perf_counter() - start < 5.0
+
+
+def _class_representative(u):
+    """The (k, t) representative of u: k zeros and then ones on the
+    superdiagonal, no other L entries, and S = t E_00 with
+    t = prod_{y_i != 0} y_i^2 * A_u[0,0]."""
+    spec, n = u.spec, u.n
+    sd = u.superdiagonal()
+    k = sum(1 for y in sd if y.is_zero())
+    t = u.corner()
+    for y in sd:
+        if not y.is_zero():
+            t = t * y * y
+    ones = [spec.zero] * k + [spec.one] * (n - 1 - k)
+    upper = [ones[i] if c == i + 1 else spec.zero for i in range(n) for c in range(i + 1, n)]
+    return SylowElem.from_symmetric(UniTriMat(spec, n, upper), MatFq.elementary(spec, n, 0, 0, t))
+
+
+class TestClassReduction:
+    # a row depends on u only through k, the zeros on its superdiagonal, and
+    # t = c A_u[0,0] with c = prod_{y_i != 0} y_i^2
+    @pytest.mark.parametrize("p,q,j", [(3, 3, 1), (5, 5, 1), (3, 9, 1)])
+    def test_row_is_its_representatives_row(self, p, q, j):
+        spec, n = field_for_order(q), (p ** j + 1) // 2
+        rng = random.Random(p * q)
+        for _ in range(200):
+            sd = [rng.randrange(q) if rng.randrange(2) else 0 for _ in range(n - 1)]
+            u = _u_from_digits(spec, n, rng, rng.randrange(q), sd)
+            rep = _class_representative(u)
+            assert rep.superdiagonal()[:sd.count(0)] == (spec.zero,) * sd.count(0)
+            assert _fold_gm_count(u, range(1, p)) == _gm_count_fast(rep, range(1, p))
+
+
+class TestCubeFields:
+    # q = p^3 with p = 1 mod 4: the paper's hypothesis, past every other oracle
+    @pytest.mark.parametrize("p,q", [(5, 125), (13, 2197), (17, 4913)])
+    def test_u_row_is_the_closed_pair_count(self, p, q):
+        # |G_m(U, g^d)| = 2 (q-1)^(n-3) P(d) q^F: the n - 2 zero slots spread
+        # a = prod x_i^2 evenly over the nonzero squares, 2 (q-1)^(n-3) tuples
+        # each, and P(d) = witness_pair_count(d) counts the rest
+        spec, n = field_for_order(q), (p + 1) // 2
+        row = _gm_count_fast(u_witness(spec, n), range(1, p))
+        scale = 2 * (q - 1) ** (n - 3) * q ** _free_exponent(n)
+        assert row == {d: scale * witness_pair_count(spec, d, "closed") for d in range(1, p)}
+        assert len(set(row.values())) == 2
 
 
 class TestCentrality:
@@ -778,7 +881,7 @@ class TestClosedBeta:
         # the betas are the count's second route, so they must not run the
         # fold, the G_m read-out or the digit-wise additions that count runs on
         count_only = {
-            ("fsz_lab.fsz", "_superdiagonal_histogram"),
+            ("fsz_lab.fsz", "_nonzero_slot_fold"),
             ("fsz_lab.fsz", "_gm_count_fast"),
             ("fsz_lab.fields", "FieldSpec.add_map"),
         }
@@ -969,7 +1072,7 @@ class TestBruteScan:
         # the scan is the fast route's oracle, so it must not run the fold, the
         # tables or the closed block powers that route is built on
         fast_only = {
-            ("fsz_lab.fsz", "_superdiagonal_histogram"),
+            ("fsz_lab.fsz", "_nonzero_slot_fold"),
             ("fsz_lab.fsz", "_gm_count_fast"),
             ("fsz_lab.fields", "FieldSpec.tables"),
             ("fsz_lab.fields", "FieldSpec._build_tables"),

@@ -1,3 +1,4 @@
+import concurrent.futures
 import os
 from concurrent.futures import Future
 
@@ -81,7 +82,8 @@ def test_pool_is_capped_at_cpu_count(monkeypatch):
             future.set_result(fn(*args))
             return future
 
-    monkeypatch.setattr(parallel, "ThreadPoolExecutor", InlinePool)
+    # run_partitioned imports the pool class when it first needs one
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", InlinePool)
     for cpus, want in ((2, 2), (None, 1)):
         monkeypatch.setattr(parallel.os, "cpu_count", lambda: cpus)
         out = run_partitioned(lambda lo, hi: hi - lo, 0, 19_683, threads=20_000)

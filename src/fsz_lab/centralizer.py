@@ -21,7 +21,7 @@ a rank-one update on the int codes of `matrices`.
 
 Matrices are built and read on those codes: the section and the kernel
 parametrization place codes, and `pi`, `centralizer_pattern` and
-`CentElem.lam` read them (`lam` decodes its one entry).  Validation stays
+`CentElem.lam` read them (`lam` wraps its one entry).  Validation stays
 where input enters: `CentElem` checks every matrix it is built from, and
 `kernel_element` checks that its free entries belong to the target's field.
 
@@ -37,7 +37,7 @@ from typing import Sequence
 
 from .fields import FieldElem, FieldSpec
 from .fsz import PthPowerTarget
-from .matrices import MatFq, _coding, _encode_checked, _neg, _unit_block, is_symplectic
+from .matrices import MatFq, _encode_checked, _neg, _unit_block, is_symplectic
 
 
 class CentElem:
@@ -62,7 +62,7 @@ class CentElem:
     @property
     def lam(self) -> FieldElem:
         spec, n = self.mat.spec, self.target.n
-        return _coding(spec).decode(spec, self.mat._codes[n - 1][n - 1])
+        return FieldElem(spec, self.mat._codes[n - 1][n - 1])
 
     def __mul__(self, other: "CentElem") -> "CentElem":
         if not isinstance(other, CentElem):
@@ -123,7 +123,7 @@ def pi(M: CentElem, target: PthPowerTarget) -> tuple[MatFq, int]:
     lam = mat._codes[n - 1][n - 1]
     if lam == 1:
         return image, 1
-    if lam == _coding(mat.spec).minus_one:
+    if lam == mat.spec.code.minus_one:
         return image, -1
     raise ValueError("corner scalar is not +-1")
 
@@ -142,7 +142,7 @@ def pi_section(S: MatFq, lam: int, target: PthPowerTarget) -> CentElem:
         raise ValueError("section input must be over the target's field")
     # S's blocks fill rows and columns 0..k-1 and n..n+k-1; lam sits at
     # (k, k) and at the last corner, the rest of those two rows and columns is 0
-    c = 1 if lam == 1 else _coding(spec).minus_one
+    c = 1 if lam == 1 else spec.code.minus_one
     inner = [r[:k] + (0,) + r[k:] + (0,) for r in S._codes]
     rows = (inner[:k] + [(0,) * k + (c,) + (0,) * n]
             + inner[k:] + [(0,) * (2 * n - 1) + (c,)])
@@ -166,8 +166,7 @@ def kernel_element(
     if len(x) != n - 1 or len(a_col) != n - 1:
         raise ValueError(f"expected {n - 1} entries in x and a_col")
     xc, ac, (corner,) = _encode_checked(spec, (x, a_col, (a_corner,)))
-    code = _coding(spec)
-    red, m1 = code.reduce, code.minus_one
+    red, m1 = spec.code.reduce, spec.code.minus_one
     rows = [list(r) for r in _unit_block(2 * n)]
     for k in range(n - 1):
         rows[n - 1][k] = xc[k]
@@ -207,7 +206,7 @@ def random_symplectic(spec: FieldSpec, dim: int, rng) -> MatFq:
     if dim % 2:
         raise ValueError("transvections need an even dimension")
     k = dim // 2
-    code = _coding(spec)
+    code = spec.code
     red, m1, q = code.reduce, code.minus_one, spec.q
     out = [[int(i == j) for j in range(dim)] for i in range(dim)]
     for _ in range(12):

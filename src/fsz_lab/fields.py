@@ -1,8 +1,16 @@
 """Exact arithmetic in GF(p^n) for odd primes p.
 
-Elements are polynomial coefficient vectors reduced modulo a canonical
-irreducible polynomial (the lexicographically least monic irreducible of the
-right degree), so identical (p, n) always produce identical serializations.
+An element is one int, its code: over GF(p) the residue, over GF(p^n) the
+coefficients of its polynomial modulo a canonical irreducible (the
+lexicographically least monic irreducible of degree n) packed into one int,
+coefficient k in bit slot k (Kronecker substitution).  Equal (p, n) share
+one modulus and one coding, `FieldSpec.code`, so an element has one code in
+a `FieldElem`, a matrix or a block, and one serialization.  A sum of up to
+MAX_TERMS = 2^16 products of codes holds its unreduced convolution in the
+slots, and one `reduce` maps it to the code of its value: element sums,
+differences and products are one `reduce` each.  Codes are canonical, so
+equality and hashing read them.
+
 The module provides the trace map onto the prime subfield, Legendre symbols,
 and quadratic-residue sets.  A residue set is a read-only set view over a
 bytearray mask on element indices, filled by squaring on plain ints without
@@ -11,15 +19,15 @@ index at every q for the tables and ``cyclotomic.gauss_sum``.  For fields of
 at most TABLE_BOUND elements, exp/log and trace tables on element indices,
 with a tally of each square class's traces, are built lazily: the
 enumeration oracles and the fast fsz route run on these index codes, and a
-nonzero element is a square exactly when its log is even.  Equality is
-always defined on coefficients.  ``power`` is the one square-and-multiply:
-element, polynomial, matrix and cyclotomic powers and the block group's
-twisted sums all walk their exponent through it.
+nonzero element is a square exactly when its log is even.  ``power`` is the
+one square-and-multiply: code, polynomial, matrix and cyclotomic powers and
+the block group's twisted sums all walk their exponent through it.
 
 Elements of the prime subfield are identified with the integers
-{0, ..., p-1}, and mixed int/element arithmetic uses that identification.
-All values are immutable; operations never mutate their operands, and mixing
-elements of different fields is a hard error rather than a coercion.
+{0, ..., p-1}, which are their own codes, and mixed int/element arithmetic
+uses that identification.  All values are immutable; operations never
+mutate their operands, and mixing elements of different fields is a hard
+error rather than a coercion.
 """
 
 from __future__ import annotations
@@ -113,9 +121,8 @@ def split_prime_power(q: int) -> tuple[int, int]:
 # -- dense little-endian polynomial arithmetic over Z_p ----------------------
 #
 # Polynomials are lists of ints in [0, p); the zero polynomial is [].  These
-# helpers serve modulus construction, irreducibility testing, the table and
-# residue-mask builds and Euler's criterion; FieldElem products have their own
-# path.
+# helpers serve modulus construction, irreducibility testing, the coding's
+# fold, the traces and the residue-mask build; elements multiply on codes.
 
 def _ptrim(a: list[int]) -> list[int]:
     while a and a[-1] == 0:
@@ -218,6 +225,76 @@ def canonical_modulus(p: int, n: int) -> tuple[int, ...]:
     raise RuntimeError(f"no irreducible polynomial of degree {n} over Z_{p}")
 
 
+MAX_TERMS = 1 << 16  # the longest sum of products a code's slots hold
+
+
+class _Coding:
+    """Int codes of the elements of GF(p^f), sized for sums of MAX_TERMS products.
+
+    `reduce` maps a non-negative unreduced sum of at most MAX_TERMS products
+    of codes to the code of its value.  Over GF(p) (f = 1) a code is the
+    residue itself, which `reduce` and `pow` take as such.
+    """
+
+    __slots__ = ("p", "f", "mask", "shifts", "index_mod", "minus_one", "reduce")
+
+    def __init__(self, p: int, f: int, modulus: tuple[int, ...]):
+        self.p = p
+        self.f = f
+        # a sum of MAX_TERMS products of reduced entries has coefficients of
+        # at most MAX_TERMS f (p-1)^2, and 2^width >= q + p keeps every index
+        # below `index_mod`
+        width = max((MAX_TERMS * f * (p - 1) ** 2).bit_length(), (p ** f + p).bit_length())
+        self.mask = mask = (1 << width) - 1
+        self.shifts = range(0, f * width, width)  # the slots of a reduced code
+        self.index_mod = (1 << width) - p
+        self.minus_one = p - 1  # the code of -1: its constant coefficient
+        if f == 1:
+            self.reduce = p.__rmod__
+            return
+        # a product's slot k >= f adds its value times x^k mod the modulus:
+        # `fold` pairs each slot s < f with those residues' coefficients at s
+        high_shifts = range(f * width, (2 * f - 1) * width, width)
+        powers = [_pmod([0] * k + [1], modulus, p) + [0] * f for k in range(f, 2 * f - 1)]
+        fold = tuple(zip(self.shifts, zip(*powers)))
+
+        def reduce(v: int) -> int:
+            hi = [(v >> s) & mask for s in high_shifts]
+            out = 0
+            for s, row in fold:
+                out |= ((((v >> s) & mask) + sum(map(mul, hi, row))) % p) << s
+            return out
+
+        self.reduce = reduce
+
+    def pow(self, v: int, e: int) -> int:
+        """The code of x^e for the element x with code v, e >= 0."""
+        if self.f == 1:
+            return pow(v, e, self.p)
+        red = self.reduce
+        return power(v, e, lambda a, b: red(a * b), 1)
+
+    def from_index(self, i: int) -> int:
+        """The code of the field element with index i (base-p digits, c_0 lowest)."""
+        v = 0
+        for s in self.shifts:
+            i, c = divmod(i, self.p)
+            v |= c << s
+        return v
+
+    def index(self, v: int) -> int:
+        """The index of the element with code v: its coefficients as base-p digits.
+
+        2^width = p mod M = 2^width - p, so v = sum c_k 2^(k width) is
+        congruent to sum c_k p^k, the index, which lies in [0, q) within [0, M).
+        """
+        return v % self.index_mod
+
+
+# one coding per (p, f), shared by every FieldSpec of that field
+_CODINGS: dict[tuple[int, int], _Coding] = {}
+
+
 class FieldSpec:
     """A finite field GF(p^n) with its canonical modulus.
 
@@ -225,7 +302,7 @@ class FieldSpec:
     instance; direct construction is also fine (equality is by value).
     """
 
-    __slots__ = ("p", "n", "q", "modulus", "_lock", "_tables", "_qr", "_zero", "_one")
+    __slots__ = ("p", "n", "q", "modulus", "code", "_lock", "_tables", "_qr", "_zero", "_one")
 
     def __init__(self, p: int, n: int = 1):
         if not is_prime(p):
@@ -238,11 +315,17 @@ class FieldSpec:
         self.n = n
         self.q = p ** n
         self.modulus = canonical_modulus(p, n)
+        code = _CODINGS.get((p, n))
+        if code is None:
+            # setdefault keeps one object per field when threads race, since
+            # block elements compare their codings by identity
+            code = _CODINGS.setdefault((p, n), _Coding(p, n, self.modulus))
+        self.code = code
         self._lock = threading.Lock()
         self._tables: dict | None = None
         self._qr: QuadraticResidues | None = None
-        self._zero = FieldElem(self, (0,) * n)
-        self._one = FieldElem(self, (1,) + (0,) * (n - 1))
+        self._zero = FieldElem(self, 0)
+        self._one = FieldElem(self, 1)
 
     # -- construction --------------------------------------------------------
 
@@ -257,23 +340,17 @@ class FieldSpec:
     def elem(self, value: int | Sequence[int]) -> FieldElem:
         """Build an element from an integer (prime subfield) or coefficients."""
         if isinstance(value, int):
-            coeffs = (value % self.p,) + (0,) * (self.n - 1)
-            return FieldElem(self, coeffs)
+            return FieldElem(self, value % self.p)
         value = list(value)
         if len(value) > self.n:
             raise ValueError(f"at most {self.n} coefficients expected")
-        value += [0] * (self.n - len(value))
-        return FieldElem(self, tuple(c % self.p for c in value))
+        return self.from_index(sum(c % self.p * self.p ** k for k, c in enumerate(value)))
 
     def from_index(self, i: int) -> FieldElem:
         """Element with mixed-radix index i: coeffs are base-p digits, c_0 least significant."""
         if not 0 <= i < self.q:
             raise ValueError(f"index out of range [0, {self.q})")
-        coeffs = []
-        for _ in range(self.n):
-            i, c = divmod(i, self.p)
-            coeffs.append(c)
-        return FieldElem(self, tuple(coeffs))
+        return FieldElem(self, self.code.from_index(i))
 
     def elements(self) -> Iterator[FieldElem]:
         """All q elements, in index order."""
@@ -292,12 +369,12 @@ class FieldSpec:
         if tail != f"({self.p},{self.n})":
             raise ValueError(f"element does not belong to GF({self.p}^{self.n}): {text!r}")
         coeffs = [int(c) for c in body.strip("[]").split(",")]
-        if len(coeffs) != self.n:
-            raise ValueError(f"expected {self.n} coefficients: {text!r}")
         return self._elem_in_range(coeffs, f"element {text!r}")
 
     def _elem_in_range(self, coeffs: list[int], what: str) -> FieldElem:
-        """elem(coeffs), but a coefficient outside [0, p) raises ValueError naming what."""
+        """elem(coeffs); anything but n coefficients in [0, p) raises ValueError naming what."""
+        if len(coeffs) != self.n:
+            raise ValueError(f"{what} does not have {self.n} coefficients")
         if not all(0 <= c < self.p for c in coeffs):
             raise ValueError(f"{what} has a coefficient outside [0, {self.p})")
         return self.elem(coeffs)
@@ -357,8 +434,7 @@ class FieldSpec:
         return self._qr
 
     def minus_one_is_qr(self) -> bool:
-        # Euler's criterion on the int p - 1, which represents -1
-        return pow(self.p - 1, (self.q - 1) // 2, self.p) == 1
+        return self.elem(-1).legendre() == 1
 
     def tables(self) -> dict:
         """Lazily built index tables: exp/log, trace and fiber tally.
@@ -381,31 +457,20 @@ class FieldSpec:
         return self._tables
 
     def _build_tables(self) -> dict:
-        q, p, f = self.q, self.p, self.modulus
-        # the generator and its powers are trimmed little-endian coefficient
-        # lists, as _pmulmod returns them: the digits of an index, c_0 first
+        q, p, code = self.q, self.p, self.code
+        # the generator and its powers are codes
         fac = list(factorize(q - 1))
         for i in range(2, q):  # a generator exists in 2..q-1 for every q >= 3
-            gen = _ptrim(list(self.from_index(i).coeffs))
-            if all(_ppowmod(gen, (q - 1) // ell, f, p) != [1] for ell in fac):
+            gen = code.from_index(i)
+            if all(code.pow(gen, (q - 1) // ell) != 1 for ell in fac):
                 break
         exp = [0] * (q - 1)
         log = [0] * q
-        if self.n == 1:  # the index is the element: step one int
-            acc, g = 1, gen[0]
-            for k in range(q - 1):
-                exp[k] = acc
-                log[acc] = k
-                acc = acc * g % p
-        else:
-            acc = [1]
-            for k in range(q - 1):
-                idx = 0
-                for c in reversed(acc):
-                    idx = idx * p + c
-                exp[k] = idx
-                log[idx] = k
-                acc = _pmulmod(acc, gen, f, p)
+        acc, red, index = 1, code.reduce, code.index
+        for k in range(q - 1):
+            exp[k] = i = index(acc)
+            log[i] = k
+            acc = red(acc * gen)
         trace = self.traces()
         fiber = []
         for r in (0, 1):
@@ -483,73 +548,64 @@ def field_for_order(q: int) -> FieldSpec:
 
 
 class FieldElem:
-    """Immutable element of a FieldSpec, stored as reduced coefficients."""
+    """Immutable element of a FieldSpec, stored as its field's int code."""
 
-    __slots__ = ("spec", "coeffs")
+    __slots__ = ("spec", "code")
 
-    def __init__(self, spec: FieldSpec, coeffs: tuple[int, ...]):
+    def __init__(self, spec: FieldSpec, code: int):
         self.spec = spec
-        self.coeffs = coeffs
+        self.code = code
 
-    def _check(self, other) -> "FieldElem":
+    def _code_of(self, other) -> int:
+        """The code of an element of this field, or of an int read in GF(p)."""
         if isinstance(other, int):
-            return self.spec.elem(other)
+            return other % self.spec.p
         if not isinstance(other, FieldElem):
             raise TypeError(f"cannot combine field element with {type(other).__name__}")
         if other.spec is not self.spec and other.spec != self.spec:
             raise ValueError(f"mixed fields: {self.spec!r} vs {other.spec!r}")
-        return other
+        return other.code
 
     def __add__(self, other):
-        other = self._check(other)
-        p = self.spec.p
-        return FieldElem(self.spec, tuple((a + b) % p for a, b in zip(self.coeffs, other.coeffs)))
+        spec = self.spec
+        return FieldElem(spec, spec.code.reduce(self.code + self._code_of(other)))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = self._check(other)
-        p = self.spec.p
-        return FieldElem(self.spec, tuple((a - b) % p for a, b in zip(self.coeffs, other.coeffs)))
+        code = self.spec.code
+        return FieldElem(self.spec, code.reduce(self.code + code.minus_one * self._code_of(other)))
 
     def __rsub__(self, other):
-        return self._check(other) - self
+        code = self.spec.code
+        return FieldElem(self.spec, code.reduce(self._code_of(other) + code.minus_one * self.code))
 
     def __neg__(self):
-        p = self.spec.p
-        return FieldElem(self.spec, tuple((-a) % p for a in self.coeffs))
+        code = self.spec.code
+        return FieldElem(self.spec, code.reduce(code.minus_one * self.code))
 
     def __mul__(self, other):
-        other = self._check(other)
         spec = self.spec
-        p = spec.p
-        if spec.n == 1:
-            return FieldElem(spec, ((self.coeffs[0] * other.coeffs[0]) % p,))
-        prod = _pmulmod(list(self.coeffs), list(other.coeffs), spec.modulus, p)
-        prod += [0] * (spec.n - len(prod))
-        return FieldElem(spec, tuple(prod))
+        return FieldElem(spec, spec.code.reduce(self.code * self._code_of(other)))
 
     __rmul__ = __mul__
 
     def __pow__(self, e: int):
         if e < 0:
             return self.inv() ** (-e)
-        return power(self, e, mul, self.spec.one)
+        return FieldElem(self.spec, self.spec.code.pow(self.code, e))
 
     def inv(self) -> "FieldElem":
         """Multiplicative inverse; raises ZeroDivisionError at zero."""
-        if self.is_zero():
+        if not self.code:
             raise ZeroDivisionError("inversion of zero field element")
-        spec = self.spec
-        if spec.n == 1:
-            return FieldElem(spec, (pow(self.coeffs[0], -1, spec.p),))
-        return self ** (spec.q - 2)
+        return self ** (self.spec.q - 2)
 
     def __truediv__(self, other):
-        return self * self._check(other).inv()
+        return self * FieldElem(self.spec, self._code_of(other)).inv()
 
     def __rtruediv__(self, other):
-        return self._check(other) * self.inv()
+        return self.inv() * other
 
     def frobenius(self) -> "FieldElem":
         """The automorphism x -> x^p."""
@@ -557,63 +613,63 @@ class FieldElem:
 
     def trace(self) -> int:
         """Trace onto the prime subfield: sum of x^(p^i), returned as an int in [0, p)."""
-        spec = self.spec
-        if spec.n == 1:
-            return self.coeffs[0]
-        acc = self
-        frob = self
-        for _ in range(spec.n - 1):
+        acc = frob = self
+        for _ in range(self.spec.n - 1):
             frob = frob.frobenius()
             acc = acc + frob
-        if any(acc.coeffs[1:]):
+        if acc.code >= self.spec.p:  # a code below p is a constant coefficient alone
             raise AssertionError("trace left the prime subfield")
-        return acc.coeffs[0]
+        return acc.code
 
     def legendre(self) -> int:
         """Quadratic residue symbol: 0 at zero, +1 on nonzero squares, -1 otherwise.
 
         Reads what the field already holds, and builds neither the tables
         nor the square mask: the parity of the log, else the mask of
-        `qr_set()`, else Euler's criterion, on the int itself over GF(p).
+        `qr_set()`, else Euler's criterion x^((q-1)/2) = 1 on the code.
         """
-        if self.is_zero():
+        if not self.code:
             return 0
         spec = self.spec
         t = spec._tables
         if t is not None:
-            return -1 if t["log"][self.index()] % 2 else 1
+            return -1 if t["log"][spec.code.index(self.code)] % 2 else 1
         if spec._qr is not None:
-            return 1 if spec._qr.mask[self.index()] else -1
-        if spec.n == 1:
-            return 1 if pow(self.coeffs[0], (spec.p - 1) // 2, spec.p) == 1 else -1
-        e = _ppowmod(list(self.coeffs), (spec.q - 1) // 2, spec.modulus, spec.p)
-        return 1 if e == [1] else -1
+            return 1 if spec._qr.mask[spec.code.index(self.code)] else -1
+        return 1 if spec.code.pow(self.code, (spec.q - 1) // 2) == 1 else -1
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not self.code
 
     def index(self) -> int:
-        i = 0
-        for c in reversed(self.coeffs):
-            i = i * self.spec.p + c
-        return i
+        return self.spec.code.index(self.code)
+
+    @property
+    def coeffs(self) -> tuple[int, ...]:
+        """The coefficients c_0, ..., c_{n-1}: the slots of the code."""
+        code = self.spec.code
+        v, mask = self.code, code.mask
+        return tuple([(v >> s) & mask for s in code.shifts])
 
     def __bool__(self):
-        return not self.is_zero()
+        return self.code != 0
 
     def __eq__(self, other):
         if isinstance(other, FieldElem):
-            return self.spec == other.spec and self.coeffs == other.coeffs
+            return self.code == other.code and self.spec == other.spec
         if isinstance(other, int):
-            return self == self.spec.elem(other)
+            return self.code == other % self.spec.p
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.spec.p, self.spec.n, self.coeffs))
+        return hash((self.spec.p, self.spec.n, self.code))
 
     def __str__(self):
-        body = ",".join(str(c) for c in self.coeffs)
-        return f"[{body}] mod ({self.spec.p},{self.spec.n})"
+        # the slots formatted in one pass: through `coeffs` a call costs about
+        # a fifth more, and check messages format thousands of elements
+        spec, v, mask = self.spec, self.code, self.spec.code.mask
+        body = ",".join([str((v >> s) & mask) for s in spec.code.shifts])
+        return f"[{body}] mod ({spec.p},{spec.n})"
 
     def __repr__(self):
         return str(self)
@@ -621,7 +677,7 @@ class FieldElem:
     def to_json(self):
         """JSON form: plain int for prime fields, coefficient list otherwise."""
         if self.spec.n == 1:
-            return self.coeffs[0]
+            return self.code
         return list(self.coeffs)
 
 

@@ -40,7 +40,7 @@ from typing import Callable, Iterable, Sequence
 
 from .cyclotomic import CycNum, gauss_sum_via_prime
 from .fields import FieldElem, FieldSpec, field_for_order, power
-from .matrices import Block, MatFq, UniTriMat, _coding, _unit_block
+from .matrices import Block, MatFq, UniTriMat, _unit_block
 from .parallel import BudgetExceeded, run_partitioned
 from .sylow import (
     SylowElem,
@@ -140,9 +140,8 @@ def make_target(p: int, q: int, j: int, d: int) -> PthPowerTarget:
         raise ValueError("d must be a unit mod p")
     d %= p
     sigma = (-1) ** (j * (p - 1) // 2)
-    code = _coding(spec)
-    A = _corner_block(n, code.from_index(sigma * d % p))
-    g = SylowElem._from_codes(spec, code, _unit_block(n), A)
+    A = _corner_block(n, sigma * d % p)  # an int of GF(p) is its own code
+    g = SylowElem._from_codes(spec, _unit_block(n), A)
     return PthPowerTarget(spec=spec, j=j, d=d, n=n, sigma=sigma, g=g)
 
 
@@ -526,8 +525,11 @@ def beta_linear_batch(
         etas = [eta_d if zparam in squares else -eta_d for zparam in zparams]
     else:
         etas = [zparam.legendre() * eta_d for zparam in zparams]
-    values = {eta: (gauss * eta - 1).norm_sq() * scale for eta in set(etas)}
-    return [_beta(values[eta], zparam.to_json()) for zparam, eta in zip(zparams, etas)]
+    rows = {}  # (value, rational, rational_value), one rationality test per eta
+    for eta in set(etas):
+        value = (gauss * eta - 1).norm_sq() * scale
+        rows[eta] = (value, *value.is_rational())
+    return [BetaValue(*rows[eta], zparam.to_json()) for zparam, eta in zip(zparams, etas)]
 
 
 def beta_definitional(

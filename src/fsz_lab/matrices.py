@@ -1,22 +1,19 @@
 """Dense matrices over a finite field, upper unitriangular groups, and the
-packed-int kernel their products run on.
+block kernel their products run on.
 
-Matrices are immutable and store int codes, a format this module owns: over
-GF(p) a code is the residue, over GF(p^f) the coefficients packed into one
-int, coefficient k in bit slot k (Kronecker substitution).  A row . column
-sum of codes then holds the unreduced convolution of the whole dot product,
-reduced once.  There is one coding per field, `_coding(spec)`, so an element
-has the same code in every matrix and block.  Its slots hold sums of up to
-MAX_TERMS = 2^16 products, (MAX_TERMS * f * (p-1)^2).bit_length() bits.
-`MatFq @` refuses a longer inner dimension, and no other product comes near
-it: a sum of 2n products needs n x n operands, which hold more than 2^30
-codes once 2n > 2^16.
+Matrices are immutable and store their entries' int codes, in the format of
+`fields` (`spec.code`), so a row . column sum of codes holds the unreduced
+convolution of the whole dot product, reduced once.  The coding's slots hold
+sums of up to MAX_TERMS products: `MatFq @` refuses a longer inner
+dimension, and no other product comes near it, since a sum of 2n products
+needs n x n operands, which hold more than 2^30 codes once 2n > 2^16.
 
 FieldElem appears only at the edges.  `MatFq(spec, rows)` and
-`UniTriMat(spec, n, upper)` validate and encode their entries;
-`MatFq.rows` is decoded on first read and cached, `UniTriMat.upper` and
-`superdiagonal()` are decoded when read.  Everything else (products, sums,
-inverses, powers, equality and hashing) runs on the codes.
+`UniTriMat(spec, n, upper)` validate their entries and read their codes;
+`MatFq.rows` wraps the codes as FieldElem on first read and caches them,
+`UniTriMat.upper` and `superdiagonal()` wrap them when read.  Everything
+else (products, sums, inverses, powers, equality and hashing) runs on the
+codes.
 
 All indices in this package are 0-based.  The symplectic membership test
 checks M Omega M^T == Omega for Omega = [[0, I], [-I, 0]] on the codes of M,
@@ -33,92 +30,9 @@ from functools import cache
 from operator import add, matmul, mul
 from typing import Sequence
 
-from .fields import FieldElem, FieldSpec, _pmod, power
+from .fields import MAX_TERMS, FieldElem, FieldSpec, _Coding, power
 
 Block = tuple[tuple[int, ...], ...]  # rows of int codes
-
-MAX_TERMS = 1 << 16  # the longest sum of products a code's slots hold
-
-
-def _pack(coeffs: Sequence[int], width: int) -> int:
-    """Coefficients c_0, c_1, ... as one int with c_k in bits [k*width, (k+1)*width)."""
-    v = 0
-    for c in reversed(coeffs):
-        v = (v << width) | c
-    return v
-
-
-class _Coding:
-    """Int codes of the elements of GF(p^f), sized for sums of MAX_TERMS products.
-
-    `reduce` maps a non-negative unreduced sum of at most MAX_TERMS products
-    of codes to the code of its value.
-    """
-
-    __slots__ = ("p", "width", "mask", "shifts", "minus_one", "reduce")
-
-    def __init__(self, p: int, f: int, modulus: tuple[int, ...]):
-        self.p = p
-        # a sum of MAX_TERMS products of reduced entries has coefficients of
-        # at most MAX_TERMS f (p-1)^2
-        self.width = width = (MAX_TERMS * f * (p - 1) ** 2).bit_length()
-        self.mask = mask = (1 << width) - 1
-        self.shifts = range(0, f * width, width)  # the slots of a reduced code
-        self.minus_one = p - 1  # the code of -1: its constant coefficient
-        if f == 1:
-            self.reduce = p.__rmod__
-            return
-        # a product's slot k >= f adds its value times x^k mod the modulus:
-        # `fold` pairs each slot s < f with those residues' coefficients at s
-        high_shifts = range(f * width, (2 * f - 1) * width, width)
-        powers = [_pmod([0] * k + [1], modulus, p) + [0] * f for k in range(f, 2 * f - 1)]
-        fold = tuple(zip(self.shifts, zip(*powers)))
-
-        def reduce(v: int) -> int:
-            hi = [(v >> s) & mask for s in high_shifts]
-            out = 0
-            for s, row in fold:
-                out |= ((((v >> s) & mask) + sum(map(mul, hi, row))) % p) << s
-            return out
-
-        self.reduce = reduce
-
-    def decode(self, spec: FieldSpec, v: int) -> FieldElem:
-        mask = self.mask
-        return FieldElem(spec, tuple([(v >> s) & mask for s in self.shifts]))
-
-    def from_index(self, i: int) -> int:
-        """The code of the field element with index i (base-p digits, c_0 lowest)."""
-        v = 0
-        for s in self.shifts:
-            i, c = divmod(i, self.p)
-            v |= c << s
-        return v
-
-    def index(self, v: int) -> int:
-        i = 0
-        for s in reversed(self.shifts):
-            i = i * self.p + ((v >> s) & self.mask)
-        return i
-
-    def encode(self, rows) -> Block:
-        """The codes of rows of FieldElem."""
-        width = self.width
-        return tuple([tuple([_pack(x.coeffs, width) for x in r]) for r in rows])
-
-
-_CODINGS: dict[tuple[int, int], _Coding] = {}
-
-
-def _coding(spec: FieldSpec) -> _Coding:
-    """The coding of spec's field; one object per (p, f)."""
-    key = (spec.p, spec.n)
-    code = _CODINGS.get(key)
-    if code is None:
-        # setdefault keeps one object per key when threads race, since
-        # block elements compare their codings by identity
-        code = _CODINGS.setdefault(key, _Coding(spec.p, spec.n, spec.modulus))
-    return code
 
 
 def _encode_checked(spec: FieldSpec, rows) -> Block:
@@ -127,7 +41,7 @@ def _encode_checked(spec: FieldSpec, rows) -> Block:
         for x in r:
             if not isinstance(x, FieldElem) or (x.spec is not spec and x.spec != spec):
                 raise ValueError("entries must be elements of the given field")
-    return _coding(spec).encode(rows)
+    return tuple([tuple([x.code for x in r]) for r in rows])
 
 
 # -- block arithmetic on int codes ---------------------------------------------------
@@ -239,10 +153,10 @@ class MatFq:
 
     @property
     def rows(self) -> tuple[tuple[FieldElem, ...], ...]:
-        """The entries as FieldElem, decoded on first read."""
+        """The entries as FieldElem, wrapped on first read."""
         if self._rows is None:
-            dec, spec = _coding(self.spec).decode, self.spec
-            self._rows = tuple([tuple([dec(spec, v) for v in r]) for r in self._codes])
+            spec = self.spec
+            self._rows = tuple([tuple([FieldElem(spec, v) for v in r]) for r in self._codes])
         return self._rows
 
     @property
@@ -261,7 +175,7 @@ class MatFq:
 
     def __add__(self, other: "MatFq") -> "MatFq":
         self._compat(other, same_shape=True)
-        red = _coding(self.spec).reduce
+        red = self.spec.code.reduce
         return MatFq._wrap(self.spec, tuple(tuple(map(red, map(add, r, s)))
                                             for r, s in zip(self._codes, other._codes)))
 
@@ -269,13 +183,12 @@ class MatFq:
         return self + -other
 
     def __neg__(self) -> "MatFq":
-        return MatFq._wrap(self.spec, _neg(self._codes, _coding(self.spec)))
+        return MatFq._wrap(self.spec, _neg(self._codes, self.spec.code))
 
     def __mul__(self, scalar) -> "MatFq":
         if isinstance(scalar, (int, FieldElem)):
-            code = _coding(self.spec)
-            # adding the scalar to zero checks its field
-            c, red = code.from_index((self.spec.zero + scalar).index()), code.reduce
+            # an element of another field raises here
+            c, red = self.spec.zero._code_of(scalar), self.spec.code.reduce
             return MatFq._wrap(self.spec, tuple(tuple([red(c * v) for v in r])
                                                 for r in self._codes))
         return NotImplemented
@@ -288,7 +201,7 @@ class MatFq:
             raise ValueError(f"dimension mismatch: {self.ncols} vs {other.nrows}")
         if self.ncols > MAX_TERMS:
             raise ValueError(f"inner dimension {self.ncols} exceeds {MAX_TERMS}")
-        return MatFq._wrap(self.spec, _mm(self._codes, other._codes, _coding(self.spec).reduce))
+        return MatFq._wrap(self.spec, _mm(self._codes, other._codes, self.spec.code.reduce))
 
     def inv(self) -> "MatFq":
         """Inverse by Gaussian elimination; raises ValueError when singular."""
@@ -332,7 +245,7 @@ class MatFq:
         return hash((self.spec.p, self.spec.n, self._codes))
 
     def __repr__(self):
-        index = _coding(self.spec).index
+        index = self.spec.code.index
         body = "; ".join(" ".join(str(index(v)) for v in r) for r in self._codes)
         return f"MatFq({self.spec!r}, [{body}])"
 
@@ -360,8 +273,7 @@ def is_symplectic(M: MatFq) -> bool:
     if m != M.ncols or m % 2:
         raise ValueError("even-dimensional square matrix required")
     n = m // 2
-    code = _coding(M.spec)
-    red, m1 = code.reduce, code.minus_one
+    red, m1 = M.spec.code.reduce, M.spec.code.minus_one
     C = M._codes
     swapped = [r[n:] + r[:n] for r in C]
     for i in range(m - 1):
@@ -378,7 +290,7 @@ class UniTriMat:
 
     Stores the n x n block of codes, unit diagonal and zeros included.
     `upper` lists the strictly-upper entries row-major, (0,1), (0,2), ...,
-    (0,n-1), (1,2), ..., decoded when read.
+    (0,n-1), (1,2), ..., wrapped as FieldElem when read.
     """
 
     __slots__ = ("spec", "n", "_codes")
@@ -416,12 +328,12 @@ class UniTriMat:
 
     @property
     def upper(self) -> tuple[FieldElem, ...]:
-        dec, spec, X, n = _coding(self.spec).decode, self.spec, self._codes, self.n
-        return tuple(dec(spec, X[i][j]) for i in range(n) for j in range(i + 1, n))
+        spec, X, n = self.spec, self._codes, self.n
+        return tuple(FieldElem(spec, X[i][j]) for i in range(n) for j in range(i + 1, n))
 
     def superdiagonal(self) -> tuple[FieldElem, ...]:
-        dec, spec, X = _coding(self.spec).decode, self.spec, self._codes
-        return tuple(dec(spec, X[i][i + 1]) for i in range(self.n - 1))
+        spec, X = self.spec, self._codes
+        return tuple(FieldElem(spec, X[i][i + 1]) for i in range(self.n - 1))
 
     def to_mat(self) -> MatFq:
         return MatFq._wrap(self.spec, self._codes)
@@ -431,12 +343,12 @@ class UniTriMat:
             return NotImplemented
         if other.spec != self.spec or other.n != self.n:
             raise ValueError("unitriangular matrices of different sizes or fields")
-        red = _coding(self.spec).reduce
+        red = self.spec.code.reduce
         return UniTriMat._wrap(self.spec, _mm(self._codes, other._codes, red))
 
     def inv(self) -> "UniTriMat":
         """Inverse by back substitution on int codes."""
-        return UniTriMat._wrap(self.spec, _tri_inv(self._codes, _coding(self.spec)))
+        return UniTriMat._wrap(self.spec, _tri_inv(self._codes, self.spec.code))
 
     def pow(self, e: int) -> "UniTriMat":
         if e < 0:

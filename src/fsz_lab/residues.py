@@ -98,8 +98,9 @@ def trace_fiber_qr_count(query: FiberCountQuery, mode: str = "closed") -> int:
         if n % 2:
             # G(p) * G(p^n) collapses to (G(p)^2)^((n+1)/2); the substitution
             # a -> -a y in the character sum contributes legendre(-1) as well,
-            # which only matters when p = 3 mod 4
-            sy = 1 if pow(y, (p - 1) // 2, p) == 1 else -1
+            # which only matters when p = 3 mod 4; eta_q(y) = eta_p(y)^n = eta_p(y)
+            # for y in GF(p) and odd n
+            sy = spec.elem(y).legendre()
             s_minus = 1 if p % 4 == 1 else -1
             num = q + s_minus * sz * sy * g2 ** ((n + 1) // 2)
         else:

@@ -9,12 +9,12 @@ inverse, and arbitrary powers all have closed block forms; powers use
 A `SylowElem` stores L (unit diagonal and zeros included) and A as n x n
 tuples of int codes, and its group law, inverse, powers, equality,
 embedding and index decoding all run on those ints.  The codes and the
-block kernel (`_mm`, `_mm_add`, `_tri_inv`, ...) come from `matrices`, which
-owns the packed format; the coding is the field's `_coding(spec)`, the one
-every matrix over it uses, and the longest unreduced sum formed here is 2n
-products, in L^T B + A M^-1.  Codes are canonical, so two elements are
+block kernel (`_mm`, `_mm_add`, `_tri_inv`, ...) come from `matrices`; the
+coding is the field's `spec.code`, the one every matrix and FieldElem over
+it uses, and the longest unreduced sum formed here is 2n products, in
+L^T B + A M^-1.  Codes are canonical, so two elements are
 equal exactly when their codes are.  `L`, `A` and `to_matrix()` wrap the
-element's own codes in a UniTriMat and MatFq and decode nothing, and
+element's own codes in a UniTriMat and MatFq and convert nothing, and
 `SylowElem(L, A)` and `from_symmetric` read their arguments' codes.
 
 An element also carries L^-1, computed at most once: by the first of
@@ -35,9 +35,10 @@ construction.
 The 2n x 2n products of `to_matrix` embeddings stay an independent check of
 the block formulas, although `MatFq @` runs on the same kernel.  No
 `SylowElem` operation calls `MatFq @`, and the two routes share only the
-entry step, one dot product of codes and one reduction, which has its own
-per-term FieldElem oracle in the matrix tests.  `MatFq.inv`, Gaussian
-elimination on FieldElems, is the reference for `_tri_inv`.
+entry step, one dot product of codes and one reduction, which the matrix
+tests check term by term against coefficient lists multiplied by
+`fields._pmulmod`.  `MatFq.inv`, Gaussian elimination on FieldElems, is the
+reference for `_tri_inv`.
 
 The module also carries the structural maps that drive the p-th power
 analysis: the abelianization tuple `kappa`, the linear characters `xi_lambda`
@@ -57,8 +58,8 @@ from typing import Iterable, Iterator
 
 from .cyclotomic import CycNum, e_q
 from .fields import FieldElem, FieldSpec, power
-from .matrices import (Block, MatFq, UniTriMat, _Coding, _coding, _mm, _mm_add, _neg,
-                       _p_power_order, _transpose, _tri_inv, _unit_block)
+from .matrices import (Block, MatFq, UniTriMat, _mm, _mm_add, _neg, _p_power_order,
+                       _transpose, _tri_inv, _unit_block)
 
 
 def twisted_sum(L: Block, A: Block, terms: int, red) -> tuple[Block, Block]:
@@ -94,30 +95,28 @@ class SylowElem:
 
     def __init__(self, L: UniTriMat, A: MatFq):
         _check_blocks(L, A)
-        code = _coding(L.spec)
-        S = _mm(A._codes, L._codes, code.reduce)
+        S = _mm(A._codes, L._codes, L.spec.code.reduce)
         if S != _transpose(S):
             raise ValueError("A L must be symmetric")
-        self._init(L.spec, code, L._codes, A._codes)
+        self._init(L.spec, L._codes, A._codes)
 
-    def _init(self, spec: FieldSpec, code: _Coding, L: Block, A: Block,
-              Linv: Block | None = None) -> None:
+    def _init(self, spec: FieldSpec, L: Block, A: Block, Linv: Block | None = None) -> None:
         self.spec = spec
         self.n = len(L)
-        self._code = code
+        self._code = spec.code
         self._L = L
         self._A = A
         self._Linv = Linv
 
     @classmethod
-    def _from_codes(cls, spec: FieldSpec, code: _Coding, L: Block, A: Block,
+    def _from_codes(cls, spec: FieldSpec, L: Block, A: Block,
                     Linv: Block | None = None) -> "SylowElem":
         """The element with int-coded blocks L and A, A L symmetric; unchecked.
 
         Linv, when given, must be L^-1.
         """
         x = object.__new__(cls)
-        x._init(spec, code, L, A, Linv)
+        x._init(spec, L, A, Linv)
         return x
 
     def _linv(self) -> Block:
@@ -136,7 +135,7 @@ class SylowElem:
 
     def corner(self) -> FieldElem:
         """A[0, 0]."""
-        return self._code.decode(self.spec, self._A[0][0])
+        return FieldElem(self.spec, self._A[0][0])
 
     def superdiagonal(self) -> tuple[FieldElem, ...]:
         """(L[0, 1], L[1, 2], ..., L[n-2, n-1])."""
@@ -145,7 +144,7 @@ class SylowElem:
     @classmethod
     def identity(cls, spec: FieldSpec, n: int) -> "SylowElem":
         I = _unit_block(n)
-        return cls._from_codes(spec, _coding(spec), I, ((0,) * n,) * n, I)
+        return cls._from_codes(spec, I, ((0,) * n,) * n, I)
 
     @classmethod
     def from_symmetric(cls, L: UniTriMat, S: MatFq) -> "SylowElem":
@@ -153,9 +152,9 @@ class SylowElem:
         _check_blocks(L, S, "S")
         if not S.is_symmetric():
             raise ValueError("S must be symmetric")
-        code = _coding(L.spec)
+        code = L.spec.code
         Linv = _tri_inv(L._codes, code)
-        return cls._from_codes(L.spec, code, L._codes, _mm(S._codes, Linv, code.reduce), Linv)
+        return cls._from_codes(L.spec, L._codes, _mm(S._codes, Linv, code.reduce), Linv)
 
     def to_matrix(self) -> MatFq:
         """The 2n x 2n embedding [[L^T, A], [0, L^-1]]."""
@@ -176,7 +175,7 @@ class SylowElem:
         L, A, M, B = self._L, self._A, other._L, other._A
         left = [lt + a for lt, a in zip(_transpose(L), A)]
         right = B + other._linv()
-        return SylowElem._from_codes(self.spec, code, _mm(M, L, red), _mm(left, right, red))
+        return SylowElem._from_codes(self.spec, _mm(M, L, red), _mm(left, right, red))
 
     def inv(self) -> "SylowElem":
         # (L, A)^-1 = (L^-1, -(L^-1)^T A L)
@@ -185,7 +184,7 @@ class SylowElem:
         L = self._L
         Linv = self._linv()
         new_A = _mm(_neg(_transpose(Linv), code), _mm(self._A, L, red), red)
-        return SylowElem._from_codes(self.spec, code, Linv, new_A, L)
+        return SylowElem._from_codes(self.spec, Linv, new_A, L)
 
     def pow(self, j: int) -> "SylowElem":
         """Closed-form j-th power; agrees with repeated multiplication."""
@@ -200,7 +199,7 @@ class SylowElem:
         # L^(1-j) = (L^j)^-1 L
         Ljinv = _tri_inv(Lj, code)
         new_A = _mm(T, _mm(Ljinv, L, red), red)
-        return SylowElem._from_codes(self.spec, code, Lj, new_A, Ljinv)
+        return SylowElem._from_codes(self.spec, Lj, new_A, Ljinv)
 
     def order(self) -> int:
         """Element order along the p-power tower."""
@@ -260,8 +259,9 @@ class SylowElem:
 
 
 def _elem_from_json(spec: FieldSpec, value) -> FieldElem:
-    # bool is an int subclass, but JSON true/false is not a field entry
-    coeffs = [value] if type(value) is int else value
+    # bool is an int subclass, but JSON true/false is not a field entry; a
+    # bare int is a constant, a list carries all n coefficients
+    coeffs = [value] + [0] * (spec.n - 1) if type(value) is int else value
     if not (isinstance(coeffs, list) and all(type(c) is int for c in coeffs)):
         raise ValueError(f"entry {value!r} is neither an integer nor a coefficient list")
     return spec._elem_in_range(coeffs, f"entry {value!r}")
@@ -288,7 +288,7 @@ def y_map(L: UniTriMat, k: int, A: MatFq) -> MatFq:
     Linear in A; the zero map whenever the order of L is below p^k.
     """
     _check_blocks(L, A)
-    T, _ = twisted_sum(L._codes, A._codes, L.spec.p ** k, _coding(L.spec).reduce)
+    T, _ = twisted_sum(L._codes, A._codes, L.spec.p ** k, L.spec.code.reduce)
     return MatFq._wrap(L.spec, T)
 
 
@@ -352,12 +352,11 @@ def u_witness(spec: FieldSpec, n: int) -> SylowElem:
     characterization of products against that of the elements themselves.
     Built on codes: L = I + E_01 has inverse I - E_01, so A = E_00 - E_01.
     """
-    code = _coding(spec)
     L = [list(r) for r in _unit_block(n)]
     L[0][1] = 1
     A = [[0] * n for _ in range(n)]
-    A[0][0], A[0][1] = 1, code.minus_one
-    return SylowElem._from_codes(spec, code, tuple(map(tuple, L)), tuple(map(tuple, A)))
+    A[0][0], A[0][1] = 1, spec.code.minus_one
+    return SylowElem._from_codes(spec, tuple(map(tuple, L)), tuple(map(tuple, A)))
 
 
 # -- deterministic enumeration ---------------------------------------------------
@@ -378,7 +377,7 @@ def sylow_from_index(spec: FieldSpec, n: int, idx: int) -> SylowElem:
     total = sylow_count(n, q)
     if not 0 <= idx < total:
         raise ValueError(f"index out of range [0, {total})")
-    code = _coding(spec)
+    code = spec.code
     # the n^2 base-q digits of idx, most significant first: L's, then S's
     digits = []
     for _ in range(n * n):
@@ -396,7 +395,7 @@ def sylow_from_index(spec: FieldSpec, n: int, idx: int) -> SylowElem:
             S[i][j] = S[j][i] = next(sym)
     Lc = tuple(map(tuple, L))
     Linv = _tri_inv(Lc, code)
-    return SylowElem._from_codes(spec, code, Lc, _mm(S, Linv, code.reduce), Linv)
+    return SylowElem._from_codes(spec, Lc, _mm(S, Linv, code.reduce), Linv)
 
 
 def enumerate_sylow(

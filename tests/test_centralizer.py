@@ -220,9 +220,9 @@ class TestCodeBuilders:
         calls = []
         original = FieldElem.__init__
 
-        def counting(self, spec, coeffs):
+        def counting(self, spec, code):
             calls.append(1)
-            original(self, spec, coeffs)
+            original(self, spec, code)
 
         monkeypatch.setattr(FieldElem, "__init__", counting)
         for S, lam, free in inputs:
@@ -235,7 +235,7 @@ class TestCodeBuilders:
         for M in others:
             cz.centralizer_pattern(M, target)
         assert calls == []
-        assert t.lam == spec.elem(-1) and len(calls) == 2  # lam decodes one entry; elem builds one
+        assert t.lam == spec.elem(-1) and len(calls) == 2  # lam wraps one entry; elem builds one
 
     @pytest.mark.parametrize("pqj", [(5, 5, 1), (3, 9, 1), (7, 7, 1)])
     def test_kernel_element_equals_the_field_element_matrix(self, pqj):

@@ -248,6 +248,19 @@ def test_sylow_gm_with_out_of_range_u_entry(capsys, tmp_path):
     assert err.startswith("error:") and "[0, 5)" in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("entry", [[], [1], [1, 0, 0]])
+def test_sylow_gm_with_short_or_long_coefficient_list(capsys, tmp_path, entry):
+    # [] and [1] would be padded to 0 and 1; a GF(25) list carries both coefficients
+    path = tmp_path / "u.json"
+    zero = [0, 0]
+    path.write_text(json.dumps({"L_upper": [entry, zero, zero], "A": [[zero] * 3] * 3}))
+    code, out, err = run(capsys, "sylow", "gm", "--p", "5", "--q", "25", "--j", "1",
+                         "--d", "2", "--u", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "2 coefficients" in err and err.count("\n") == 1
+
+
 def test_sylow_beta_with_out_of_range_zparam_coefficient(capsys):
     # [9,1] would reduce to [4,1]; bare integers keep their reduction mod p
     code, out, err = run(capsys, "sylow", "beta", "--p", "5", "--q", "25", "--j", "1",

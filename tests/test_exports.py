@@ -53,11 +53,12 @@ INSTANCE_CALLS = {
     "fields.FieldSpec.zero": ("sylow.py", "corner_concentration_check"),
     "fsz.BetaValue.to_json": ("cli.py", "cmd_sylow_beta"),
     "fsz.FszReport.to_json": ("cli.py", "cmd_sylow_fsz"),
+    "fields._Coding.from_index": ("sylow.py", "sylow_from_index"),
+    "fields._Coding.index": ("matrices.py", "MatFq.__repr__"),
+    "fields._Coding.pow": ("fields.py", "FieldElem.__pow__"),
     "matrices.UniTriMat.order": ("acceptance.py", "ac6_power_formula"),
     "matrices.UniTriMat.pow": ("matrices.py", "_p_power_order"),
     "matrices.UniTriMat.superdiagonal": ("sylow.py", "SylowElem.superdiagonal"),
-    "matrices._Coding.from_index": ("sylow.py", "sylow_from_index"),
-    "matrices._Coding.index": ("matrices.py", "MatFq.__repr__"),
     "sylow.SylowElem.order": ("acceptance.py", "ac6_power_formula"),
     "sylow.SylowElem.pow": ("fsz.py", "solve_pth_power"),
     "sylow.SylowElem.superdiagonal": ("fsz.py", "_gm_count_fast"),

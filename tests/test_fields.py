@@ -1,3 +1,4 @@
+import random
 from itertools import product
 from operator import matmul, mul
 
@@ -10,6 +11,8 @@ from fsz_lab.cyclotomic import CycNum
 from fsz_lab.fields import (
     FieldElem,
     FieldSpec,
+    _pmulmod,
+    _ppowmod,
     canonical_modulus,
     field,
     field_for_order,
@@ -28,6 +31,91 @@ def elems(p, n=1):
 def trace_z(z, x) -> int:
     """tr(z*x); the zero map for z = 0, one of the q - 1 surjections otherwise."""
     return (z * x).trace()
+
+
+class Ref:
+    """GF(p^n) on coefficient lists c_0..c_{n-1}: sums digit by digit mod p,
+    products by fields._pmulmod and powers by fields._ppowmod, so no int code
+    is formed.  The oracle of the code arithmetic that FieldElem runs on."""
+
+    def __init__(self, spec: FieldSpec):
+        self.p, self.n, self.q, self.modulus = spec.p, spec.n, spec.q, spec.modulus
+
+    def _pad(self, a: list[int]) -> list[int]:
+        return a + [0] * (self.n - len(a))
+
+    def add(self, a, b):
+        return [(x + y) % self.p for x, y in zip(a, b)]
+
+    def sub(self, a, b):
+        return [(x - y) % self.p for x, y in zip(a, b)]
+
+    def mul(self, a, b):
+        return self._pad(_pmulmod(list(a), list(b), self.modulus, self.p))
+
+    def pow(self, a, e):
+        return self._pad(_ppowmod(list(a), e, self.modulus, self.p))
+
+    def inv(self, a):
+        return self.pow(a, self.q - 2)
+
+    def trace(self, a) -> int:
+        acc = frob = list(a)
+        for _ in range(self.n - 1):
+            frob = self.pow(frob, self.p)
+            acc = self.add(acc, frob)
+        assert not any(acc[1:])
+        return acc[0]
+
+    def legendre(self, a) -> int:
+        if not any(a):
+            return 0
+        return 1 if self.pow(a, (self.q - 1) // 2) == self._pad([1]) else -1
+
+    def index(self, a) -> int:
+        return sum(c * self.p ** k for k, c in enumerate(a))
+
+
+REF_FIELDS = [(5, 1), (13, 1), (3, 2), (3, 4), (5, 2), (5, 3), (13, 2)]
+
+
+def check_against_ref(spec: FieldSpec, a: list[int], b: list[int], e: int) -> None:
+    ref = Ref(spec)
+    x, y = spec.elem(a), spec.elem(b)
+    assert list(x.coeffs) == a
+    assert list((x + y).coeffs) == ref.add(a, b)
+    assert list((x - y).coeffs) == ref.sub(a, b)
+    assert list((-x).coeffs) == ref.sub([0] * spec.n, a)
+    assert list((x * y).coeffs) == ref.mul(a, b)
+    assert list((x ** e).coeffs) == ref.pow(a, e)
+    assert x.trace() == ref.trace(a)
+    assert x.legendre() == ref.legendre(a)
+    assert x.index() == ref.index(a)
+    if any(a):
+        assert list(x.inv().coeffs) == ref.inv(a)
+
+
+@st.composite
+def ref_cases(draw):
+    """(spec, a, b, e) over REF_FIELDS; every coefficient is p - 1 half the time."""
+    spec = field(*draw(st.sampled_from(REF_FIELDS)))
+    digit = st.one_of(st.just(spec.p - 1), st.integers(0, spec.p - 1))
+    a, b = (draw(st.lists(digit, min_size=spec.n, max_size=spec.n)) for _ in range(2))
+    return spec, a, b, draw(st.integers(0, 3 * spec.q))
+
+
+class TestAgainstCoefficientLists:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(ref_cases())
+    def test_element_arithmetic(self, case):
+        check_against_ref(*case)
+
+    @pytest.mark.parametrize("p,n", REF_FIELDS)
+    def test_all_top_coefficients(self, p, n):
+        spec = field(p, n)
+        top = [p - 1] * n
+        check_against_ref(spec, top, top, spec.q - 2)
+        check_against_ref(FieldSpec(p, n), top, [1] + [0] * (n - 1), spec.q)  # no tables
 
 
 class TestConstruction:
@@ -354,7 +442,7 @@ class TestLegendre:
             raise AssertionError("Euler's criterion evaluated")
 
         with monkeypatch.context() as m:  # with the mask built, the symbol is read from it
-            m.setattr(fields, "_ppowmod", unreachable)
+            m.setattr(fields._Coding, "pow", unreachable)
             masked = [x.legendre() for x in spec.elements()]
         assert spec._tables is None
         spec.tables()
@@ -446,20 +534,22 @@ class TestResidueSets:
 
 class TestTables:
     def test_tables_consistent_with_direct_ops(self):
-        # the oracle is a second spec whose tables are never built, so its
-        # trace is by Frobenius powers and its Legendre symbol by Euler's
-        # criterion; element products are always polynomial products mod f
+        # the oracle is the coefficient-list field: its trace is by Frobenius
+        # powers, its Legendre symbol by Euler's criterion and its products
+        # by polynomial products mod f; a second spec never builds tables
         for p, n in [(3, 1), (3, 2), (5, 2), (3, 3), (3, 4), (7, 2), (5, 3)]:
             spec, direct = FieldSpec(p, n), FieldSpec(p, n)
+            ref = Ref(spec)
             t = spec.tables()
             exp, log = t["exp"], t["log"]
-            xs = list(direct.elements())
+            xs = [list(x.coeffs) for x in direct.elements()]
             for i, x in enumerate(xs):
-                assert t["trace"][i] == x.trace()
-                assert (i == 0 or log[i] % 2 == 0) == (x.legendre() >= 0)
+                assert ref.index(x) == i
+                assert t["trace"][i] == ref.trace(x)
+                assert (i == 0 or log[i] % 2 == 0) == (ref.legendre(x) >= 0)
                 for j, y in enumerate(xs):
                     if i and j:  # a product of nonzero elements adds their logs
-                        assert exp[(log[i] + log[j]) % (spec.q - 1)] == (x * y).index()
+                        assert exp[(log[i] + log[j]) % (spec.q - 1)] == ref.index(ref.mul(x, y))
             squares = {t["exp"][k] for k in range(0, spec.q - 1, 2)} | {0}
             assert squares == {x.index() for x in direct.qr_set()}
             assert direct._tables is None
@@ -491,6 +581,17 @@ class TestTables:
         spec = FieldSpec(3, 11)  # q = 177147 > 2^16
         with pytest.raises(ValueError):
             spec.tables()
+
+
+@pytest.mark.parametrize("p,n", [(3, 14), (5, 11), (3, 20)])
+def test_index_of_a_field_too_large_for_the_product_slots(p, n):
+    # q + p exceeds 2^16 n (p-1)^2 here, so q sets the slot width
+    spec, rng = FieldSpec(p, n), random.Random(p * n)
+    ref = Ref(spec)
+    for i in [0, 1, p, spec.q - 1] + [rng.randrange(spec.q) for _ in range(50)]:
+        x = spec.from_index(i)
+        assert x.index() == ref.index(list(x.coeffs)) == i
+        assert spec.elem(list(x.coeffs)) == x
 
 
 @settings(max_examples=30)

@@ -854,6 +854,22 @@ class TestClosedBeta:
         assert len(beta_linear_batch([z for z in t.spec.elements() if z], t)) == 124
         assert len(calls) == 2
 
+    def test_one_rationality_test_per_beta_value(self, monkeypatch):
+        calls = []
+        original = CycNum.is_rational
+
+        def counting(x):
+            calls.append(1)
+            return original(x)
+
+        monkeypatch.setattr(CycNum, "is_rational", counting)
+        t = make_target(5, 25, 1, 2)
+        units = list(t.spec.units())
+        rows = beta_linear_batch(units, t)
+        assert len(calls) <= 2
+        assert [b.zparam for b in rows] == [z.to_json() for z in units]
+        assert len({b.value for b in rows}) == len(calls)
+
     @pytest.mark.parametrize("p,q", [(5, 25), (3, 27)])
     def test_every_unit_reads_the_square_mask(self, p, q, monkeypatch):
         t = make_target(p, q, 1, 2)

@@ -7,29 +7,45 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fsz_lab.centralizer import random_symplectic
-from fsz_lab.fields import FieldElem, FieldSpec, field, field_for_order, split_prime_power
-from fsz_lab.matrices import MAX_TERMS, MatFq, UniTriMat, _coding, _transpose, is_symplectic
+from fsz_lab.fields import (MAX_TERMS, FieldElem, FieldSpec, _pmulmod, field, field_for_order,
+                            split_prime_power)
+from fsz_lab.matrices import MatFq, UniTriMat, _transpose, is_symplectic
 from fsz_lab.sylow import sylow_from_index
 
 
-# -- oracles: entry arithmetic through FieldElem, one term at a time ------------------
+# -- oracles: entry arithmetic on coefficient lists, one term at a time ---------------
+#
+# A FieldElem product is the code kernel's reduction itself, so the oracles
+# never multiply FieldElems: products are fields._pmulmod on coefficient
+# lists, and sums add the lists digit by digit mod p (`spec.elem` reduces).
+
+def ref_product(x: FieldElem, y: FieldElem) -> list[int]:
+    """The coefficients of x * y, padded to the field's degree."""
+    spec = x.spec
+    prod = _pmulmod(list(x.coeffs), list(y.coeffs), spec.modulus, spec.p)
+    return prod + [0] * (spec.n - len(prod))
+
 
 def schoolbook_product(A: MatFq, B: MatFq) -> MatFq:
+    spec = A.spec
     cols = tuple(zip(*B.rows))
     out = []
     for row in A.rows:
         new = []
         for col in cols:
-            acc = row[0] * col[0]
-            for a, b in zip(row[1:], col[1:]):
-                acc = acc + a * b
-            new.append(acc)
+            acc = [0] * spec.n
+            for a, b in zip(row, col):
+                acc = [s + t for s, t in zip(acc, ref_product(a, b))]
+            new.append(spec.elem(acc))
         out.append(new)
-    return MatFq(A.spec, out)
+    return MatFq(spec, out)
 
 
 def entrywise(A: MatFq, B: MatFq, op) -> MatFq:
-    return MatFq(A.spec, [[op(a, b) for a, b in zip(ra, rb)] for ra, rb in zip(A.rows, B.rows)])
+    """op, an int operator, applied to the coefficients of each pair of entries."""
+    spec = A.spec
+    return MatFq(spec, [[spec.elem(list(map(op, a.coeffs, b.coeffs))) for a, b in zip(ra, rb)]
+                        for ra, rb in zip(A.rows, B.rows)])
 
 
 def block_matrix(blocks) -> MatFq:
@@ -115,7 +131,7 @@ def unitri_matrices(draw):
 
 
 class TestIntegerArithmetic:
-    """MatFq arithmetic on integer coefficients against the FieldElem oracles."""
+    """MatFq arithmetic on int codes against the coefficient-list oracles."""
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(matrix_pairs())
@@ -129,7 +145,8 @@ class TestIntegerArithmetic:
         A, B = pair
         assert A + B == entrywise(A, B, add)
         assert A - B == entrywise(A, B, sub)
-        assert -A == MatFq(A.spec, [[-x for x in r] for r in A.rows])
+        assert -A == MatFq(A.spec, [[A.spec.elem([-c for c in x.coeffs]) for x in r]
+                                    for r in A.rows])
 
     @pytest.mark.parametrize("q", DIFF_ORDERS + (49, 125, 243))
     @pytest.mark.parametrize("k", [1, 7, 40])
@@ -171,9 +188,8 @@ class TestIntegerArithmetic:
         top = spec.from_index(q - 1)
         row = MatFq(spec, [[top] * MAX_TERMS])
         col = MatFq(spec, [[top]] * MAX_TERMS)
-        expected = spec.zero
-        for _ in range(MAX_TERMS):
-            expected = expected + top * top
+        # the sum of MAX_TERMS equal terms, digit by digit
+        expected = spec.elem([MAX_TERMS * c for c in ref_product(top, top)])
         assert (row @ col).rows == ((expected,),)
 
     def test_longer_sum_refused(self):
@@ -182,8 +198,8 @@ class TestIntegerArithmetic:
             MatFq.zeros(spec, 1, MAX_TERMS + 1) @ MatFq.zeros(spec, MAX_TERMS + 1, 1)
 
     def test_equal_fields_share_one_coding(self):
-        assert _coding(FieldSpec(5, 2)) is _coding(field(5, 2))
-        assert _coding(field(5, 2)) is not _coding(field(5, 3))
+        assert FieldSpec(5, 2).code is field(5, 2).code
+        assert field(5, 2).code is not field(5, 3).code
 
     def test_equal_spec_instances_are_one_field(self):
         fresh = FieldSpec(5)
@@ -210,10 +226,9 @@ class TestMatFq:
     def test_double_transpose(self):
         spec = field(7)
         M = MatFq.from_ints(spec, [[1, 2, 3], [0, 4, 5]])
-        code = _coding(spec)
-        T = _transpose(code.encode(M.rows))
-        assert T == code.encode(MatFq.from_ints(spec, [[1, 0], [2, 4], [3, 5]]).rows)
-        assert _transpose(T) == code.encode(M.rows)
+        T = _transpose(M._codes)
+        assert T == MatFq.from_ints(spec, [[1, 0], [2, 4], [3, 5]])._codes
+        assert _transpose(T) == M._codes
 
     def test_inverse(self):
         spec = field(5)

@@ -498,7 +498,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = ssub.add_parser("fsz", help="count-equality table and verdict at g")
     _instance_flags(sp, with_d=False)
-    sp.add_argument("--u", nargs="*", default=None,
+    sp.add_argument("--u", nargs="+", default=None,
                     help="u elements: identity, U, or a JSON file path")
     sp.add_argument("--mode", choices=("fast", "brute"), default="fast")
     sp.add_argument("--beta", action="store_true",
@@ -535,7 +535,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify", help="run the acceptance tiers")
     sp.add_argument("scope", choices=("all", "quick"), nargs="?", default="all")
-    sp.add_argument("--only", nargs="*", default=None,
+    sp.add_argument("--only", nargs="+", default=None,
                     help="restrict to the named tiers, e.g. --only AC1 AC8")
     sp.set_defaults(fn=cmd_verify)
 

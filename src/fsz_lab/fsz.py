@@ -22,9 +22,13 @@ checks the characterization on each one.
 The fast count never lists the q^(n-1) superdiagonals of L.  Both power
 conditions see one only through a = prod x_i^2 and C = prod (1 + y_i/x_i)^2,
 y the superdiagonal of u; a*u is a solution too iff (d + A_u[0,0] a) C = d.
-A zero slot adds (x_i^2, 1), so once one slot is zero, a is uniform over the
-squares and independent of C; a nonzero slot adds one step array in
-w = 1 + y_i/x_i.  A DP on the exp/log tables folds only the nonzero slots.
+Scaling x_i by y_i != 0 reduces u to its class: k zeros on y and
+t = prod_{y_i != 0} y_i^2 * A_u[0,0], with t a C = d (1 - C).  A zero slot adds
+(x_i^2, 1), so with k >= 1, a is uniform over the squares and independent of
+C; each other slot adds one step in w = 1 + 1/x_i, folded on the exp/log
+tables.  One pass over the states reads every d: C = 1 serves every d if
+t = 0 and none else; any other C serves only d = t a C / (1 - C), which
+with k >= 1 (a any square) is one square class of d.
 
 The beta route shares only field construction with the fast count: it reads
 G(q) from the Gauss-sum power identity, with no table and no histogram.  The
@@ -211,29 +215,27 @@ def _free_exponent(n: int) -> int:
     return (n - 1) * (n - 2) // 2 + n * (n + 1) // 2 - 1
 
 
-def _nonzero_slot_fold(spec: FieldSpec, y_logs: Sequence[int],
+def _nonzero_slot_fold(spec: FieldSpec, slots: int,
                        joint: bool) -> dict[tuple[int, int], int]:
-    """{(log a, log C): number of x on the slots whose y_i != 0, log y_i in y_logs}.
+    """{(log a, log C): number of x on `slots` nonzero slots, each read as y_i = 1}.
 
-    Each such x_i sets w = 1 + y_i/x_i in GF(q) minus {0, 1} (w = 0 gives b = 0,
-    which no d matches) and adds y_i^2 / (w-1)^2 to a and w^2 to C: one step
-    array for every slot, 2 log y_i carried by the start state.  With joint
-    false, log a is held at 0: the marginal of log C.  Needs q <= TABLE_BOUND.
+    Each x_i sets w = 1 + 1/x_i in GF(q) minus {0, 1} (w = 0 gives C = 0,
+    which no d matches) and adds 1/(w-1)^2 to a and w^2 to C: one step array
+    for every slot, folded from (0, 0).  With joint false, log a is held at
+    0: the marginal of log C.  Needs q <= TABLE_BOUND.
     """
     m = spec.q - 1
-    states = {(2 * sum(y_logs) % m if joint else 0, 0): 1}
-    if not y_logs:
-        return states
     t = spec.tables()
     exp, log = t["exp"], t["log"]
     succ = spec.add_map(1)
     steps: dict[tuple[int, int], int] = {}
-    for lv in range(m):  # v = w - 1 = y_i / x_i
+    for lv in range(m):  # v = w - 1 = 1 / x_i
         w = succ[exp[lv]]
         if w:
             key = (-2 * lv % m if joint else 0, 2 * log[w] % m)
             steps[key] = steps.get(key, 0) + 1
-    for _ in y_logs:
+    states = {(0, 0): 1}
+    for _ in range(slots):
         folded: dict[tuple[int, int], int] = {}
         for (la, lc), count in states.items():
             for (sa, sc), k in steps.items():
@@ -333,34 +335,32 @@ def gm_count(
 def _gm_count_fast(u: SylowElem, d_list: Sequence[int]) -> dict[int, int]:
     spec = u.spec
     # a solution's corner is d / a, and a*u is one iff (d / a + A_u[0,0]) a C = d;
-    # each such (corner, superdiagonal) extends q^F ways through the free entries
-    t = spec.tables()
-    exp, log = t["exp"], t["log"]
+    # x_i -> y_i x_i on each nonzero slot reduces u to its class (k, t), with
+    # t a C = d (1 - C); each (corner, superdiagonal) extends q^F ways
+    tables = spec.tables()
+    exp, log = tables["exp"], tables["log"]
     m = spec.q - 1
-    y_logs = [log[y.index()] for y in u.superdiagonal() if not y.is_zero()]
-    zeros = u.n - 1 - len(y_logs)
-    states = _nonzero_slot_fold(spec, y_logs, joint=not zeros)
-    plus_corner = spec.add_map(u.corner().index())
-    d_logs = {d: log[d % spec.p] for d in d_list}  # the index of d in GF(p) is d mod p
+    ys = [y.index() for y in u.superdiagonal()]
+    k = ys.count(0)
+    corner = u.corner().index()
+    lt = (log[corner] + 2 * sum(log[y] for y in ys if y)) % m if corner else None  # t = 0: None
+    states = _nonzero_slot_fold(spec, u.n - 1 - k, joint=not k)
+    # with k >= 1, a is uniform over the squares, 2 (q-1)^(k-1) tuples each, and
+    # independent of C, so a state serves d through the square class of e = d / a
+    width = 2 if k else m
+    less = spec.add_map(spec.p - 1)  # x -> x - 1, and 1 - C = -(C - 1)
+    every, by_log = 0, {}
+    for (la, lc), count in states.items():
+        if not lc:  # C = 1 serves every d when t = 0, and no d otherwise
+            every += count if lt is None else 0
+        elif lt is not None:  # any other C serves d = t a C / (1 - C) alone
+            key = (lt + la + lc - log[less[exp[lc]]] - m // 2) % width
+            by_log[key] = by_log.get(key, 0) + count
     weight = spec.q ** _free_exponent(u.n)
-    if zeros:
-        # log a is uniform over the even residues, 2 (q-1)^(zeros-1) tuples each:
-        # e = d / a runs over d's square class, matching iff C = e / (e + A_u[0,0])
-        weight *= 2 * m ** (zeros - 1)
-        by_class = [0, 0]
-        for le in range(m):
-            s = plus_corner[exp[le]]
-            if s:
-                by_class[le % 2] += states.get((0, (le - log[s]) % m), 0)
-        matches = {d: by_class[ld % 2] for d, ld in d_logs.items()}
-    else:
-        matches = dict.fromkeys(d_logs, 0)
-        for (la, lc), count in states.items():
-            for d, ld in d_logs.items():
-                s = plus_corner[exp[(ld - la) % m]]
-                if s and (log[s] + la + lc) % m == ld:
-                    matches[d] += count
-    return {d: k * weight for d, k in matches.items()}
+    if k:
+        weight *= 2 * m ** (k - 1)
+        every *= m // 2  # C = 1 serves every a
+    return {d: (every + by_log.get(log[d % spec.p] % width, 0)) * weight for d in d_list}
 
 
 # -- reports ------------------------------------------------------------------------

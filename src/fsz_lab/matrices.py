@@ -130,17 +130,8 @@ class MatFq:
     # -- constructors ------------------------------------------------------------
 
     @classmethod
-    def zeros(cls, spec: FieldSpec, r: int, c: int | None = None) -> "MatFq":
-        c = r if c is None else c
-        return MatFq._wrap(spec, ((0,) * c,) * r)
-
-    @classmethod
     def identity(cls, spec: FieldSpec, m: int) -> "MatFq":
         return MatFq._wrap(spec, _unit_block(m))
-
-    @classmethod
-    def from_ints(cls, spec: FieldSpec, rows: Sequence[Sequence[int]]) -> "MatFq":
-        return cls(spec, [[spec.elem(v) for v in r] for r in rows])
 
     @classmethod
     def elementary(cls, spec: FieldSpec, m: int, i: int, j: int, value=1) -> "MatFq":
@@ -202,27 +193,6 @@ class MatFq:
         if self.ncols > MAX_TERMS:
             raise ValueError(f"inner dimension {self.ncols} exceeds {MAX_TERMS}")
         return MatFq._wrap(self.spec, _mm(self._codes, other._codes, self.spec.code.reduce))
-
-    def inv(self) -> "MatFq":
-        """Inverse by Gaussian elimination; raises ValueError when singular."""
-        m = self.nrows
-        if m != self.ncols:
-            raise ValueError("inverse of a non-square matrix")
-        spec = self.spec
-        aug = [list(r) + [spec.one if i == j else spec.zero for j in range(m)]
-               for i, r in enumerate(self.rows)]
-        for col in range(m):
-            pivot = next((r for r in range(col, m) if not aug[r][col].is_zero()), None)
-            if pivot is None:
-                raise ValueError("singular matrix")
-            aug[col], aug[pivot] = aug[pivot], aug[col]
-            pinv = aug[col][col].inv()
-            aug[col] = [x * pinv for x in aug[col]]
-            for r in range(m):
-                if r != col and not aug[r][col].is_zero():
-                    factor = aug[r][col]
-                    aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
-        return MatFq(spec, [row[m:] for row in aug])
 
     def is_symmetric(self) -> bool:
         return self._codes == _transpose(self._codes)
@@ -319,10 +289,6 @@ class UniTriMat:
         return UniTriMat._wrap(spec, _unit_block(n))
 
     @classmethod
-    def from_ints(cls, spec: FieldSpec, n: int, upper: Sequence[int]) -> "UniTriMat":
-        return cls(spec, n, [spec.elem(v) for v in upper])
-
-    @classmethod
     def random(cls, spec: FieldSpec, n: int, rng) -> "UniTriMat":
         return cls(spec, n, [spec.random(rng) for _ in range(n * (n - 1) // 2)])
 
@@ -334,9 +300,6 @@ class UniTriMat:
     def superdiagonal(self) -> tuple[FieldElem, ...]:
         spec, X = self.spec, self._codes
         return tuple(FieldElem(spec, X[i][i + 1]) for i in range(self.n - 1))
-
-    def to_mat(self) -> MatFq:
-        return MatFq._wrap(self.spec, self._codes)
 
     def __matmul__(self, other: "UniTriMat") -> "UniTriMat":
         if not isinstance(other, UniTriMat):

@@ -23,8 +23,8 @@ needs it, unless the operation that built the element already had it.
 `pow` stores the inverse of L^j it forms for L^(1-j), `inv()` stores the old
 L, `sylow_from_index` and `from_symmetric` store the inverse they form for
 A = S L^-1, and `identity` stores I.  A product leaves its L uninverted
-until one of those reads it.  Equality, hashing, `to_json` and `index` read
-L and A only.
+until one of those reads it.  Equality, hashing and `to_json` read L and A
+only.
 
 The symmetry of A L is checked at the boundary only: by `SylowElem(L, A)`,
 which `from_json` calls, and by `from_symmetric` on S.  Products, inverses
@@ -37,8 +37,8 @@ the block formulas, although `MatFq @` runs on the same kernel.  No
 `SylowElem` operation calls `MatFq @`, and the two routes share only the
 entry step, one dot product of codes and one reduction, which the matrix
 tests check term by term against coefficient lists multiplied by
-`fields._pmulmod`.  `MatFq.inv`, Gaussian elimination on FieldElems, is the
-reference for `_tri_inv`.
+`fields._pmulmod`.  The reference for `_tri_inv` is Gaussian elimination on
+FieldElems, which lives with the tests (`tests/helpers.py`).
 
 The module also carries the structural maps that drive the p-th power
 analysis: the abelianization tuple `kappa`, the linear characters `xi_lambda`
@@ -245,17 +245,6 @@ class SylowElem:
         L = UniTriMat(spec, n, [_elem_from_json(spec, v) for v in upper])
         A = MatFq(spec, [[_elem_from_json(spec, v) for v in r] for r in rows])
         return cls(L, A)
-
-    def index(self) -> int:
-        """Position in the canonical enumeration (see :func:`sylow_from_index`)."""
-        code, n, q = self._code, self.n, self.spec.q
-        L = self._L
-        S = _mm(self._A, L, code.reduce)
-        idx = 0
-        for v in ([L[i][j] for i in range(n) for j in range(i + 1, n)]
-                  + [S[i][j] for i in range(n) for j in range(i, n)]):
-            idx = idx * q + code.index(v)
-        return idx
 
 
 def _elem_from_json(spec: FieldSpec, value) -> FieldElem:

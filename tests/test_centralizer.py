@@ -10,6 +10,7 @@ from fsz_lab.fields import FieldElem, field, power
 from fsz_lab.fsz import make_target
 from fsz_lab.matrices import MatFq, is_symplectic
 from fsz_lab.sylow import SylowElem
+from helpers import mat_from_ints, mat_zeros
 
 # sha256 of the sorted-key JSON of five seeded samples each (seed 41, drawn in
 # this order): random_symplectic in dimensions 4 and 6, then
@@ -44,7 +45,7 @@ def _reference_transvection(spec, v, scale):
     """I + scale * (J v^T) v with J = [[0, I], [-I, 0]] assembled from blocks."""
     k = len(v) // 2
     I = MatFq.identity(spec, k)
-    Z = MatFq.zeros(spec, k)
+    Z = mat_zeros(spec, k)
     J = block_matrix([[Z, I], [-I, Z]])
     col = MatFq(spec, [[x] for x in v])
     row = MatFq(spec, [list(v)])
@@ -92,7 +93,7 @@ class TestMembership:
             assert all(cz.is_in_centralizer(t.mat, target, m) for m in METHODS)
 
     def test_non_symplectic_rejected(self, target):
-        M = MatFq.from_ints(target.spec, [[1] * 6] * 6)
+        M = mat_from_ints(target.spec, [[1] * 6] * 6)
         for method in METHODS:
             with pytest.raises(ValueError, match="symplectic"):
                 cz.is_in_centralizer(M, target, method)
@@ -168,7 +169,7 @@ class TestSection:
         assert t.mat == MatFq.identity(target.spec, 6)
 
     def test_non_symplectic_input_rejected(self, target):
-        bad = MatFq.from_ints(target.spec, [[1, 1, 0, 0]] * 4)
+        bad = mat_from_ints(target.spec, [[1, 1, 0, 0]] * 4)
         with pytest.raises(ValueError):
             cz.pi_section(bad, 1, target)
 

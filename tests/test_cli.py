@@ -652,6 +652,18 @@ def test_verify_empty_selection_is_usage_error(capsys):
     assert out == "" and "AC6" in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "quick", "--only"],
+    ["sylow", "fsz", "--p", "5", "--q", "5", "--j", "1", "--u"],
+], ids=["verify-only", "sylow-fsz-u"])
+def test_an_empty_list_option_is_usage_error(capsys, argv):
+    # no tier name, or no u: a flag given without its list is refused, never
+    # read as "every tier" or as the default u-set
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == "" and "expected at least one argument" in err
+
+
 @pytest.mark.parametrize("name,argv", [
     ("qr_diff_count", ["qrdiff", "--q", "5", "--c", "1"]),
     ("trace_fiber_qr_count", ["fibers", "--p", "5", "--n", "1", "--z", "1", "--y", "0"]),

@@ -30,15 +30,8 @@ UNREFERENCED_BY_DESIGN = {
     "fsz.characterization_holds": "the closed solvability condition as a public predicate "
                                   "(ROADMAP item 6)",
     "fsz.fsz_brute_small": "the exhaustive small-group oracle (ROADMAP item 1)",
-    "matrices.MatFq.from_ints": "test constructor of a matrix from integer rows",
-    "matrices.MatFq.zeros": "test constructor of the zero matrix",
-    "matrices.UniTriMat.from_ints": "test constructor of a unitriangular matrix from integers",
-    "matrices.UniTriMat.to_mat": "the tests' view of L as a matrix, sharing its codes",
     "fields.QuadraticResidues._from_iterable": "the Set hook that &, |, - and ^ call",
-    "matrices.MatFq.inv": "Gaussian elimination on FieldElems, the reference for _tri_inv",
     "matrices.MatFq.to_json": "the matrix JSON whose digests tests/test_centralizer.py pins",
-    "sylow.SylowElem.index": "the inverse of sylow_from_index that the enumeration tests "
-                             "compare against",
 }
 
 # methods whose name several package classes define, used by production only

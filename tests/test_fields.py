@@ -21,6 +21,7 @@ from fsz_lab.fields import (
     power,
 )
 from fsz_lab.matrices import UniTriMat
+from helpers import unitri_from_ints
 
 
 def elems(p, n=1):
@@ -315,7 +316,7 @@ def mats(p=7, m=3):
     spec = field(p)
     size = m * (m - 1) // 2
     return st.lists(st.integers(0, p - 1), min_size=size, max_size=size).map(
-        lambda v: UniTriMat.from_ints(spec, m, v))
+        lambda v: unitri_from_ints(spec, m, v))
 
 
 def cycnums(p=5):

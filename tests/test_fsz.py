@@ -47,6 +47,7 @@ from fsz_lab.sylow import (
     u_witness,
     xi_lambda,
 )
+from helpers import to_mat, unitri_from_ints
 
 
 def qr_fiber_balance(spec, zparam) -> bool:
@@ -109,7 +110,7 @@ class TestTargets:
             t = make_target(p, q, j, d)
             corner = MatFq.elementary(spec, n, n - 1, n - 1, t.sigma * d)
             assert t.g == SylowElem(UniTriMat.identity(spec, n), corner)
-        L = UniTriMat.from_ints(spec, n, [1] + [0] * (n * (n - 1) // 2 - 1))
+        L = unitri_from_ints(spec, n, [1] + [0] * (n * (n - 1) // 2 - 1))
         reference = SylowElem.from_symmetric(L, MatFq.elementary(spec, n, 0, 0))
         assert u_witness(spec, n) == reference
 
@@ -165,7 +166,7 @@ class TestSolve:
                     continue
                 w = t.d_elem() / x
                 first = next(y for y in spec.elements() if y * y == w)
-                assert solve_pth_power(t, x).L.to_mat().rows[0][1] == first
+                assert to_mat(solve_pth_power(t, x).L).rows[0][1] == first
 
 
 def verify_sample(t, rng, k):
@@ -499,6 +500,25 @@ def _reference_us(spec, n, seed=0):
     ]
 
 
+def _read_out_edge_us(spec, n, rng):
+    """u at the edges of the fast count's read-out: t = 0 at k = 0 (ones on the
+    superdiagonal, the class representative's form), t = 0 at k >= 1, and a
+    zero corner under a superdiagonal with no zero slot."""
+    def nonzero():
+        return rng.randrange(1, spec.q)
+
+    return [
+        _u_from_digits(spec, n, rng, 0, [1] * (n - 1)),
+        _u_from_digits(spec, n, rng, 0, [0] + [nonzero() for _ in range(n - 2)]),
+        _u_from_digits(spec, n, rng, 0, [nonzero() for _ in range(n - 1)]),
+    ]
+
+
+def _d_and_d_plus_p(p):
+    """Every unit d mod p, each also as d + p: both must read the same row entry."""
+    return [*range(1, p), *range(p + 1, 2 * p)]
+
+
 def _assert_dp_matches_enumeration(p, q, j, u):
     row = _gm_count_fast(u, range(1, p))
     assert row == {d: _enumerated_gm_count(u, make_target(p, q, j, d)) for d in range(1, p)}
@@ -530,8 +550,12 @@ class TestSuperdiagonalDp:
                 zeros = set(rng.sample(range(n - 1), min(k, n - 1)))
                 sd = [0 if i in zeros else rng.randrange(1, q) for i in range(n - 1)]
                 us.append(_u_from_digits(spec, n, rng, rng.randrange(q), sd))
+        us += _read_out_edge_us(spec, n, rng)
+        d_list = _d_and_d_plus_p(p)
         for u in us:
-            assert _gm_count_fast(u, range(1, p)) == _fold_gm_count(u, range(1, p))
+            row = _gm_count_fast(u, d_list)
+            assert row == _fold_gm_count(u, d_list)
+            assert all(row[d] == row[d + p] for d in range(1, p))
 
     @pytest.mark.parametrize("p,q,j", REFERENCE_INSTANCES)
     def test_gm_count_matches_enumeration_for_identity_and_witness(self, p, q, j):
@@ -624,16 +648,22 @@ def _class_representative(u):
 class TestClassReduction:
     # a row depends on u only through k, the zeros on its superdiagonal, and
     # t = c A_u[0,0] with c = prod_{y_i != 0} y_i^2
-    @pytest.mark.parametrize("p,q,j", [(3, 3, 1), (5, 5, 1), (3, 9, 1)])
+    @pytest.mark.parametrize("p,q,j", [
+        (3, 3, 1), (5, 5, 1), (3, 9, 1), (3, 3, 2), (5, 25, 1), (13, 13, 1),
+    ])
     def test_row_is_its_representatives_row(self, p, q, j):
         spec, n = field_for_order(q), (p ** j + 1) // 2
         rng = random.Random(p * q)
+        us = []
         for _ in range(200):
             sd = [rng.randrange(q) if rng.randrange(2) else 0 for _ in range(n - 1)]
-            u = _u_from_digits(spec, n, rng, rng.randrange(q), sd)
+            us.append(_u_from_digits(spec, n, rng, rng.randrange(q), sd))
+        d_list = _d_and_d_plus_p(p)
+        for u in us + _read_out_edge_us(spec, n, rng):
             rep = _class_representative(u)
-            assert rep.superdiagonal()[:sd.count(0)] == (spec.zero,) * sd.count(0)
-            assert _fold_gm_count(u, range(1, p)) == _gm_count_fast(rep, range(1, p))
+            zeros = sum(1 for y in u.superdiagonal() if y.is_zero())
+            assert rep.superdiagonal()[:zeros] == (spec.zero,) * zeros
+            assert _fold_gm_count(u, d_list) == _gm_count_fast(rep, d_list)
 
 
 class TestCubeFields:
@@ -1011,7 +1041,7 @@ class TestSmallGroups:
     def test_exponent_p_group_is_fsz(self):
         spec = field(3)
         elements = [
-            UniTriMat.from_ints(spec, 3, [a, b, c])
+            unitri_from_ints(spec, 3, [a, b, c])
             for a, b, c in itertools.product(range(3), repeat=3)
         ]
         ok, violation = fsz_brute_small(

@@ -11,6 +11,7 @@ from fsz_lab.fields import (MAX_TERMS, FieldElem, FieldSpec, _pmulmod, field, fi
                             split_prime_power)
 from fsz_lab.matrices import MatFq, UniTriMat, _transpose, is_symplectic
 from fsz_lab.sylow import sylow_from_index
+from helpers import mat_from_ints, mat_inv, mat_zeros, to_mat, unitri_from_ints
 
 
 # -- oracles: entry arithmetic on coefficient lists, one term at a time ---------------
@@ -86,7 +87,7 @@ def unitri_power_entry(L: UniTriMat, m: int, i: int, j: int) -> FieldElem:
     entries it traverses (diagonal steps contribute 1).  Independent of the
     matrix-multiplication route, so it serves as an oracle for small m.
     """
-    spec, rows = L.spec, L.to_mat().rows
+    spec, rows = L.spec, to_mat(L).rows
     if i > j:
         return spec.zero
     if m == 0:
@@ -195,7 +196,7 @@ class TestIntegerArithmetic:
     def test_longer_sum_refused(self):
         spec = field(3, 2)
         with pytest.raises(ValueError, match="inner dimension"):
-            MatFq.zeros(spec, 1, MAX_TERMS + 1) @ MatFq.zeros(spec, MAX_TERMS + 1, 1)
+            mat_zeros(spec, 1, MAX_TERMS + 1) @ mat_zeros(spec, MAX_TERMS + 1, 1)
 
     def test_equal_fields_share_one_coding(self):
         assert FieldSpec(5, 2).code is field(5, 2).code
@@ -204,9 +205,9 @@ class TestIntegerArithmetic:
     def test_equal_spec_instances_are_one_field(self):
         fresh = FieldSpec(5)
         A = MatFq(fresh, [[fresh.elem(2), fresh.elem(3)]])
-        B = MatFq.from_ints(field(5), [[1], [4]])
+        B = mat_from_ints(field(5), [[1], [4]])
         assert (A @ B).rows == ((field(5).elem(4),),)
-        assert UniTriMat(field(5), 2, [fresh.elem(1)]) == UniTriMat.from_ints(fresh, 2, [1])
+        assert UniTriMat(field(5), 2, [fresh.elem(1)]) == unitri_from_ints(fresh, 2, [1])
 
     def test_entries_of_another_field_rejected(self):
         with pytest.raises(ValueError):
@@ -218,45 +219,45 @@ class TestIntegerArithmetic:
 class TestMatFq:
     def test_identity_is_neutral(self):
         spec = field(5)
-        M = MatFq.from_ints(spec, [[1, 2], [3, 4]])
+        M = mat_from_ints(spec, [[1, 2], [3, 4]])
         I = MatFq.identity(spec, 2)
         assert I @ M == M
         assert M @ I == M
 
     def test_double_transpose(self):
         spec = field(7)
-        M = MatFq.from_ints(spec, [[1, 2, 3], [0, 4, 5]])
+        M = mat_from_ints(spec, [[1, 2, 3], [0, 4, 5]])
         T = _transpose(M._codes)
-        assert T == MatFq.from_ints(spec, [[1, 0], [2, 4], [3, 5]])._codes
+        assert T == mat_from_ints(spec, [[1, 0], [2, 4], [3, 5]])._codes
         assert _transpose(T) == M._codes
 
     def test_inverse(self):
         spec = field(5)
-        M = MatFq.from_ints(spec, [[1, 2], [3, 4]])
-        assert M @ M.inv() == MatFq.identity(spec, 2)
+        M = mat_from_ints(spec, [[1, 2], [3, 4]])
+        assert M @ mat_inv(M) == MatFq.identity(spec, 2)
 
     def test_singular_inverse_rejected(self):
         spec = field(5)
         with pytest.raises(ValueError):
-            MatFq.from_ints(spec, [[1, 2], [2, 4]]).inv()
+            mat_inv(mat_from_ints(spec, [[1, 2], [2, 4]]))
 
     def test_dimension_mismatch_rejected(self):
         spec = field(5)
-        A = MatFq.from_ints(spec, [[1, 2]])
+        A = mat_from_ints(spec, [[1, 2]])
         with pytest.raises(ValueError):
             A @ A
 
     def test_equality_needs_the_same_field_and_shape(self):
         assert MatFq.identity(field(5), 3) != MatFq.identity(field(7), 3)
         assert MatFq.identity(FieldSpec(5), 3) == MatFq.identity(field(5), 3)
-        assert MatFq.zeros(field(5), 2, 3) != MatFq.zeros(field(5), 3, 2)
-        assert MatFq.zeros(field(5), 2, 3) != MatFq.zeros(field(5), 2, 2)
-        assert MatFq.from_ints(field(5), [[1, 2]]) != MatFq.from_ints(field(5), [[1, 3]])
+        assert mat_zeros(field(5), 2, 3) != mat_zeros(field(5), 3, 2)
+        assert mat_zeros(field(5), 2, 3) != mat_zeros(field(5), 2, 2)
+        assert mat_from_ints(field(5), [[1, 2]]) != mat_from_ints(field(5), [[1, 3]])
 
     def test_block_matrix_assembly(self):
         spec = field(5)
         I = MatFq.identity(spec, 2)
-        Z = MatFq.zeros(spec, 2)
+        Z = mat_zeros(spec, 2)
         M = block_matrix([[I, Z], [Z, I]])
         assert M == MatFq.identity(spec, 4)
 
@@ -275,12 +276,12 @@ class TestSymplectic:
 
     def test_non_symplectic_detected(self):
         spec = field(5)
-        M = MatFq.from_ints(spec, [[2, 0], [0, 1]])  # det 2, outside Sp_2 = SL_2
+        M = mat_from_ints(spec, [[2, 0], [0, 1]])  # det 2, outside Sp_2 = SL_2
         assert not is_symplectic(M)
 
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
-            is_symplectic(MatFq.zeros(field(5), 4, 2))
+            is_symplectic(mat_zeros(field(5), 4, 2))
 
     @pytest.mark.parametrize("q", [3, 5, 9, 25])
     def test_codes_agree_with_the_block_formula(self, q):
@@ -324,13 +325,13 @@ class TestUniTri:
 
     def test_inverse(self):
         spec = field(5)
-        L = UniTriMat.from_ints(spec, 4, [1, 2, 3, 4, 0, 1])
+        L = unitri_from_ints(spec, 4, [1, 2, 3, 4, 0, 1])
         assert L @ L.inv() == UniTriMat.identity(spec, 4)
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(unitri_matrices())
     def test_inverse_matches_gaussian_elimination(self, L):
-        assert L.inv().to_mat() == L.to_mat().inv()
+        assert to_mat(L.inv()) == mat_inv(to_mat(L))
 
     def test_inverse_makes_no_matrix_product(self, monkeypatch):
         calls = []
@@ -346,7 +347,7 @@ class TestUniTri:
             L.inv()
             L @ L
         assert calls == []
-        L.to_mat() @ L.to_mat()
+        to_mat(L) @ to_mat(L)
         assert calls == [1]
 
     def test_products_of_different_groups_rejected(self):
@@ -369,7 +370,7 @@ class TestUniTri:
         monkeypatch.setattr(FieldElem, "__init__", counting)
         for L, x in cases:
             L.inv(), L.pow(7), L.pow(-3), L.order()
-            x.L, x.A, x.to_matrix(), x.L.to_mat()
+            x.L, x.A, x.to_matrix(), to_mat(x.L)
         assert calls == []
         x.A.rows
         assert calls
@@ -385,7 +386,7 @@ class TestUniTri:
         spec = field(q)
         exp = ut_exponent(n, q)
         jordan = [int(j == i + 1) for i in range(n) for j in range(i + 1, n)]
-        assert UniTriMat.from_ints(spec, n, jordan).order() == exp
+        assert unitri_from_ints(spec, n, jordan).order() == exp
         rng = random.Random(n * 100 + q)
         for _ in range(25):
             order = UniTriMat.random(spec, n, rng).order()
@@ -398,7 +399,7 @@ class TestUniTri:
         for _ in range(5):
             L = UniTriMat.random(spec, n, rng)
             for m in range(6):
-                P = L.pow(m).to_mat()
+                P = to_mat(L.pow(m))
                 for i in range(n):
                     for j in range(i, n):
                         assert P.rows[i][j] == unitri_power_entry(L, m, i, j)
